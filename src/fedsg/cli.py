@@ -5,7 +5,8 @@ train_errors.npy, prep.npz (normalization stats) or synth_test.npz,
 and from evaluation: metrics.json, metrics.csv, roc.csv, pr.csv,
 sweep.csv, bench.json.
 
-Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error.
+Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
+(including a malformed CSV row or a corrupt checkpoint).
 """
 
 import argparse
@@ -22,11 +23,11 @@ import numpy as np
 
 from . import __version__
 from .data import (DEFAULT_FEATURES, SynthSpec, apply_zscore, equalize_widths,
-                   generate_synthetic, load_dataset, partition_non_iid,
-                   read_feature_list, zscore_fit_apply)
-from .detection import (evaluate, fit_threshold, roc_and_pr, score_matrix,
-                        write_curve, write_metrics)
-from .errors import DimensionMismatch, FedsgError
+                   filter_slice, generate_synthetic, load_dataset,
+                   partition_non_iid, read_feature_list, zscore_fit_apply)
+from .detection import (evaluate, fit_threshold, roc_and_pr, score,
+                        score_matrix, write_curve, write_metrics)
+from .errors import DimensionMismatch, FedsgError, ParseError
 from .federation import (CHECKPOINT_HEADER_BYTES, FedConfig, load_checkpoint,
                          run_fedsg, save_checkpoint, write_trace_csv)
 
@@ -155,8 +156,8 @@ def cmd_train(args):
     train_errors = np.concatenate([score_matrix(pair.u, s) for s in shards])
     np.save(os.path.join(args.out, "train_errors.npy"), train_errors)
     _write_manifest(args.out, manifest)
-    print(f"trained {config.rounds} rounds; final loss "
-          f"{traces[-1].global_loss:.6g}; artifacts in {args.out}")
+    final = f"; final loss {traces[-1].global_loss:.6g}" if traces else ""
+    print(f"trained {config.rounds} rounds{final}; artifacts in {args.out}")
     return 0
 
 
@@ -182,7 +183,6 @@ def _load_eval_inputs(args, pair):
         # Round-robin test assignment; each client's normalization stats
         # transform its assigned slice.
         errors = np.empty(len(records))
-        labels = []
         mat = np.column_stack([r.values for r in records])
         assign = np.arange(len(records)) % n_clients
         for cid in range(n_clients):
@@ -193,11 +193,7 @@ def _load_eval_inputs(args, pair):
             errors[cols] = score_matrix(pair.u, z)
         labels = [r.label for r in records]
         if args.slice:
-            keep = {"normal"} | {c.strip().lower()
-                                 for c in args.slice.split(",")}
-            mask = np.array([lab in keep for lab in labels])
-            errors = errors[mask]
-            labels = [lab for lab in labels if lab in keep]
+            return filter_slice(errors, labels, args.slice.split(","))
         return errors, np.array([lab != "normal" for lab in labels])
 
     synth_path = os.path.join(ckpt_dir, "synth_test.npz")
@@ -282,15 +278,12 @@ def cmd_bench(args):
         samples = None
     if samples is None:
         samples = np.random.default_rng(0).standard_normal((d, args.iters))
-    basis = pair.u.basis
-    x = samples[:, 0]
-    basis @ (basis.T @ x)  # warm-up, discarded
+    score(pair.u, samples[:, 0])  # warm-up, discarded
     lat = np.empty(args.iters)
     for i in range(args.iters):
         x = samples[:, i % samples.shape[1]]
         t0 = time.perf_counter()
-        r = x - basis @ (basis.T @ x)
-        float(np.sqrt(r @ r))
+        score(pair.u, x)
         lat[i] = time.perf_counter() - t0
     size = os.path.getsize(args.checkpoint)
     payload = 8 * k * (d + width)
@@ -372,7 +365,7 @@ def main(argv=None):
         return 2
     except FedsgError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 if __name__ == "__main__":

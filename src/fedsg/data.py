@@ -219,10 +219,12 @@ def equalize_widths(shards, width=None, seed=0):
 
 def filter_slice(matrix, labels, keep_classes):
     """Evaluation-slice filter: keep normal plus the listed attack
-    classes; returns (matrix subset, boolean attack labels)."""
+    classes; returns (matrix subset, boolean attack labels). The last
+    axis indexes records, so a d x m matrix and a length-m vector of
+    scores both work."""
     keep = {"normal"} | {c.strip().lower() for c in keep_classes}
     mask = np.array([lab in keep for lab in labels])
-    sub = np.asarray(matrix)[:, mask]
+    sub = np.asarray(matrix)[..., mask]
     is_attack = np.array([lab != "normal" for lab, m in zip(labels, mask) if m])
     return sub, is_attack
 

@@ -8,15 +8,13 @@ k*(d+B) float64 values per direction per round.
 """
 
 import csv
-import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import RankDeficient, ShapeMismatch
+from .errors import ParseError, RankDeficient, ShapeMismatch
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .linalg import truncated_svd
 from .objective import FactorPair, grad_u, grad_v, loss
@@ -53,7 +51,6 @@ class ClientUpdate:
     client_id: int
     u_local: GrassmannPoint
     v_local: GrassmannPoint
-    local_loss: float
     skipped_steps: int = 0
 
 
@@ -85,7 +82,7 @@ def local_update(shard, u0: GrassmannPoint, v0: GrassmannPoint,
         except RankDeficient:
             skipped += 1
     return ClientUpdate(client_id=-1, u_local=u, v_local=v,
-                        local_loss=loss(u, v, [x]), skipped_steps=skipped)
+                        skipped_steps=skipped)
 
 
 def procrustes_rotation(a, b) -> np.ndarray:
@@ -126,14 +123,6 @@ def aggregate(updates, previous: FactorPair, align: bool) -> FactorPair:
     return FactorPair(u=retract(mean_u), v=retract(mean_v))
 
 
-def _worker_count() -> int:
-    env = os.environ.get("FEDSG_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def run_fedsg(config: FedConfig, shards):
     """Run the full federated loop and return (final FactorPair, traces).
 
@@ -161,23 +150,15 @@ def run_fedsg(config: FedConfig, shards):
 
     n_sample = int(np.ceil(config.sample_fraction * config.n_clients))
     per_client_bytes = config.k * (d + width) * 8
-    workers = _worker_count()
     traces = []
 
     for rnd in range(config.rounds):
         t0 = time.perf_counter()
         sampled = np.sort(rng.choice(config.n_clients, size=n_sample, replace=False))
-
-        def one(cid, current=pair):
-            up = local_update(shards[cid], current.u, current.v,
-                              config.local_steps, config.eta)
-            return replace(up, client_id=int(cid))
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                updates = list(pool.map(one, sampled))
-        else:
-            updates = [one(cid) for cid in sampled]
+        updates = [replace(local_update(shards[cid], pair.u, pair.v,
+                                        config.local_steps, config.eta),
+                           client_id=int(cid))
+                   for cid in sampled]
 
         try:
             pair = aggregate(updates, pair, config.align_before_average)
@@ -218,12 +199,28 @@ def save_checkpoint(pair: FactorPair, round_index: int, path):
 
 
 def load_checkpoint(path):
-    """Returns (FactorPair, round_index)."""
+    """Returns (FactorPair, round_index).
+
+    Raises ParseError on a bad magic, a short header, a file size other
+    than header + 8*k*(d+B), or factors that are not orthonormal.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        d, width, k, rnd = struct.unpack("<4I", fh.read(16))
-        u = np.frombuffer(fh.read(8 * d * k), dtype="<f8").reshape(d, k)
-        v = np.frombuffer(fh.read(8 * width * k), dtype="<f8").reshape(width, k)
-    return FactorPair(u=GrassmannPoint(u), v=GrassmannPoint(v)), rnd
+        blob = fh.read()
+    magic = blob[:len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        raise ParseError(f"{path}: bad checkpoint magic {magic!r}")
+    if len(blob) < CHECKPOINT_HEADER_BYTES:
+        raise ParseError(f"{path}: checkpoint header truncated at "
+                         f"{len(blob)} bytes")
+    d, width, k, rnd = struct.unpack_from("<4I", blob, len(CHECKPOINT_MAGIC))
+    expected = CHECKPOINT_HEADER_BYTES + 8 * k * (d + width)
+    if len(blob) != expected:
+        raise ParseError(f"{path}: {len(blob)} bytes, but header "
+                         f"d={d}, B={width}, k={k} needs {expected}")
+    body = np.frombuffer(blob, dtype="<f8", offset=CHECKPOINT_HEADER_BYTES)
+    try:
+        pair = FactorPair(u=GrassmannPoint(body[:d * k].reshape(d, k)),
+                          v=GrassmannPoint(body[d * k:].reshape(width, k)))
+    except (ValueError, ShapeMismatch) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return pair, rnd

@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernel: Frobenius norm, deterministic thin QR,
-and a truncated SVD via one-sided Jacobi rotations.
+"""Dense linear-algebra kernel: Frobenius norm, a thin QR with a
+positive-diagonal R, and a truncated SVD, both on LAPACK through numpy.
 
 Matrices are numpy float64 arrays, column-major semantics (columns are
 samples throughout the package). All tolerances are module constants.
@@ -11,14 +11,9 @@ import numpy as np
 
 from .errors import ConvergenceFailure, RankDeficient, ShapeMismatch
 
-# Feasibility tolerance for orthonormality checks (Q^T Q vs identity).
-FEASIBILITY_TOL = 1e-10
 # Relative threshold on R's diagonal below which QR input is treated as
 # rank deficient.
 RANK_TOL = 1e-12
-# One-sided Jacobi convergence tolerance and sweep cap.
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 def frobenius_norm(m) -> float:
@@ -28,7 +23,7 @@ def frobenius_norm(m) -> float:
 
 
 def thin_qr(m):
-    """Thin QR factorization via Householder reflections.
+    """Thin QR factorization (LAPACK Householder).
 
     Returns (q, r) with m = q @ r, q n-by-k orthonormal, r k-by-k upper
     triangular with strictly positive diagonal. The positive-diagonal
@@ -38,55 +33,22 @@ def thin_qr(m):
     Raises RankDeficient when any diagonal of r falls below
     RANK_TOL * ||m||_F.
     """
-    a = np.array(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ShapeMismatch("thin_qr expects a 2-d matrix")
     n, k = a.shape
     if n < k:
         raise ShapeMismatch(f"thin_qr needs n >= k, got {n}x{k}")
-    norm_m = frobenius_norm(a)
-
-    # Householder reflectors stored in-place below the diagonal.
-    vs = []
-    for j in range(k):
-        x = a[j:, j].copy()
-        alpha = np.linalg.norm(x)
-        if alpha > 0.0:
-            # Sign choice avoids cancellation.
-            if x[0] >= 0.0:
-                alpha = -alpha
-            v = x.copy()
-            v[0] -= alpha
-            vnorm = np.linalg.norm(v)
-            if vnorm > 0.0:
-                v /= vnorm
-                a[j:, j:] -= 2.0 * np.outer(v, v @ a[j:, j:])
-            else:
-                v = np.zeros_like(x)
-        else:
-            v = np.zeros_like(x)
-        vs.append(v)
-
-    r = np.triu(a[:k, :])
+    q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
-    if np.any(diag < RANK_TOL * max(norm_m, 1e-300)):
+    if np.any(diag < RANK_TOL * max(frobenius_norm(a), 1e-300)):
         j = int(np.argmin(diag))
         raise RankDeficient(
             f"column {j}: |r_jj|={diag[j]:.3e} below {RANK_TOL:.0e}*||m||_F"
         )
-
-    # Accumulate Q by applying reflectors to the first k columns of I_n.
-    q = np.zeros((n, k))
-    q[:k, :k] = np.eye(k)
-    for j in range(k - 1, -1, -1):
-        v = vs[j]
-        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-
     # Flip signs so every diagonal entry of r is positive.
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q *= signs
-    r *= signs[:, None]
-    return q, r
+    return q * signs, r * signs[:, None]
 
 
 @dataclass(frozen=True)
@@ -98,102 +60,13 @@ class SvdTriple:
     sigma: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self):
-        k = self.sigma.shape[0]
-        if np.any(self.sigma < -1e-15) or np.any(np.diff(self.sigma) > 1e-12):
-            raise ValueError("singular values must be non-negative, non-increasing")
-        for f in (self.u, self.v):
-            gram = f.T @ f - np.eye(k)
-            if frobenius_norm(gram) > 1e-10:
-                raise ValueError("factor columns not orthonormal")
-
-
-def _jacobi_svd(a):
-    """One-sided Jacobi SVD of a (m x n, m >= n): returns (u, sigma, v)
-    with a = u @ diag(sigma) @ v.T, sigma descending."""
-    w = np.array(a, dtype=float)
-    m, n = w.shape
-    v = np.eye(n)
-    scale = frobenius_norm(w)
-    if scale == 0.0:
-        return _complete_orthonormal(np.zeros((m, 0)), m, n), np.zeros(n), v
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                alpha = w[:, i] @ w[:, i]
-                beta = w[:, j] @ w[:, j]
-                gamma = w[:, i] @ w[:, j]
-                if alpha * beta == 0.0:
-                    continue
-                ratio = abs(gamma) / np.sqrt(alpha * beta)
-                if ratio <= JACOBI_TOL:
-                    continue
-                off = max(off, ratio)
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                wi = w[:, i].copy()
-                w[:, i] = c * wi - s * w[:, j]
-                w[:, j] = s * wi + c * w[:, j]
-                vi = v[:, i].copy()
-                v[:, i] = c * vi - s * v[:, j]
-                v[:, j] = s * vi + c * v[:, j]
-        if off <= JACOBI_TOL:
-            break
-    else:
-        raise ConvergenceFailure(
-            f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    sigma = np.linalg.norm(w, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    u = np.zeros((m, n))
-    tiny = JACOBI_TOL * scale
-    n_good = 0
-    for j in range(n):
-        if sigma[j] > tiny:
-            u[:, j] = w[:, j] / sigma[j]
-            n_good = j + 1
-        else:
-            sigma[j] = 0.0
-    if n_good < n:
-        u = _complete_orthonormal(u[:, :n_good], m, n)
-    return u, sigma, v
-
-
-def _complete_orthonormal(u, m, n):
-    """Deterministically extend u (m x j, orthonormal) to m x n by
-    Gram-Schmidt against canonical basis vectors."""
-    cols = [u[:, j] for j in range(u.shape[1])]
-    e = 0
-    while len(cols) < n:
-        if e >= m:
-            raise RankDeficient("cannot complete orthonormal basis")
-        cand = np.zeros(m)
-        cand[e] = 1.0
-        e += 1
-        for c in cols:
-            cand -= (c @ cand) * c
-        norm = np.linalg.norm(cand)
-        if norm > 0.5:
-            cols.append(cand / norm)
-    return np.column_stack(cols) if cols else np.zeros((m, 0))
-
 
 def truncated_svd(m, k: int) -> SvdTriple:
-    """Best rank-k approximation factors of m (Eckart-Young), computed
-    with one-sided Jacobi rotations.
+    """Best rank-k approximation factors of m (Eckart-Young), from the
+    LAPACK SVD.
 
-    Raises ConvergenceFailure after JACOBI_MAX_SWEEPS sweeps.
+    Raises ConvergenceFailure when LAPACK does not converge, as it does
+    on non-finite input.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
@@ -201,8 +74,8 @@ def truncated_svd(m, k: int) -> SvdTriple:
     rows, cols = a.shape
     if not 1 <= k <= min(rows, cols):
         raise ShapeMismatch(f"k={k} out of range for {rows}x{cols}")
-    if rows >= cols:
-        u, sigma, v = _jacobi_svd(a)
-    else:
-        v, sigma, u = _jacobi_svd(a.T)
-    return SvdTriple(u=u[:, :k].copy(), sigma=sigma[:k].copy(), v=v[:, :k].copy())
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD of a {rows}x{cols} matrix: {exc}") from exc
+    return SvdTriple(u=u[:, :k].copy(), sigma=sigma[:k].copy(), v=vt[:k].T.copy())

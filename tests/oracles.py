@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
-These deliberately avoid the code paths under test: the SVD oracle is
-LAPACK via numpy, gradients come from central finite differences, AUC
+These deliberately avoid the code paths under test: the SVD tail oracle
+uses the symmetric eigensolver on a Gram matrix, not the SVD driver the
+library calls; gradients come from central finite differences, AUC
 from explicit pair counting, and confusion metrics from a per-sample
 loop.
 """
@@ -10,9 +11,12 @@ import numpy as np
 
 
 def svd_tail_energy(m, k):
-    """Sum of squared singular values beyond the k-th (LAPACK)."""
-    s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    return float(np.sum(s[k:] ** 2))
+    """Sum of squared singular values beyond the k-th: the smallest
+    eigenvalues of the smaller Gram matrix."""
+    a = np.asarray(m, dtype=float)
+    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+    eigs = np.linalg.eigvalsh(gram)  # ascending
+    return float(np.sum(eigs[:gram.shape[0] - k]))
 
 
 def finite_difference_grad(f, x, h=1e-6):

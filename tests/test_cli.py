@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -168,3 +169,38 @@ def test_csv_train_eval_pipeline(tmp_path, capsys):
                  "--slice", "r2l,u2r"]) == 0
     sliced = json.loads(capsys.readouterr().out)
     assert 0.0 <= sliced["auc"] <= 1.0
+
+
+def test_train_zero_rounds(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = list(TRAIN_ARGS)
+    args[args.index("--rounds") + 1] = "0"
+    assert main(["train", *args, "--out", str(out)]) == 0
+    assert "final loss" not in capsys.readouterr().out
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1  # header only
+    # header + the initial pair's two factors
+    assert (out / "checkpoint.bin").stat().st_size == 24 + 8 * 2 * (10 + 20)
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.bin")]) == 0
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda b: b"NOTFEDSG" + b[8:],                   # bad magic
+    lambda b: b[:20],                                 # header cut short
+    lambda b: b[:-8],                                 # payload cut short
+    lambda b: b + b"\0" * 8,                          # trailing junk
+    lambda b: b[:24] + struct.pack("<d", 2.0) + b[32:],  # not orthonormal
+], ids=["magic", "short-header", "short-payload", "trailing", "payload"])
+def test_eval_rejects_corrupt_checkpoint(run_dir, capsys, corrupt):
+    ckpt = run_dir / "checkpoint.bin"
+    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
+def test_train_malformed_csv_row_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2,3\n")
+    assert main(["train", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "ParseError" in capsys.readouterr().err

@@ -44,7 +44,7 @@ def test_local_update_stationary_at_exact_rank():
     up = local_update(x, GrassmannPoint(u0), GrassmannPoint(v0), 3, 0.01)
     assert frobenius_norm(up.u_local.basis - u0) <= 1e-8
     assert frobenius_norm(up.v_local.basis - v0) <= 1e-8
-    assert up.local_loss <= 1e-16
+    assert loss(up.u_local, up.v_local, [x]) <= 1e-16
 
 
 def test_local_update_descends():
@@ -53,13 +53,13 @@ def test_local_update_descends():
     x = rng.standard_normal((6, 5))
     before = loss(pair.u, pair.v, [x])
     up = local_update(x, pair.u, pair.v, 5, 0.01)
-    assert up.local_loss < before
+    assert loss(up.u_local, up.v_local, [x]) < before
 
 
 def test_aggregate_identical_updates_is_identity():
     rng = np.random.default_rng(3)
     pair = _pair(rng, 6, 5, 2)
-    ups = [ClientUpdate(i, pair.u, pair.v, 0.0) for i in range(3)]
+    ups = [ClientUpdate(i, pair.u, pair.v) for i in range(3)]
     out = aggregate(ups, pair, align=True)
     assert np.allclose(out.u.basis, pair.u.basis, atol=1e-12)
     assert np.allclose(out.v.basis, pair.v.basis, atol=1e-12)
@@ -71,8 +71,8 @@ def test_aggregate_alignment_cancels_sign_flip():
     flip = np.diag([-1.0, 1.0])
     flipped = FactorPair(u=GrassmannPoint(pair.u.basis @ flip),
                          v=GrassmannPoint(pair.v.basis @ flip))
-    ups = [ClientUpdate(0, pair.u, pair.v, 0.0),
-           ClientUpdate(1, flipped.u, flipped.v, 0.0)]
+    ups = [ClientUpdate(0, pair.u, pair.v),
+           ClientUpdate(1, flipped.u, flipped.v)]
     out = aggregate(ups, pair, align=True)
     # aligned mean returns the previous subspace, not a collapsed mix
     assert frobenius_norm(out.u.basis @ out.u.basis.T
@@ -83,7 +83,7 @@ def test_aggregate_output_feasible():
     rng = np.random.default_rng(5)
     prev = _pair(rng, 8, 6, 3)
     ups = [ClientUpdate(i, GrassmannPoint(random_orthonormal(rng, 8, 3)),
-                        GrassmannPoint(random_orthonormal(rng, 6, 3)), 0.0)
+                        GrassmannPoint(random_orthonormal(rng, 6, 3)))
            for i in range(5)]
     out = aggregate(ups, prev, align=True)
     assert frobenius_norm(out.u.basis.T @ out.u.basis - np.eye(3)) <= 1e-8

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsg.errors import RankDeficient, ShapeMismatch
+from fedsg.errors import ConvergenceFailure, RankDeficient, ShapeMismatch
 from fedsg.linalg import frobenius_norm, thin_qr, truncated_svd
 
 from oracles import svd_tail_energy
@@ -116,3 +116,8 @@ def test_truncated_svd_rank_deficient_input_has_orthonormal_factors():
     assert t.sigma[1] == pytest.approx(0.0, abs=1e-9)
     assert frobenius_norm(t.u.T @ t.u - np.eye(2)) <= 1e-10
     assert frobenius_norm(t.v.T @ t.v - np.eye(2)) <= 1e-10
+
+
+def test_truncated_svd_non_finite_input_fails_loudly():
+    with pytest.raises(ConvergenceFailure):
+        truncated_svd(np.full((4, 3), np.nan), 2)
