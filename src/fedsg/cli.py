@@ -6,7 +6,8 @@ and from evaluation: metrics.json, metrics.csv, roc.csv, pr.csv,
 sweep.csv, bench.json.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
-(including a malformed CSV row or a corrupt checkpoint).
+(a malformed, non-finite or empty CSV, an unknown label or feature, a
+corrupt checkpoint, or data whose dimensions disagree with it).
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .data import (DEFAULT_FEATURES, SynthSpec, apply_zscore, equalize_widths,
                    partition_non_iid, read_feature_list, zscore_fit_apply)
 from .detection import (evaluate, fit_threshold, roc_and_pr, score,
                         score_matrix, write_curve, write_metrics)
-from .errors import DimensionMismatch, FedsgError, ParseError
+from .errors import DimensionMismatch, FedsgError, InputError
 from .federation import (CHECKPOINT_HEADER_BYTES, FedConfig, load_checkpoint,
                          run_fedsg, save_checkpoint, write_trace_csv)
 
@@ -174,7 +175,7 @@ def _load_eval_inputs(args, pair):
         prep = np.load(prep_path, allow_pickle=False)
         features = [str(f) for f in prep["features"]]
         records = load_dataset(args.data, feature_list=features)
-        if records and records[0].values.shape[0] != d:
+        if records[0].values.shape[0] != d:
             raise DimensionMismatch(
                 f"checkpoint d={d}, test records have "
                 f"{records[0].values.shape[0]} features")
@@ -365,7 +366,7 @@ def main(argv=None):
         return 2
     except FedsgError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ParseError) else 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

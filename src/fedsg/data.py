@@ -62,6 +62,11 @@ DEFAULT_LABEL_MAP = {
 
 LABEL_CLASSES = ("normal", "dos", "probe", "r2l", "u2r")
 
+# load_dataset parses values into blocks of this many rows (each record's
+# values are a row view), so its finite check runs once per block rather
+# than once per row.
+PARSE_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class RawRecord:
@@ -96,8 +101,10 @@ def load_dataset(path, feature_list=None, label_map=None,
     """Parse an NSL-KDD style CSV into RawRecords with the configured
     feature subset and mapped labels.
 
-    Raises ParseError with the offending row/column, UnknownLabel for
-    labels outside the map, MissingFeature for unknown feature names.
+    Raises ParseError with the offending row/column (a non-numeric or
+    non-finite value, a short row, or a file without data rows),
+    UnknownLabel for labels outside the map, MissingFeature for unknown
+    feature names.
     """
     features = list(feature_list) if feature_list else list(DEFAULT_FEATURES)
     label_map = dict(label_map) if label_map else dict(DEFAULT_LABEL_MAP)
@@ -107,7 +114,7 @@ def load_dataset(path, feature_list=None, label_map=None,
     except ValueError as exc:
         raise MissingFeature(str(exc)) from None
 
-    records = []
+    records, blocks = [], []
     with open(path) as fh:
         n_cols = None
         for row_no, line in enumerate(fh):
@@ -128,7 +135,10 @@ def load_dataset(path, feature_list=None, label_map=None,
             raw_label = parts[label_column].strip().lower().rstrip(".")
             if raw_label not in label_map:
                 raise UnknownLabel(f"row {row_no}: label {raw_label!r}")
-            vals = np.empty(len(idx))
+            slot = len(records) % PARSE_BLOCK_ROWS
+            if slot == 0:
+                blocks.append(np.empty((PARSE_BLOCK_ROWS, len(idx))))
+            vals = blocks[-1][slot]
             for out_i, col_i in enumerate(idx):
                 try:
                     vals[out_i] = float(parts[col_i])
@@ -139,6 +149,16 @@ def load_dataset(path, feature_list=None, label_map=None,
                     ) from None
             records.append(RawRecord(values=vals, label=label_map[raw_label],
                                      row_index=row_no))
+    if not records:
+        raise ParseError(f"{path}: no data rows")
+    for b, block in enumerate(blocks):
+        start = b * PARSE_BLOCK_ROWS
+        bad = np.argwhere(~np.isfinite(block[:len(records) - start]))
+        if bad.size:
+            i, j = bad[0]
+            raise ParseError(
+                f"row {records[start + i].row_index}, column "
+                f"{columns[idx[j]]!r}: non-finite value {float(block[i, j])!r}")
     return records
 
 

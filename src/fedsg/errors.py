@@ -29,21 +29,26 @@ class AllOneClass(FedsgError):
     """Rate metrics are undefined when only one label class is present."""
 
 
-class ParseError(FedsgError):
+class InputError(FedsgError):
+    """Base class for faults in input from outside the program (files,
+    labels, feature names); the CLI exits 2 for them, not 1."""
+
+
+class ParseError(InputError):
     """Malformed input file; message carries row/column location."""
 
 
-class UnknownLabel(FedsgError):
+class UnknownLabel(InputError):
     """A record label is outside the configured label map."""
 
 
-class MissingFeature(FedsgError):
+class MissingFeature(InputError):
     """A named feature is absent from the loaded records."""
 
 
-class EmptyShard(FedsgError):
+class EmptyShard(InputError):
     """A client shard has no records."""
 
 
-class DimensionMismatch(FedsgError):
+class DimensionMismatch(InputError):
     """Checkpoint and data dimensions disagree."""

@@ -1,7 +1,14 @@
-"""Simulated federated subspace learning: per-client alternating
-Riemannian updates, server-side averaging with re-retraction, and
-broadcast, with deterministic client sampling and exact communication
-accounting.
+"""Simulated federated subspace learning: alternating Riemannian
+updates on every sampled client, server-side averaging with
+re-retraction, and broadcast, with deterministic client sampling and
+exact communication accounting.
+
+A round runs as one batched engine: the sampled clients' bases are
+stacked as (s, d, k) and (s, B, k) arrays, and the gradients, QR
+retractions, Procrustes alignments and the mean act on the whole stack.
+Only the shard products X V and X^T U are formed client by client
+(objective.grad_u / grad_v), so the shards are never copied into a
+stack.
 
 Message sizes follow the wire contract: each sampled client exchanges
 k*(d+B) float64 values per direction per round.
@@ -10,7 +17,7 @@ k*(d+B) float64 values per direction per round.
 import csv
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,54 +54,52 @@ class FedConfig:
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    client_id: int
-    u_local: GrassmannPoint
-    v_local: GrassmannPoint
-    skipped_steps: int = 0
-
-
-@dataclass(frozen=True)
 class RoundTrace:
     round: int
     global_loss: float
     sampled: tuple
+    skipped_steps: int      # rank-deficient local retractions, all clients
+    aborted: bool           # aggregation failed; previous pair kept
     elapsed_ms: float
     bytes_uplink: int
     bytes_downlink: int
 
 
-def local_update(shard, u0: GrassmannPoint, v0: GrassmannPoint,
-                 c: int, eta: float) -> ClientUpdate:
-    """c alternating steps: move U along its manifold with V fixed, then
-    V with the new U fixed. A rank-deficient retraction skips that
-    sub-step and keeps the previous iterate."""
-    x = np.asarray(shard, dtype=float)
-    u, v = u0, v0
-    skipped = 0
+def local_update(shards, u0, v0, c: int, eta: float):
+    """c alternating steps on every client at once: move U along its
+    manifold with V fixed, then V with the new U fixed.
+
+    shards holds the s clients' d x B matrices; u0 (s, d, k) and
+    v0 (s, B, k) stack their starting bases. Returns (u, v, skipped):
+    the stacked bases after the steps and, per client, the number of
+    sub-steps skipped because the retraction was rank deficient (that
+    client keeps its previous iterate for the sub-step).
+    """
+    u, v = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+    if u.ndim != 3 or v.ndim != 3:
+        raise ShapeMismatch(f"local_update takes (s, n, k) stacks of bases, "
+                            f"got {u.shape} and {v.shape}")
+    skipped = np.zeros(len(u), dtype=int)
     for _ in range(c):
-        try:
-            u = riemannian_step(u, grad_u(u, v, [x]), eta)
-        except RankDeficient:
-            skipped += 1
-        try:
-            v = riemannian_step(v, grad_v(u, v, [x]), eta)
-        except RankDeficient:
-            skipped += 1
-    return ClientUpdate(client_id=-1, u_local=u, v_local=v,
-                        skipped_steps=skipped)
+        u, full_rank = riemannian_step(u, grad_u(u, v, shards), eta)
+        skipped += ~full_rank
+        v, full_rank = riemannian_step(v, grad_v(u, v, shards), eta)
+        skipped += ~full_rank
+    return u, v, skipped
 
 
 def procrustes_rotation(a, b) -> np.ndarray:
-    """Orthogonal Q minimizing ||A Q - B||_F (both n x k)."""
-    m = np.asarray(a, dtype=float).T @ np.asarray(b, dtype=float)
-    t = truncated_svd(m, m.shape[0])
-    return t.u @ t.v.T
+    """Orthogonal Q minimizing ||A Q - B||_F (both n x k). A may be an
+    (s, n, k) stack, which gives an (s, k, k) stack of rotations."""
+    m = np.swapaxes(np.asarray(a, dtype=float), -1, -2) @ np.asarray(b, dtype=float)
+    t = truncated_svd(m, m.shape[-1])
+    return t.u @ np.swapaxes(t.v, -1, -2)
 
 
-def aggregate(updates, previous: FactorPair, align: bool) -> FactorPair:
-    """Entrywise mean of client bases in ascending client-id order,
-    then re-retraction onto the manifolds.
+def aggregate(u, v, previous: FactorPair, align: bool) -> FactorPair:
+    """Entrywise mean of the stacked client bases u (s, d, k) and
+    v (s, B, k), summed in stack order (ascending client id), then
+    re-retraction onto the manifolds.
 
     With align=True each basis is first rotated by its orthogonal
     Procrustes factor toward the previous global point, removing the
@@ -102,33 +107,26 @@ def aggregate(updates, previous: FactorPair, align: bool) -> FactorPair:
 
     Raises RankDeficient if a mean collapses; callers keep `previous`.
     """
-    if not updates:
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.ndim != 3 or v.ndim != 3 or len(u) != len(v):
+        raise ShapeMismatch(f"update stacks {u.shape} and {v.shape}")
+    if not len(u):
         raise ValueError("aggregate needs at least one update")
-    ordered = sorted(updates, key=lambda up: up.client_id)
-    shape_u = ordered[0].u_local.basis.shape
-    shape_v = ordered[0].v_local.basis.shape
-    mean_u = np.zeros(shape_u)
-    mean_v = np.zeros(shape_v)
-    for up in ordered:
-        if up.u_local.basis.shape != shape_u or up.v_local.basis.shape != shape_v:
-            raise ShapeMismatch("inconsistent update shapes")
-        bu, bv = up.u_local.basis, up.v_local.basis
-        if align:
-            bu = bu @ procrustes_rotation(bu, previous.u.basis)
-            bv = bv @ procrustes_rotation(bv, previous.v.basis)
-        mean_u += bu
-        mean_v += bv
-    mean_u /= len(ordered)
-    mean_v /= len(ordered)
-    return FactorPair(u=retract(mean_u), v=retract(mean_v))
+    if u.shape[1:] != previous.u.basis.shape or v.shape[1:] != previous.v.basis.shape:
+        raise ShapeMismatch("update shapes differ from the previous pair")
+    if align:
+        u = u @ procrustes_rotation(u, previous.u.basis)
+        v = v @ procrustes_rotation(v, previous.v.basis)
+    return FactorPair(u=retract(u.mean(axis=0)), v=retract(v.mean(axis=0)))
 
 
 def run_fedsg(config: FedConfig, shards):
     """Run the full federated loop and return (final FactorPair, traces).
 
     Initial bases are retracted seeded Gaussians; each round samples
-    ceil(sample_fraction * N) clients without replacement, runs local
-    updates, aggregates, and records loss over ALL shards.
+    ceil(sample_fraction * N) clients without replacement, runs their
+    local updates as one batch, aggregates, and records loss over ALL
+    shards.
     """
     shards = [np.asarray(s, dtype=float) for s in shards]
     if not shards:
@@ -155,20 +153,24 @@ def run_fedsg(config: FedConfig, shards):
     for rnd in range(config.rounds):
         t0 = time.perf_counter()
         sampled = np.sort(rng.choice(config.n_clients, size=n_sample, replace=False))
-        updates = [replace(local_update(shards[cid], pair.u, pair.v,
-                                        config.local_steps, config.eta),
-                           client_id=int(cid))
-                   for cid in sampled]
+        u, v, skipped = local_update(
+            [shards[cid] for cid in sampled],
+            np.broadcast_to(pair.u.basis, (n_sample, d, config.k)),
+            np.broadcast_to(pair.v.basis, (n_sample, width, config.k)),
+            config.local_steps, config.eta)
 
         try:
-            pair = aggregate(updates, pair, config.align_before_average)
+            pair = aggregate(u, v, pair, config.align_before_average)
+            aborted = False
         except RankDeficient:
-            pass  # round aborted, previous global pair retained
+            aborted = True  # previous global pair retained
 
         traces.append(RoundTrace(
             round=rnd,
             global_loss=loss(pair.u, pair.v, shards),
             sampled=tuple(int(c) for c in sampled),
+            skipped_steps=int(skipped.sum()),
+            aborted=aborted,
             elapsed_ms=(time.perf_counter() - t0) * 1e3,
             bytes_uplink=per_client_bytes * n_sample,
             bytes_downlink=per_client_bytes * n_sample,
@@ -179,11 +181,12 @@ def run_fedsg(config: FedConfig, shards):
 def write_trace_csv(traces, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["round", "global_loss", "n_sampled",
-                    "uplink_bytes", "downlink_bytes", "elapsed_ms"])
+        w.writerow(["round", "global_loss", "n_sampled", "uplink_bytes",
+                    "downlink_bytes", "skipped_steps", "aborted", "elapsed_ms"])
         for t in traces:
             w.writerow([t.round, repr(t.global_loss), len(t.sampled),
-                        t.bytes_uplink, t.bytes_downlink, f"{t.elapsed_ms:.3f}"])
+                        t.bytes_uplink, t.bytes_downlink, t.skipped_steps,
+                        int(t.aborted), f"{t.elapsed_ms:.3f}"])
 
 
 def save_checkpoint(pair: FactorPair, round_index: int, path):

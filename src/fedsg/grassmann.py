@@ -1,16 +1,28 @@
 """Grassmann-manifold geometry: points are n-by-k orthonormal bases
 identified up to right rotation; updates use tangent projection followed
-by QR retraction."""
+by QR retraction. Tangent projection and the Riemannian step also take
+(s, n, k) stacks of bases, one per client, and step them all at once."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import frobenius_norm, thin_qr
+from .linalg import batched_qr, thin_qr
 
 # Orthonormality tolerance checked on construction and after retraction.
 ORTHO_TOL = 1e-8
+
+
+def check_orthonormal(b):
+    """Raise ValueError unless every n x k basis in b (one matrix or an
+    (..., n, k) stack) is finite with ||B^T B - I||_F <= ORTHO_TOL."""
+    if not np.all(np.isfinite(b)):
+        raise ValueError("basis has non-finite entries")
+    gram = np.swapaxes(b, -1, -2) @ b - np.eye(b.shape[-1])
+    err = np.max(np.sqrt(np.sum(gram * gram, axis=(-2, -1))), initial=0.0)
+    if err > ORTHO_TOL:
+        raise ValueError(f"basis not orthonormal: ||B^T B - I||_F = {err:.3e}")
 
 
 @dataclass(frozen=True)
@@ -27,12 +39,7 @@ class GrassmannPoint:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] < b.shape[1]:
             raise ShapeMismatch(f"basis must be n x k with n >= k, got {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("basis has non-finite entries")
-        gram = b.T @ b - np.eye(b.shape[1])
-        err = frobenius_norm(gram)
-        if err > ORTHO_TOL:
-            raise ValueError(f"basis not orthonormal: ||B^T B - I||_F = {err:.3e}")
+        check_orthonormal(b)
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -46,12 +53,14 @@ class GrassmannPoint:
         return self.basis.shape[1]
 
 
-def project_tangent(a: GrassmannPoint, g) -> np.ndarray:
-    """Project g onto the tangent space at a: (I - A A^T) g."""
+def project_tangent(a, g) -> np.ndarray:
+    """Project g onto the tangent space at a: (I - A A^T) g. a is a
+    GrassmannPoint or an (s, n, k) stack of bases, g has its shape."""
+    b = a.basis if isinstance(a, GrassmannPoint) else np.asarray(a, dtype=float)
     g = np.asarray(g, dtype=float)
-    if g.shape != a.basis.shape:
-        raise ShapeMismatch(f"gradient shape {g.shape} != basis shape {a.basis.shape}")
-    return g - a.basis @ (a.basis.T @ g)
+    if g.shape != b.shape:
+        raise ShapeMismatch(f"gradient shape {g.shape} != basis shape {b.shape}")
+    return g - b @ (np.swapaxes(b, -1, -2) @ g)
 
 
 def retract(m) -> GrassmannPoint:
@@ -65,8 +74,21 @@ def retract(m) -> GrassmannPoint:
     return GrassmannPoint(q)
 
 
-def riemannian_step(a: GrassmannPoint, euclidean_grad, eta: float) -> GrassmannPoint:
-    """One gradient step along the manifold: retract(A - eta * tangent)."""
+def riemannian_step(a, euclidean_grad, eta: float):
+    """One gradient step along the manifold: retract(A - eta * tangent).
+
+    a is a GrassmannPoint or an (s, n, k) stack of orthonormal bases.
+    A point steps to a point, and a rank-deficient retraction raises
+    RankDeficient. A stack steps to (bases, full_rank): each member is
+    retracted on its own, and a member whose retraction is rank
+    deficient keeps its basis from a and has full_rank False.
+    """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    return retract(a.basis - eta * project_tangent(a, euclidean_grad))
+    if isinstance(a, GrassmannPoint):
+        return retract(a.basis - eta * project_tangent(a, euclidean_grad))
+    bases = np.asarray(a, dtype=float)
+    q, _, deficient = batched_qr(bases - eta * project_tangent(bases, euclidean_grad))
+    q = np.where(deficient[:, None, None], bases, q)
+    check_orthonormal(q)
+    return q, ~deficient

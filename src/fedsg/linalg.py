@@ -1,5 +1,7 @@
 """Dense linear-algebra kernel: Frobenius norm, a thin QR with a
 positive-diagonal R, and a truncated SVD, both on LAPACK through numpy.
+The QR and the SVD also take stacks of matrices, so a round's sampled
+clients factor in one call.
 
 Matrices are numpy float64 arrays, column-major semantics (columns are
 samples throughout the package). All tolerances are module constants.
@@ -22,6 +24,27 @@ def frobenius_norm(m) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
+def batched_qr(m):
+    """thin_qr of every n x k matrix in an (..., n, k) stack, without
+    raising: returns (q, r, deficient), where deficient (shape ...) marks
+    the matrices that thin_qr rejects as rank deficient."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2:
+        raise ShapeMismatch("QR expects a matrix or a stack of matrices")
+    n, k = a.shape[-2:]
+    if n < k:
+        raise ShapeMismatch(f"thin QR needs n >= k, got {n}x{k}")
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    norms = np.sqrt(np.sum(r * r, axis=(-2, -1)))  # ||m||_F = ||r||_F
+    deficient = np.any(
+        np.abs(diag) < RANK_TOL * np.maximum(norms, 1e-300)[..., None],
+        axis=-1)
+    # Flip signs so every diagonal entry of r is positive.
+    signs = np.where(diag < 0.0, -1.0, 1.0)
+    return q * signs[..., None, :], r * signs[..., :, None], deficient
+
+
 def thin_qr(m):
     """Thin QR factorization (LAPACK Householder).
 
@@ -36,19 +59,14 @@ def thin_qr(m):
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ShapeMismatch("thin_qr expects a 2-d matrix")
-    n, k = a.shape
-    if n < k:
-        raise ShapeMismatch(f"thin_qr needs n >= k, got {n}x{k}")
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
-    if np.any(diag < RANK_TOL * max(frobenius_norm(a), 1e-300)):
+    q, r, deficient = batched_qr(a)
+    if deficient:
+        diag = np.diag(r)
         j = int(np.argmin(diag))
         raise RankDeficient(
             f"column {j}: |r_jj|={diag[j]:.3e} below {RANK_TOL:.0e}*||m||_F"
         )
-    # Flip signs so every diagonal entry of r is positive.
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs, r * signs[:, None]
+    return q, r
 
 
 @dataclass(frozen=True)
@@ -63,19 +81,22 @@ class SvdTriple:
 
 def truncated_svd(m, k: int) -> SvdTriple:
     """Best rank-k approximation factors of m (Eckart-Young), from the
-    LAPACK SVD.
+    LAPACK SVD. For an (..., rows, cols) stack every factor gains the
+    leading axes.
 
     Raises ConvergenceFailure when LAPACK does not converge, as it does
     on non-finite input.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ShapeMismatch("truncated_svd expects a 2-d matrix")
-    rows, cols = a.shape
+    if a.ndim < 2:
+        raise ShapeMismatch("truncated_svd expects a matrix or a stack "
+                            "of matrices")
+    rows, cols = a.shape[-2:]
     if not 1 <= k <= min(rows, cols):
         raise ShapeMismatch(f"k={k} out of range for {rows}x{cols}")
     try:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD of a {rows}x{cols} matrix: {exc}") from exc
-    return SvdTriple(u=u[:, :k].copy(), sigma=sigma[:k].copy(), v=vt[:k].T.copy())
+    return SvdTriple(u=u[..., :k].copy(), sigma=sigma[..., :k].copy(),
+                     v=np.swapaxes(vt[..., :k, :], -1, -2).copy())

@@ -7,7 +7,10 @@ sum_i ||X_i - U U^T X_i V V^T||_F^2.
 
 Gradients are derived from this loss and hold for arbitrary (also
 non-orthonormal) U, V, so they agree with finite differences of
-raw_loss in every direction.
+raw_loss in every direction. They are computed from the k-column shard
+products X_i V and X_i^T U, and take stacks of bases, one member per
+shard, so the federated engine gets every sampled client's gradient in
+one call.
 """
 
 from dataclasses import dataclass
@@ -70,38 +73,58 @@ def loss(u, v, shards) -> float:
     return total
 
 
-def grad_u(u, v, shards) -> np.ndarray:
-    """Euclidean gradient of loss with respect to U.
+def _shard_products(ub, vb, shards, transpose):
+    """X_i V (or X_i^T U with transpose) for every shard, as an
+    (n_shards, rows, k) stack. A single pair is shared by all shards;
+    stacked bases carry one member per shard."""
+    xs = [np.asarray(x, dtype=float) for x in shards]
+    if ub.ndim == 3:
+        if not len(xs) == len(ub) == len(vb):
+            raise ShapeMismatch(f"{len(xs)} shards for stacks of "
+                                f"{len(ub)} and {len(vb)} bases")
+        members = zip(xs, ub, vb)
+    else:
+        members = ((x, ub, vb) for x in xs)
+    out = []
+    for x, ui, vi in members:
+        _check_shard(ui, vi, x)
+        out.append(x.T @ ui if transpose else x @ vi)
+    rows = (vb if transpose else ub).shape[-2]
+    return np.reshape(np.array(out), (len(out), rows, ub.shape[-1]))
 
-    For R = X - U U^T X Q with Q = V V^T:
-        dL/dU = -2 sum_i (R_i Q X_i^T U + X_i Q R_i^T U).
-    The second term vanishes when U is orthonormal but is kept so the
-    gradient is exact at any U.
+
+def _gradient(a, b, products):
+    """Gradient with respect to A of sum_i ||Y_i - A A^T Y_i B B^T||_F^2
+    from the products P_i = Y_i B. With C = A^T P, G_a = A^T A and
+    G_b = B^T B it is
+        -2 ((P - A C G_b) C^T + P (C^T - G_b C^T G_a)),
+    which costs O(n m k) per shard and never forms an n x m matrix. At
+    orthonormal A, B the second term vanishes and the first is already
+    tangent at A: -2 (I - A A^T) Y B C^T (Edelman, Arias & Smith 1998).
+    """
+    at = np.swapaxes(a, -1, -2)
+    core = at @ products
+    ct = np.swapaxes(core, -1, -2)
+    g_b = np.swapaxes(b, -1, -2) @ b
+    return -2.0 * ((products - a @ core @ g_b) @ ct
+                   + products @ (ct - g_b @ ct @ (at @ a)))
+
+
+def grad_u(u, v, shards) -> np.ndarray:
+    """Euclidean gradient of loss with respect to U, exact at any U, V.
+
+    u and v are one pair (gradient of the loss summed over shards), or
+    (s, d, k) and (s, B, k) stacks with s shards, which gives the
+    (s, d, k) stack of each member's gradient of its own shard's loss.
     """
     ub, vb = _basis(u), _basis(v)
-    g = np.zeros_like(ub)
-    for x in shards:
-        x = np.asarray(x, dtype=float)
-        _check_shard(ub, vb, x)
-        xv = x @ vb                       # d x k
-        xq = xv @ vb.T                    # X V V^T, d x B
-        r = x - ub @ (ub.T @ xq)          # residual, d x B
-        g -= 2.0 * ((r @ vb) @ (xv.T @ ub) + xq @ (r.T @ ub))
-    return g
+    g = _gradient(ub, vb, _shard_products(ub, vb, shards, transpose=False))
+    return g if ub.ndim == 3 else g.sum(axis=0)
 
 
 def grad_v(u, v, shards) -> np.ndarray:
-    """Euclidean gradient of loss with respect to V.
-
-    For R = X - P X V V^T with P = U U^T:
-        dL/dV = -2 sum_i (X_i^T P R_i V + R_i^T P X_i V).
-    """
+    """Euclidean gradient of loss with respect to V; as grad_u, with the
+    roles of U and V swapped (the loss of X_i^T under (V, U))."""
     ub, vb = _basis(u), _basis(v)
-    g = np.zeros_like(vb)
-    for x in shards:
-        x = np.asarray(x, dtype=float)
-        _check_shard(ub, vb, x)
-        px = ub @ (ub.T @ x)              # P X, d x B
-        r = x - (px @ vb) @ vb.T          # residual, d x B
-        g -= 2.0 * ((px.T @ r) @ vb + (r.T @ px) @ vb)
-    return g
+    g = _gradient(vb, ub, _shard_products(ub, vb, shards, transpose=True))
+    return g if vb.ndim == 3 else g.sum(axis=0)

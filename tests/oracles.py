@@ -4,10 +4,18 @@ These deliberately avoid the code paths under test: the SVD tail oracle
 uses the symmetric eigensolver on a Gram matrix, not the SVD driver the
 library calls; gradients come from central finite differences, AUC
 from explicit pair counting, and confusion metrics from a per-sample
-loop.
+loop. sequential_fedsg is the per-client federated loop that the
+batched engine in fedsg.federation replaced; it reuses the library's
+single-pair gradients, point Riemannian step and retraction (each
+checked on its own elsewhere) and checks the batching, the per-client
+skip, the alignment and the mean around them.
 """
 
 import numpy as np
+
+from fedsg.errors import RankDeficient
+from fedsg.grassmann import retract, riemannian_step
+from fedsg.objective import FactorPair, grad_u, grad_v, loss
 
 
 def svd_tail_energy(m, k):
@@ -70,3 +78,60 @@ def random_orthonormal(rng, n, k):
     """Orthonormal basis via LAPACK QR (independent of the package QR)."""
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.sign(np.diag(r))
+
+
+def _procrustes(a, b):
+    """Orthogonal Q minimizing ||A Q - B||_F, from one k x k SVD."""
+    w, _, zt = np.linalg.svd(a.T @ b)
+    return w @ zt
+
+
+def sequential_fedsg(config, shards):
+    """run_fedsg one client at a time: Euclidean gradients, a
+    Riemannian step per sub-step (a rank-deficient retraction keeps the
+    iterate), per-client Procrustes alignment, the mean in ascending
+    client order and a re-retraction (a rank-deficient mean keeps the
+    previous pair). Draws from the generator in run_fedsg's order.
+
+    Returns (final FactorPair, per-round global losses, per-round
+    skipped sub-steps, per-round aborted flags).
+    """
+    shards = [np.asarray(x, dtype=float) for x in shards]
+    d, width = shards[0].shape
+    rng = np.random.default_rng(config.seed)
+    pair = FactorPair(u=retract(rng.standard_normal((d, config.k))),
+                      v=retract(rng.standard_normal((width, config.k))))
+    n_sample = int(np.ceil(config.sample_fraction * config.n_clients))
+    losses, skips, aborts = [], [], []
+    for _ in range(config.rounds):
+        sampled = np.sort(rng.choice(config.n_clients, size=n_sample,
+                                     replace=False))
+        sum_u, sum_v = np.zeros((d, config.k)), np.zeros((width, config.k))
+        skipped = 0
+        for cid in sampled:
+            x = shards[cid]
+            u, v = pair.u, pair.v
+            for _ in range(config.local_steps):
+                try:
+                    u = riemannian_step(u, grad_u(u, v, [x]), config.eta)
+                except RankDeficient:
+                    skipped += 1
+                try:
+                    v = riemannian_step(v, grad_v(u, v, [x]), config.eta)
+                except RankDeficient:
+                    skipped += 1
+            bu, bv = u.basis, v.basis
+            if config.align_before_average:
+                bu = bu @ _procrustes(bu, pair.u.basis)
+                bv = bv @ _procrustes(bv, pair.v.basis)
+            sum_u += bu
+            sum_v += bv
+        try:
+            pair = FactorPair(u=retract(sum_u / n_sample),
+                              v=retract(sum_v / n_sample))
+            aborts.append(False)
+        except RankDeficient:
+            aborts.append(True)
+        losses.append(loss(pair.u, pair.v, shards))
+        skips.append(skipped)
+    return pair, losses, skips, aborts

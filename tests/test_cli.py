@@ -129,19 +129,27 @@ def test_config_file_precedence(tmp_path):
     assert manifest["config"]["local_steps"] == 1
 
 
+def _csv_row(rng, label, dst, count=None):
+    """One NSL-KDD-shaped CSV line; count, if given, is written verbatim
+    into the count column."""
+    vals = []
+    for col in NSL_KDD_COLUMNS:
+        if col in ("protocol_type", "service", "flag"):
+            vals.append("x")
+        elif col == "dst_bytes":
+            vals.append(str(dst))
+        elif col == "count" and count is not None:
+            vals.append(count)
+        else:
+            vals.append(f"{rng.random():.4f}")
+    return ",".join(vals + [label, "21"])
+
+
 def test_csv_train_eval_pipeline(tmp_path, capsys):
     rng = np.random.default_rng(0)
 
     def row(label, dst):
-        vals = []
-        for col in NSL_KDD_COLUMNS:
-            if col in ("protocol_type", "service", "flag"):
-                vals.append("x")
-            elif col == "dst_bytes":
-                vals.append(str(dst))
-            else:
-                vals.append(f"{rng.random():.4f}")
-        return ",".join(vals + [label, "21"])
+        return _csv_row(rng, label, dst)
 
     train = tmp_path / "train.csv"
     train.write_text("\n".join(row("normal", i) for i in range(40)) + "\n")
@@ -204,3 +212,53 @@ def test_train_malformed_csv_row_is_input_error(tmp_path, capsys):
     bad.write_text("1,2,3\n")
     assert main(["train", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "ParseError" in capsys.readouterr().err
+
+
+CSV_TRAIN_ARGS = ["--clients", "4", "--rounds", "2", "--local-steps", "1",
+                  "--sample-fraction", "1.0", "--rank", "2", "--eta", "0.001",
+                  "--seed", "0"]
+
+
+@pytest.fixture
+def csv_run(tmp_path):
+    rng = np.random.default_rng(1)
+    train = tmp_path / "train.csv"
+    train.write_text("\n".join(_csv_row(rng, "normal", i)
+                               for i in range(40)) + "\n")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(train), "--out", str(out),
+                 *CSV_TRAIN_ARGS]) == 0
+    return out
+
+
+def test_train_unknown_label_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_csv_row(np.random.default_rng(2), "zzz_attack", 0) + "\n")
+    assert main(["train", "--data", str(bad), "--out", str(tmp_path / "o"),
+                 *CSV_TRAIN_ARGS]) == 2
+    assert "UnknownLabel" in capsys.readouterr().err
+
+
+def test_eval_empty_csv_is_input_error(csv_run, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["eval", "--checkpoint", str(csv_run / "checkpoint.bin"),
+                 "--data", str(empty)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_csv_value_is_input_error(csv_run, tmp_path, capsys,
+                                             value):
+    rng = np.random.default_rng(3)
+    bad = tmp_path / "bad.csv"
+    rows = [_csv_row(rng, "normal", i) for i in range(40)]
+    rows[7] = _csv_row(rng, "normal", 7, count=value)
+    bad.write_text("\n".join(rows) + "\n")
+    where = f"row 7, column 'count': non-finite value {float(value)!r}"
+    assert main(["train", "--data", str(bad), "--out", str(tmp_path / "o"),
+                 *CSV_TRAIN_ARGS]) == 2
+    assert where in capsys.readouterr().err
+    assert main(["eval", "--checkpoint", str(csv_run / "checkpoint.bin"),
+                 "--data", str(bad)]) == 2
+    assert where in capsys.readouterr().err

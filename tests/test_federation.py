@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from fedsg.federation import (ClientUpdate, FedConfig, aggregate,
-                              load_checkpoint, local_update,
-                              procrustes_rotation, run_fedsg, save_checkpoint,
-                              write_trace_csv)
-from fedsg.grassmann import GrassmannPoint
+from fedsg import federation
+from fedsg.errors import RankDeficient
+from fedsg.federation import (FedConfig, aggregate, load_checkpoint,
+                              local_update, procrustes_rotation, run_fedsg,
+                              save_checkpoint, write_trace_csv)
+from fedsg.grassmann import GrassmannPoint, retract
 from fedsg.linalg import frobenius_norm
 from fedsg.objective import FactorPair, loss
 
-from oracles import random_orthonormal, svd_tail_energy
+from oracles import random_orthonormal, sequential_fedsg, svd_tail_energy
 
 
 def _pair(rng, d, width, k):
     return FactorPair(u=GrassmannPoint(random_orthonormal(rng, d, k)),
                       v=GrassmannPoint(random_orthonormal(rng, width, k)))
+
+
+def _stack(*points):
+    return np.stack([p.basis if isinstance(p, GrassmannPoint) else p
+                     for p in points])
 
 
 def test_config_validation():
@@ -30,9 +36,10 @@ def test_local_update_zero_steps_is_identity():
     rng = np.random.default_rng(0)
     pair = _pair(rng, 6, 5, 2)
     x = rng.standard_normal((6, 5))
-    up = local_update(x, pair.u, pair.v, 0, 0.01)
-    assert np.allclose(up.u_local.basis, pair.u.basis)
-    assert np.allclose(up.v_local.basis, pair.v.basis)
+    u, v, skipped = local_update([x], _stack(pair.u), _stack(pair.v), 0, 0.01)
+    assert np.allclose(u[0], pair.u.basis)
+    assert np.allclose(v[0], pair.v.basis)
+    assert skipped.tolist() == [0]
 
 
 def test_local_update_stationary_at_exact_rank():
@@ -41,10 +48,10 @@ def test_local_update_stationary_at_exact_rank():
     u0 = random_orthonormal(rng, 6, 2)
     v0 = random_orthonormal(rng, 5, 2)
     x = u0 @ t_core @ v0.T
-    up = local_update(x, GrassmannPoint(u0), GrassmannPoint(v0), 3, 0.01)
-    assert frobenius_norm(up.u_local.basis - u0) <= 1e-8
-    assert frobenius_norm(up.v_local.basis - v0) <= 1e-8
-    assert loss(up.u_local, up.v_local, [x]) <= 1e-16
+    u, v, _ = local_update([x], _stack(u0), _stack(v0), 3, 0.01)
+    assert frobenius_norm(u[0] - u0) <= 1e-8
+    assert frobenius_norm(v[0] - v0) <= 1e-8
+    assert loss(u[0], v[0], [x]) <= 1e-16
 
 
 def test_local_update_descends():
@@ -52,15 +59,34 @@ def test_local_update_descends():
     pair = _pair(rng, 6, 5, 2)
     x = rng.standard_normal((6, 5))
     before = loss(pair.u, pair.v, [x])
-    up = local_update(x, pair.u, pair.v, 5, 0.01)
-    assert loss(up.u_local, up.v_local, [x]) < before
+    u, v, _ = local_update([x], _stack(pair.u), _stack(pair.v), 5, 0.01)
+    assert loss(u[0], v[0], [x]) < before
+
+
+def test_local_update_rank_deficient_client_is_skipped():
+    # A rank-1 shard with k=2 gives a rank-1 gradient; at a huge step the
+    # retraction input is numerically rank 1, so both sub-steps of that
+    # client are skipped while the full-rank client steps as it would
+    # alone.
+    rng = np.random.default_rng(14)
+    pair = _pair(rng, 6, 5, 2)
+    rank1 = np.outer(rng.standard_normal(6), rng.standard_normal(5))
+    full = rng.standard_normal((6, 5))
+    u0, v0 = _stack(pair.u, pair.u), _stack(pair.v, pair.v)
+    u, v, skipped = local_update([rank1, full], u0, v0, 1, 1e15)
+    assert skipped.tolist() == [2, 0]
+    assert np.array_equal(u[0], pair.u.basis)
+    assert np.array_equal(v[0], pair.v.basis)
+    u_alone, v_alone, _ = local_update([full], u0[1:], v0[1:], 1, 1e15)
+    assert np.array_equal(u[1], u_alone[0])
+    assert np.array_equal(v[1], v_alone[0])
 
 
 def test_aggregate_identical_updates_is_identity():
     rng = np.random.default_rng(3)
     pair = _pair(rng, 6, 5, 2)
-    ups = [ClientUpdate(i, pair.u, pair.v) for i in range(3)]
-    out = aggregate(ups, pair, align=True)
+    out = aggregate(_stack(*[pair.u] * 3), _stack(*[pair.v] * 3), pair,
+                    align=True)
     assert np.allclose(out.u.basis, pair.u.basis, atol=1e-12)
     assert np.allclose(out.v.basis, pair.v.basis, atol=1e-12)
 
@@ -71,9 +97,8 @@ def test_aggregate_alignment_cancels_sign_flip():
     flip = np.diag([-1.0, 1.0])
     flipped = FactorPair(u=GrassmannPoint(pair.u.basis @ flip),
                          v=GrassmannPoint(pair.v.basis @ flip))
-    ups = [ClientUpdate(0, pair.u, pair.v),
-           ClientUpdate(1, flipped.u, flipped.v)]
-    out = aggregate(ups, pair, align=True)
+    out = aggregate(_stack(pair.u, flipped.u), _stack(pair.v, flipped.v),
+                    pair, align=True)
     # aligned mean returns the previous subspace, not a collapsed mix
     assert frobenius_norm(out.u.basis @ out.u.basis.T
                           - pair.u.basis @ pair.u.basis.T) <= 1e-9
@@ -82,10 +107,9 @@ def test_aggregate_alignment_cancels_sign_flip():
 def test_aggregate_output_feasible():
     rng = np.random.default_rng(5)
     prev = _pair(rng, 8, 6, 3)
-    ups = [ClientUpdate(i, GrassmannPoint(random_orthonormal(rng, 8, 3)),
-                        GrassmannPoint(random_orthonormal(rng, 6, 3)))
-           for i in range(5)]
-    out = aggregate(ups, prev, align=True)
+    us = _stack(*[random_orthonormal(rng, 8, 3) for _ in range(5)])
+    vs = _stack(*[random_orthonormal(rng, 6, 3) for _ in range(5)])
+    out = aggregate(us, vs, prev, align=True)
     assert frobenius_norm(out.u.basis.T @ out.u.basis - np.eye(3)) <= 1e-8
     assert frobenius_norm(out.v.basis.T @ out.v.basis - np.eye(3)) <= 1e-8
 
@@ -98,6 +122,50 @@ def test_procrustes_rotation_is_orthogonal_and_optimal():
     q = procrustes_rotation(a, b)
     assert np.allclose(q.T @ q, np.eye(3), atol=1e-10)
     assert frobenius_norm(a @ q - b) <= 1e-9
+
+
+def test_aggregate_unaligned_cancellation_raises():
+    rng = np.random.default_rng(15)
+    pair = _pair(rng, 6, 5, 2)
+    with pytest.raises(RankDeficient):
+        aggregate(_stack(pair.u, -pair.u.basis), _stack(pair.v, pair.v),
+                  pair, align=False)
+
+
+@pytest.mark.parametrize("align", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_fedsg_matches_sequential_reference(seed, align):
+    rng = np.random.default_rng(100 + seed)
+    shards = [rng.standard_normal((7, 9)) for _ in range(6)]
+    cfg = FedConfig(n_clients=6, rounds=8, local_steps=3,
+                    sample_fraction=0.5, k=2, eta=0.05, seed=seed,
+                    align_before_average=align)
+    pair, traces = run_fedsg(cfg, shards)
+    ref, losses, skips, aborts = sequential_fedsg(cfg, shards)
+    assert frobenius_norm(pair.u.basis - ref.u.basis) <= 1e-10
+    assert frobenius_norm(pair.v.basis - ref.v.basis) <= 1e-10
+    assert np.allclose([t.global_loss for t in traces], losses,
+                       rtol=1e-10, atol=0.0)
+    assert [t.skipped_steps for t in traces] == skips
+    assert [t.aborted for t in traces] == aborts
+
+
+def test_run_fedsg_records_skipped_and_aborted_rounds(monkeypatch):
+    rng = np.random.default_rng(16)
+    rank1 = np.outer(rng.standard_normal(6), rng.standard_normal(5))
+    cfg = FedConfig(n_clients=1, rounds=2, local_steps=2,
+                    sample_fraction=1.0, k=2, eta=1e15, seed=0)
+    _, traces = run_fedsg(cfg, [rank1])
+    assert [(t.skipped_steps, t.aborted) for t in traces] == [(4, False)] * 2
+
+    def collapse(*args):
+        raise RankDeficient("mean collapsed")
+    monkeypatch.setattr(federation, "aggregate", collapse)
+    pair, traces = run_fedsg(cfg, [rank1])
+    assert [t.aborted for t in traces] == [True, True]
+    # every round kept the initial pair, the first draw of the seeded rng
+    initial = retract(np.random.default_rng(cfg.seed).standard_normal((6, 2)))
+    assert np.array_equal(pair.u.basis, initial.basis)
 
 
 def test_run_fedsg_exact_rank_data_converges():
@@ -182,5 +250,6 @@ def test_trace_csv_columns(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(traces, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "round,global_loss,n_sampled,uplink_bytes,downlink_bytes,elapsed_ms"
+    assert lines[0] == ("round,global_loss,n_sampled,uplink_bytes,"
+                        "downlink_bytes,skipped_steps,aborted,elapsed_ms")
     assert len(lines) == 3

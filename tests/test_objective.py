@@ -152,6 +152,33 @@ def test_gradients_match_finite_differences():
         assert np.max(np.abs(gv - fv)) / scale_v <= 1e-5
 
 
+def test_gradients_match_finite_differences_off_the_manifold():
+    # the gradients are exact at any U, V, not only orthonormal ones
+    for seed in range(20):
+        rng = np.random.default_rng(200 + seed)
+        u = rng.standard_normal((6, 2))
+        v = rng.standard_normal((5, 2))
+        shards = [rng.standard_normal((6, 5)) for _ in range(2)]
+        fu = finite_difference_grad(lambda w: loss(w, v, shards), u)
+        fv = finite_difference_grad(lambda w: loss(u, w, shards), v)
+        assert np.max(np.abs(grad_u(u, v, shards) - fu)) <= 1e-5 * np.max(np.abs(fu))
+        assert np.max(np.abs(grad_v(u, v, shards) - fv)) <= 1e-5 * np.max(np.abs(fv))
+
+
+def test_stacked_gradients_are_per_member():
+    rng = np.random.default_rng(13)
+    pairs = [_uv(rng, 6, 5, 2) for _ in range(3)]
+    shards = [rng.standard_normal((6, 5)) for _ in range(3)]
+    us = np.stack([u.basis for u, _ in pairs])
+    vs = np.stack([v.basis for _, v in pairs])
+    gu, gv = grad_u(us, vs, shards), grad_v(us, vs, shards)
+    for i, ((u, v), x) in enumerate(zip(pairs, shards)):
+        assert np.allclose(gu[i], grad_u(u, v, [x]), rtol=0.0, atol=1e-12)
+        assert np.allclose(gv[i], grad_v(u, v, [x]), rtol=0.0, atol=1e-12)
+    with pytest.raises(ShapeMismatch):
+        grad_u(us, vs, shards[:2])
+
+
 def test_loss_shape_mismatch():
     rng = np.random.default_rng(12)
     u, v = _uv(rng, 6, 5, 2)
