@@ -7,7 +7,9 @@ sweep.csv, bench.json.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
 (a malformed, non-finite or empty CSV, an unknown label or feature, a
-corrupt checkpoint, or data whose dimensions disagree with it).
+corrupt checkpoint, data whose dimensions disagree with it, a
+non-finite training shard, or an out-of-range or unknown training or
+--synthetic value).
 """
 
 import argparse
@@ -54,6 +56,15 @@ def _load_config_file(path):
         return json.load(fh)
 
 
+def _build(cls, values):
+    """cls(**values); an unknown key or an out-of-range value in user
+    input is a usage error."""
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid {cls.__name__}: {exc}") from None
+
+
 def _resolve_fed_config(args):
     """CLI flags > config file > built-in defaults."""
     values = {}
@@ -74,7 +85,7 @@ def _resolve_fed_config(args):
             values[key] = val
     if getattr(args, "no_align", False):
         values["align_before_average"] = False
-    return FedConfig(**values)
+    return _build(FedConfig, values)
 
 
 def _parse_synth_spec(arg, fallback_seed):
@@ -86,11 +97,13 @@ def _parse_synth_spec(arg, fallback_seed):
         try:
             raw = json.loads(arg)
         except json.JSONDecodeError:
-            raise UsageError(f"--synthetic must be 'default', a JSON file, "
-                             f"or inline JSON; got {arg!r}")
+            raw = None
+    if not isinstance(raw, dict):
+        raise UsageError(f"--synthetic must be 'default', a JSON file, "
+                         f"or an inline JSON object; got {arg!r}")
     if fallback_seed is not None and "seed" not in raw:
         raw["seed"] = fallback_seed
-    return SynthSpec(**raw)
+    return _build(SynthSpec, raw)
 
 
 def _write_manifest(out_dir, payload):
@@ -113,7 +126,8 @@ def cmd_train(args):
     if args.synthetic:
         spec = _parse_synth_spec(args.synthetic, config.seed)
         if spec.n_clients != config.n_clients:
-            config = dataclasses.replace(config, n_clients=spec.n_clients)
+            config = _build(FedConfig, dict(dataclasses.asdict(config),
+                                            n_clients=spec.n_clients))
             manifest["config"] = dataclasses.asdict(config)
         shards, test, labels, _ = generate_synthetic(spec)
         manifest["dataset"] = {"kind": "synthetic",
@@ -126,9 +140,9 @@ def cmd_train(args):
             raise UsageError(f"data path not found: {args.data}")
         features = (read_feature_list(args.features) if args.features
                     else list(DEFAULT_FEATURES))
-        records = load_dataset(args.data, feature_list=features)
+        data = load_dataset(args.data, feature_list=features)
         raw_shards, dropped = partition_non_iid(
-            records, config.n_clients, args.sort_feature, feature_list=features)
+            data, config.n_clients, args.sort_feature, feature_list=features)
         if dropped:
             print(f"note: dropped {dropped} remainder records in partition",
                   file=sys.stderr)
@@ -174,28 +188,26 @@ def _load_eval_inputs(args, pair):
             raise UsageError(f"no prep.npz next to checkpoint: {prep_path}")
         prep = np.load(prep_path, allow_pickle=False)
         features = [str(f) for f in prep["features"]]
-        records = load_dataset(args.data, feature_list=features)
-        if records[0].values.shape[0] != d:
+        data = load_dataset(args.data, feature_list=features)
+        if data.values.shape[0] != d:
             raise DimensionMismatch(
                 f"checkpoint d={d}, test records have "
-                f"{records[0].values.shape[0]} features")
+                f"{data.values.shape[0]} features")
         means, stds = prep["means"], prep["stds"]
         n_clients = means.shape[0]
         # Round-robin test assignment; each client's normalization stats
         # transform its assigned slice.
-        errors = np.empty(len(records))
-        mat = np.column_stack([r.values for r in records])
-        assign = np.arange(len(records)) % n_clients
+        errors = np.empty(len(data))
+        assign = np.arange(len(data)) % n_clients
         for cid in range(n_clients):
             cols = np.where(assign == cid)[0]
             if cols.size == 0:
                 continue
-            z = apply_zscore(means[cid], stds[cid], mat[:, cols])
+            z = apply_zscore(means[cid], stds[cid], data.values[:, cols])
             errors[cols] = score_matrix(pair.u, z)
-        labels = [r.label for r in records]
         if args.slice:
-            return filter_slice(errors, labels, args.slice.split(","))
-        return errors, np.array([lab != "normal" for lab in labels])
+            return filter_slice(errors, data.labels, args.slice.split(","))
+        return errors, data.labels != "normal"
 
     synth_path = os.path.join(ckpt_dir, "synth_test.npz")
     if not os.path.exists(synth_path):

@@ -6,6 +6,7 @@ planted anomalies.
 Feature matrices are d x B with columns as samples.
 """
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,17 +63,18 @@ DEFAULT_LABEL_MAP = {
 
 LABEL_CLASSES = ("normal", "dos", "probe", "r2l", "u2r")
 
-# load_dataset parses values into blocks of this many rows (each record's
-# values are a row view), so its finite check runs once per block rather
-# than once per row.
-PARSE_BLOCK_ROWS = 4096
-
 
 @dataclass(frozen=True)
-class RawRecord:
-    values: np.ndarray = field(repr=False)  # selected features, length d
-    label: str
-    row_index: int
+class Dataset:
+    """Parsed records in columns: values[:, i] holds the selected
+    features of record i, labels[i] its class name and row_index[i] its
+    0-based line number in the source file."""
+    values: np.ndarray = field(repr=False)     # d x m, a transposed view
+    labels: np.ndarray = field(repr=False)     # m class names
+    row_index: np.ndarray = field(repr=False)  # m ints
+
+    def __len__(self):
+        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,14 @@ def read_feature_list(path):
 
 
 def load_dataset(path, feature_list=None, label_map=None,
-                 columns=None, label_column=41):
-    """Parse an NSL-KDD style CSV into RawRecords with the configured
-    feature subset and mapped labels.
+                 columns=None, label_column=41) -> Dataset:
+    """Parse an NSL-KDD style CSV into a columnar Dataset with the
+    configured feature subset and mapped labels.
+
+    One pass over the lines skips blanks and the optional header and
+    checks the column count and label; the kept lines stream into
+    np.loadtxt, which parses the selected columns without per-row
+    objects.
 
     Raises ParseError with the offending row/column (a non-numeric or
     non-finite value, a short row, or a file without data rows),
@@ -114,8 +121,12 @@ def load_dataset(path, feature_list=None, label_map=None,
     except ValueError as exc:
         raise MissingFeature(str(exc)) from None
 
-    records, blocks = [], []
-    with open(path) as fh:
+    last_feature = max(idx)
+    labels, row_index = [], []
+    last_parts = None  # cells of the line loadtxt is converting
+
+    def kept_lines(fh):
+        nonlocal last_parts
         n_cols = None
         for row_no, line in enumerate(fh):
             line = line.strip()
@@ -132,45 +143,47 @@ def load_dataset(path, feature_list=None, label_map=None,
                 )
             if label_column >= len(parts):
                 raise ParseError(f"row {row_no}: no label column {label_column}")
+            if last_feature >= len(parts):
+                raise ParseError(f"row {row_no}: no column "
+                                 f"{columns[last_feature]!r}")
             raw_label = parts[label_column].strip().lower().rstrip(".")
             if raw_label not in label_map:
                 raise UnknownLabel(f"row {row_no}: label {raw_label!r}")
-            slot = len(records) % PARSE_BLOCK_ROWS
-            if slot == 0:
-                blocks.append(np.empty((PARSE_BLOCK_ROWS, len(idx))))
-            vals = blocks[-1][slot]
-            for out_i, col_i in enumerate(idx):
+            labels.append(label_map[raw_label])
+            row_index.append(row_no)
+            last_parts = parts
+            yield line
+
+    with open(path) as fh:
+        lines = kept_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(f"{path}: no data rows")
+        try:
+            rows = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                              usecols=idx, comments=None, ndmin=2)
+        except ValueError as exc:
+            # loadtxt converts each line as it reads it, so the failing
+            # cell is in the last line the generator yielded.
+            for col_i in idx:
                 try:
-                    vals[out_i] = float(parts[col_i])
+                    float(last_parts[col_i])
                 except ValueError:
                     raise ParseError(
-                        f"row {row_no}, column {columns[col_i]!r}: "
-                        f"non-numeric value {parts[col_i]!r}"
-                    ) from None
-            records.append(RawRecord(values=vals, label=label_map[raw_label],
-                                     row_index=row_no))
-    if not records:
-        raise ParseError(f"{path}: no data rows")
-    for b, block in enumerate(blocks):
-        start = b * PARSE_BLOCK_ROWS
-        bad = np.argwhere(~np.isfinite(block[:len(records) - start]))
-        if bad.size:
-            i, j = bad[0]
-            raise ParseError(
-                f"row {records[start + i].row_index}, column "
-                f"{columns[idx[j]]!r}: non-finite value {float(block[i, j])!r}")
-    return records
+                        f"row {row_index[-1]}, column {columns[col_i]!r}: "
+                        f"non-numeric value {last_parts[col_i]!r}") from None
+            raise ParseError(f"row {row_index[-1]}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(
+            f"row {row_index[i]}, column {columns[idx[j]]!r}: "
+            f"non-finite value {float(rows[i, j])!r}")
+    return Dataset(values=rows.T, labels=np.array(labels),
+                   row_index=np.array(row_index))
 
 
-def records_to_matrix(records):
-    """Stack records as columns; returns (d x m matrix, labels tuple)."""
-    if not records:
-        raise EmptyShard("no records")
-    mat = np.column_stack([r.values for r in records])
-    return mat, tuple(r.label for r in records)
-
-
-def partition_non_iid(records, n_clients, sort_feature,
+def partition_non_iid(dataset: Dataset, n_clients, sort_feature,
                       feature_list=None, benign_only=True):
     """Sort records by one feature (stable, ties by original row index)
     and slice into n_clients contiguous equal-size shards; the trailing
@@ -184,17 +197,22 @@ def partition_non_iid(records, n_clients, sort_feature,
         fpos = features.index(sort_feature)
     except ValueError:
         raise MissingFeature(f"sort feature {sort_feature!r} not in feature list")
-    pool = [r for r in records if r.label == "normal"] if benign_only else list(records)
-    if n_clients > len(pool):
-        raise ShapeMismatch(f"{n_clients} clients but only {len(pool)} records")
-    pool.sort(key=lambda r: (r.values[fpos], r.row_index))
-    width = len(pool) // n_clients
-    dropped = len(pool) - width * n_clients
+    pool = (np.flatnonzero(dataset.labels == "normal") if benign_only
+            else np.arange(len(dataset)))
+    if n_clients > pool.size:
+        raise ShapeMismatch(f"{n_clients} clients but only {pool.size} records")
+    pool = pool[np.lexsort((dataset.row_index[pool],
+                            dataset.values[fpos, pool]))]
+    width = pool.size // n_clients
+    dropped = pool.size - width * n_clients
     shards = []
     for cid in range(n_clients):
         chunk = pool[cid * width:(cid + 1) * width]
-        mat, labels = records_to_matrix(chunk)
-        shards.append(ClientShard(client_id=cid, features=mat, labels=labels))
+        # Row-major, so the per-feature z-score sums run along contiguous
+        # rows.
+        mat = np.ascontiguousarray(dataset.values[:, chunk])
+        shards.append(ClientShard(client_id=cid, features=mat,
+                                  labels=tuple(dataset.labels[chunk].tolist())))
     return shards, dropped
 
 
@@ -242,11 +260,10 @@ def filter_slice(matrix, labels, keep_classes):
     classes; returns (matrix subset, boolean attack labels). The last
     axis indexes records, so a d x m matrix and a length-m vector of
     scores both work."""
-    keep = {"normal"} | {c.strip().lower() for c in keep_classes}
-    mask = np.array([lab in keep for lab in labels])
-    sub = np.asarray(matrix)[..., mask]
-    is_attack = np.array([lab != "normal" for lab, m in zip(labels, mask) if m])
-    return sub, is_attack
+    labels = np.asarray(labels)
+    keep = ["normal"] + [c.strip().lower() for c in keep_classes]
+    mask = np.isin(labels, keep)
+    return np.asarray(matrix)[..., mask], labels[mask] != "normal"
 
 
 @dataclass(frozen=True)

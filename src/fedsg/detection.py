@@ -122,6 +122,10 @@ def roc_and_pr(errors, labels):
     Returns (roc points (fpr, tpr) sorted by fpr, pr points
     (recall, precision), trapezoidal AUC). Tied scores collapse to one
     sweep point, so the trapezoid equals the half-weighted pair count.
+
+    One stable sort by descending error and a cumulative count give the
+    confusion counts at every threshold in O(n log n) (Fawcett 2006,
+    "An introduction to ROC analysis").
     """
     errs = np.asarray(errors, dtype=float)
     labs = np.asarray(labels, dtype=bool)
@@ -132,18 +136,24 @@ def roc_and_pr(errors, labels):
     if n_pos == 0 or n_neg == 0:
         raise AllOneClass("both classes required for ROC/PR")
 
-    thresholds = np.concatenate(([np.inf], np.unique(errs)[::-1], [-np.inf]))
-    roc = []
-    pr = []
-    for tau in thresholds:
-        tp, fp, fn, tn = confusion_counts(errs, labs, tau)
-        roc.append((fp / n_neg, tp / n_pos))
-        if tp + fp > 0:
-            pr.append((tp / n_pos, tp / (tp + fp)))
+    order = np.argsort(-errs, kind="stable")
+    errs, labs = errs[order], labs[order]
+    # Last index of each run of tied errors: the threshold at the next
+    # smaller distinct value flags everything up to it.
+    last = np.flatnonzero(np.r_[errs[1:] != errs[:-1], True])
+    # Thresholds +inf, then each distinct error in descending order (none
+    # strictly above the maximum), then -inf (everything).
+    # Both counts only grow as the threshold falls, so the ROC points
+    # come out sorted.
+    tp = np.r_[0, 0, np.cumsum(labs)[last]]
+    fp = np.r_[0, 0, np.cumsum(~labs)[last]]
+    roc = list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
+    flagged = tp + fp > 0
+    pr = list(zip((tp[flagged] / n_pos).tolist(),
+                  (tp[flagged] / (tp + fp)[flagged]).tolist()))
     # precision at recall 0: first attained point.
     if pr and pr[0][0] > 0.0:
         pr.insert(0, (0.0, pr[0][1]))
-    roc.sort()
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(roc[:-1], roc[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0

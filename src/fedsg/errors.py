@@ -50,5 +50,9 @@ class EmptyShard(InputError):
     """A client shard has no records."""
 
 
+class NonFiniteShard(InputError):
+    """A training shard holds a NaN or infinite value."""
+
+
 class DimensionMismatch(InputError):
     """Checkpoint and data dimensions disagree."""

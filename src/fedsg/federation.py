@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, RankDeficient, ShapeMismatch
+from .errors import (NonFiniteShard, ParseError, RankDeficient,
+                     ShapeMismatch)
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .linalg import truncated_svd
 from .objective import FactorPair, grad_u, grad_v, loss
@@ -135,6 +136,8 @@ def run_fedsg(config: FedConfig, shards):
     for i, s in enumerate(shards):
         if s.shape != (d, width):
             raise ShapeMismatch(f"shard {i} has shape {s.shape}, expected {(d, width)}")
+        if not np.isfinite(s).all():
+            raise NonFiniteShard(f"shard {i} has non-finite values")
     if len(shards) != config.n_clients:
         raise ShapeMismatch(
             f"{len(shards)} shards but config.n_clients={config.n_clients}"

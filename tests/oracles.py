@@ -4,7 +4,12 @@ These deliberately avoid the code paths under test: the SVD tail oracle
 uses the symmetric eigensolver on a Gram matrix, not the SVD driver the
 library calls; gradients come from central finite differences, AUC
 from explicit pair counting, and confusion metrics from a per-sample
-loop. sequential_fedsg is the per-client federated loop that the
+loop. sweep_roc_and_pr is the per-threshold ROC/PR sweep (one full
+confusion count per distinct score) that detection.roc_and_pr's sorted
+cumulative sweep replaced; parse_records and sorted_partition are the
+per-row, per-cell float() CSV parser and the per-record sort that
+data.load_dataset's columnar ingest and partition_non_iid replaced.
+sequential_fedsg is the per-client federated loop that the
 batched engine in fedsg.federation replaced; it reuses the library's
 single-pair gradients, point Riemannian step and retraction (each
 checked on its own elsewhere) and checks the batching, the per-client
@@ -13,7 +18,9 @@ skip, the alignment and the mean around them.
 
 import numpy as np
 
-from fedsg.errors import RankDeficient
+from fedsg.data import DEFAULT_FEATURES, DEFAULT_LABEL_MAP, NSL_KDD_COLUMNS
+from fedsg.detection import confusion_counts
+from fedsg.errors import ParseError, RankDeficient, UnknownLabel
 from fedsg.grassmann import retract, riemannian_step
 from fedsg.objective import FactorPair, grad_u, grad_v, loss
 
@@ -72,6 +79,95 @@ def brute_force_metrics(errors, labels, tau):
     fpr = fp / (fp + tn) if fp + tn else 0.0
     f1 = 2 * pre * tpr / (pre + tpr) if pre + tpr else 0.0
     return acc, pre, tpr, fpr, f1
+
+
+def sweep_roc_and_pr(errors, labels):
+    """roc_and_pr by one confusion count per threshold: +inf, every
+    distinct error in descending order, -inf. Assumes both classes are
+    present."""
+    errs = np.asarray(errors, dtype=float)
+    labs = np.asarray(labels, dtype=bool)
+    n_pos = int(np.sum(labs))
+    n_neg = int(np.sum(~labs))
+    thresholds = np.concatenate(([np.inf], np.unique(errs)[::-1], [-np.inf]))
+    roc = []
+    pr = []
+    for tau in thresholds:
+        tp, fp, fn, tn = confusion_counts(errs, labs, tau)
+        roc.append((fp / n_neg, tp / n_pos))
+        if tp + fp > 0:
+            pr.append((tp / n_pos, tp / (tp + fp)))
+    if pr and pr[0][0] > 0.0:
+        pr.insert(0, (0.0, pr[0][1]))
+    roc.sort()
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(roc[:-1], roc[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return tuple(roc), tuple(pr), float(auc)
+
+
+def parse_records(path, feature_list=None, label_map=None, columns=None,
+                  label_column=41):
+    """load_dataset one row and one cell at a time with float().
+
+    Returns (d x m values, list of class names, list of row numbers) and
+    raises the same errors, in file order, with the same messages."""
+    features = list(feature_list) if feature_list else list(DEFAULT_FEATURES)
+    label_map = dict(label_map) if label_map else dict(DEFAULT_LABEL_MAP)
+    columns = list(columns) if columns else list(NSL_KDD_COLUMNS)
+    idx = [columns.index(f) for f in features]
+    values, labels, rows = [], [], []
+    with open(path) as fh:
+        n_cols = None
+        for row_no, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if row_no == 0 and parts[0] == columns[0]:
+                continue
+            if n_cols is None:
+                n_cols = len(parts)
+            if len(parts) != n_cols:
+                raise ParseError(f"row {row_no}: expected {n_cols} columns, "
+                                 f"got {len(parts)}")
+            if label_column >= len(parts):
+                raise ParseError(f"row {row_no}: no label column {label_column}")
+            raw_label = parts[label_column].strip().lower().rstrip(".")
+            if raw_label not in label_map:
+                raise UnknownLabel(f"row {row_no}: label {raw_label!r}")
+            vals = []
+            for col_i in idx:
+                try:
+                    vals.append(float(parts[col_i]))
+                except ValueError:
+                    raise ParseError(
+                        f"row {row_no}, column {columns[col_i]!r}: "
+                        f"non-numeric value {parts[col_i]!r}") from None
+            values.append(vals)
+            labels.append(label_map[raw_label])
+            rows.append(row_no)
+    if not values:
+        raise ParseError(f"{path}: no data rows")
+    mat = np.array(values).reshape(len(values), len(idx))
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(f"row {rows[i]}, column {columns[idx[j]]!r}: "
+                         f"non-finite value {float(mat[i, j])!r}")
+    return mat.T, labels, rows
+
+
+def sorted_partition(values, labels, rows, n_clients, fpos):
+    """partition_non_iid by a Python sort of the benign records on
+    (sort-feature value, row number) and np.column_stack of each
+    contiguous chunk. Returns [(d x width matrix, labels tuple)]."""
+    pool = [i for i, lab in enumerate(labels) if lab == "normal"]
+    pool.sort(key=lambda i: (values[fpos, i], rows[i]))
+    width = len(pool) // n_clients
+    chunks = [pool[c * width:(c + 1) * width] for c in range(n_clients)]
+    return [(np.column_stack([values[:, i] for i in chunk]),
+             tuple(labels[i] for i in chunk)) for chunk in chunks]
 
 
 def random_orthonormal(rng, n, k):

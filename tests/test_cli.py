@@ -46,6 +46,21 @@ def test_train_requires_source(tmp_path):
     assert main(["train", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--synthetic", SYNTH, "--eta", "-1"], "eta must be positive"),
+    (["--synthetic", SYNTH, "--sample-fraction", "0"], "sample_fraction"),
+    (["--synthetic", json.dumps({"n_clients": 4, "width": 2})],
+     "rank must be <= min"),
+    (["--synthetic", json.dumps({"n_clients": 4, "no_such_key": 1})],
+     "no_such_key"),
+], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
+        "unknown_synthetic_key"])
+def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
+    assert main(["train", *flags, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_eval_synthetic(run_dir, capsys):
     code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
                  "--rho", "18"])

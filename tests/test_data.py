@@ -1,13 +1,22 @@
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fedsg.data import (DEFAULT_FEATURES, NSL_KDD_COLUMNS, SynthSpec,
                         apply_zscore, equalize_widths, filter_slice,
                         generate_synthetic, load_dataset, partition_non_iid,
                         read_feature_list, zscore_fit_apply)
 from fedsg.detection import score_matrix
-from fedsg.errors import MissingFeature, ParseError, UnknownLabel
+from fedsg.errors import FedsgError, MissingFeature, ParseError, UnknownLabel
 from fedsg.grassmann import GrassmannPoint
+
+from oracles import parse_records, sorted_partition
 
 
 def _make_row(rng, label, dst_bytes=None):
@@ -45,12 +54,12 @@ def test_default_feature_count():
 
 
 def test_load_dataset_counts_and_labels(toy_csv):
-    records = load_dataset(toy_csv)
-    assert len(records) == 38
-    assert sum(r.label == "normal" for r in records) == 30
-    assert sum(r.label == "dos" for r in records) == 5
-    assert sum(r.label == "r2l" for r in records) == 3
-    assert records[0].values.shape == (34,)
+    data = load_dataset(toy_csv)
+    assert len(data) == 38
+    assert sum(data.labels == "normal") == 30
+    assert sum(data.labels == "dos") == 5
+    assert sum(data.labels == "r2l") == 3
+    assert data.values[:, 0].shape == (34,)
 
 
 def test_load_dataset_malformed_row(tmp_path):
@@ -71,9 +80,146 @@ def test_load_dataset_unknown_label(tmp_path):
         load_dataset(path)
 
 
+def _oracle_lines(seed=5):
+    rng = np.random.default_rng(seed)
+    labels = ["normal"] * 43 + ["neptune"] * 3 + ["guess_passwd"] * 2
+    rng.shuffle(labels)
+    # Repeated dst_bytes values exercise the row-number tie-break.
+    return [_make_row(rng, lab, dst_bytes=int(rng.integers(0, 4)))
+            for lab in labels]
+
+
+def _shout_labels(lines):
+    out = []
+    for i, line in enumerate(lines):
+        parts = line.split(",")
+        parts[41] = parts[41].upper() + ("." if i % 2 else "")
+        out.append(",".join(parts))
+    return out
+
+
+INGEST_VARIANTS = {
+    "plain": lambda lines: lines,
+    "header": lambda lines: [",".join(NSL_KDD_COLUMNS + ["label", "level"])]
+    + lines,
+    "blank_lines": lambda lines: [x for line in lines
+                                  for x in (line, "", "   ")],
+    "padded_cells": lambda lines: [",".join(f"  {c} " for c in line.split(","))
+                                   for line in lines],
+    "label_case": _shout_labels,
+}
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("variant", sorted(INGEST_VARIANTS))
+def test_load_dataset_and_partition_match_parser_oracle(tmp_path, variant,
+                                                        crlf):
+    lines = INGEST_VARIANTS[variant](_oracle_lines())
+    path = tmp_path / "in.csv"
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode()
+                     + b"\n")
+    data = load_dataset(path)
+    values, labels, rows = parse_records(path)
+    assert data.values.tobytes() == values.tobytes()
+    assert data.labels.tolist() == labels
+    assert data.row_index.tolist() == rows
+    shards, dropped = partition_non_iid(data, 5, "dst_bytes")
+    fpos = DEFAULT_FEATURES.index("dst_bytes")
+    expect = sorted_partition(values, labels, rows, 5, fpos)
+    assert dropped == 43 - 5 * 8
+    for shard, (mat, labs) in zip(shards, expect):
+        assert shard.features.tobytes() == mat.tobytes()
+        assert shard.features.flags["C_CONTIGUOUS"]
+        assert shard.labels == labs
+
+
+def _faulty_lines(fault):
+    lines = _oracle_lines()
+
+    def cell(line, col, value):
+        parts = line.split(",")
+        parts[41 if col == "label" else NSL_KDD_COLUMNS.index(col)] = value
+        return ",".join(parts)
+    if fault == "non_numeric":
+        lines[2] = cell(lines[2], "src_bytes", "12x")
+    elif fault in ("nan", "inf", "-inf"):
+        lines[3] = cell(lines[3], "hot", fault)
+    elif fault == "short_row":
+        lines[4] = "1,2,3"
+    elif fault == "unknown_label":
+        lines[5] = cell(lines[5], "label", "zzz_attack")
+    elif fault == "no_rows":
+        lines = ["", "  "]
+    elif fault == "header_only":
+        lines = [",".join(NSL_KDD_COLUMNS + ["label", "level"])]
+    elif fault == "non_numeric_before_short_row":
+        lines[2] = cell(lines[2], "count", "")
+        lines[6] = "1,2,3"
+    elif fault == "short_row_before_nan":
+        lines[2] = cell(lines[2], "count", "nan")
+        lines[6] = "1,2,3"
+    elif fault == "nan_after_unknown_label":
+        lines[2] = cell(lines[2], "count", "nan")
+        lines[6] = cell(lines[6], "label", "zzz_attack")
+    return lines
+
+
+@pytest.mark.parametrize("fault", [
+    "non_numeric", "nan", "inf", "-inf", "short_row", "unknown_label",
+    "no_rows", "header_only", "non_numeric_before_short_row",
+    "short_row_before_nan", "nan_after_unknown_label"])
+def test_load_dataset_errors_match_parser_oracle(tmp_path, fault):
+    path = tmp_path / "bad.csv"
+    _write_csv(path, _faulty_lines(fault))
+    with pytest.raises(FedsgError) as want:
+        parse_records(path)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        load_dataset(path)
+
+
+def test_load_dataset_non_numeric_names_row_and_column(tmp_path):
+    path = tmp_path / "bad.csv"
+    _write_csv(path, _faulty_lines("non_numeric"))
+    with pytest.raises(ParseError,
+                       match="row 2, column 'src_bytes': non-numeric value "
+                             "'12x'"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1.0,normal,2.0\n3.0,normal\n", "row 1: expected 3 columns"),
+    ("1.0,normal\n", "row 0: no column 'b'"),
+    ("1_000,normal,2.0\n", "row 0: "),
+], ids=["ragged_row", "feature_past_row_end", "cell_only_float_accepts"])
+def test_load_dataset_cell_layout_errors(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_dataset(path, feature_list=["a", "b"],
+                     columns=["a", "label", "b"], label_column=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_load_dataset_round_trips_repr(mat):
+    m, d = mat.shape
+    columns = [f"f{j}" for j in range(d)] + ["label"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "w") as fh:
+            for row in mat:
+                fh.write(",".join(repr(float(x)) for x in row) + ",normal\n")
+        data = load_dataset(path, feature_list=columns[:d], columns=columns,
+                            label_column=d)
+    assert data.values.tobytes() == mat.T.tobytes()
+    assert data.labels.tolist() == ["normal"] * m
+    assert data.row_index.tolist() == list(range(m))
+
+
 def test_partition_sorted_by_feature(toy_csv):
-    records = load_dataset(toy_csv)
-    shards, dropped = partition_non_iid(records, 3, "dst_bytes")
+    data = load_dataset(toy_csv)
+    shards, dropped = partition_non_iid(data, 3, "dst_bytes")
     assert dropped == 0
     assert all(s.features.shape == (34, 10) for s in shards)
     # contiguous slices of the dst_bytes-sorted benign pool
@@ -84,29 +230,28 @@ def test_partition_sorted_by_feature(toy_csv):
 
 
 def test_partition_drops_remainder(toy_csv):
-    records = load_dataset(toy_csv)
-    shards, dropped = partition_non_iid(records, 4, "dst_bytes")
+    data = load_dataset(toy_csv)
+    shards, dropped = partition_non_iid(data, 4, "dst_bytes")
     assert dropped == 30 - 4 * 7
     assert all(s.features.shape[1] == 7 for s in shards)
 
 
 def test_partition_excludes_attacks(toy_csv):
-    records = load_dataset(toy_csv)
-    shards, _ = partition_non_iid(records, 3, "dst_bytes")
+    data = load_dataset(toy_csv)
+    shards, _ = partition_non_iid(data, 3, "dst_bytes")
     assert all(lab == "normal" for s in shards for lab in s.labels)
 
 
 def test_partition_missing_feature(toy_csv):
-    records = load_dataset(toy_csv)
+    data = load_dataset(toy_csv)
     with pytest.raises(MissingFeature):
-        partition_non_iid(records, 3, "no_such_feature")
+        partition_non_iid(data, 3, "no_such_feature")
 
 
 def test_partition_constant_feature_stable(toy_csv):
-    records = load_dataset(toy_csv)
-    for r in records:
-        r.values[DEFAULT_FEATURES.index("duration")] = 1.0
-    shards, _ = partition_non_iid(records, 3, "duration")
+    data = load_dataset(toy_csv)
+    data.values[DEFAULT_FEATURES.index("duration")] = 1.0
+    shards, _ = partition_non_iid(data, 3, "duration")
     # stable tie-break by original row index keeps original order
     pos = DEFAULT_FEATURES.index("dst_bytes")
     first = shards[0].features[pos]
@@ -114,8 +259,8 @@ def test_partition_constant_feature_stable(toy_csv):
 
 
 def test_zscore_normalizes_training_rows(toy_csv):
-    records = load_dataset(toy_csv)
-    shards, _ = partition_non_iid(records, 2, "dst_bytes")
+    data = load_dataset(toy_csv)
+    shards, _ = partition_non_iid(data, 2, "dst_bytes")
     z = zscore_fit_apply(shards[0])
     nondeg = z.std > 0
     means = z.features[nondeg].mean(axis=1)

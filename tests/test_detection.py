@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsg.detection import (evaluate, fit_threshold, roc_and_pr, score,
                              score_matrix, self_svd_baseline)
 from fedsg.errors import AllOneClass, EmptyInput, LengthMismatch, ShapeMismatch
 from fedsg.grassmann import GrassmannPoint
 
-from oracles import brute_force_metrics, pair_count_auc, random_orthonormal
+from oracles import (brute_force_metrics, pair_count_auc, random_orthonormal,
+                     sweep_roc_and_pr)
 
 
 def _u(rng, d, k):
@@ -142,6 +145,34 @@ def test_roc_auc_matches_pair_counting():
             continue
         _, _, auc = roc_and_pr(errors, labels)
         assert auc == pytest.approx(pair_count_auc(errors, labels), abs=1e-9)
+
+
+def _roc_cases():
+    rng = np.random.default_rng(9)
+    labels = rng.random(3000) < 0.3
+    yield "random", rng.standard_normal(3000), labels
+    yield "heavy_ties", rng.integers(0, 12, 3000).astype(float), labels
+    yield "all_tied", np.full(50, 0.25), np.arange(50) % 3 == 0
+    yield "n2_ordered", np.array([0.1, 0.9]), np.array([False, True])
+    yield "n2_inverted", np.array([0.1, 0.9]), np.array([True, False])
+    yield "n2_tied", np.array([0.5, 0.5]), np.array([True, False])
+
+
+@pytest.mark.parametrize("name,errors,labels", list(_roc_cases()),
+                         ids=[c[0] for c in _roc_cases()])
+def test_roc_and_pr_equals_sweep_oracle(name, errors, labels):
+    assert roc_and_pr(errors, labels) == sweep_roc_and_pr(errors, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0])
+                          | st.floats(-10, 10), st.booleans()),
+                min_size=2, max_size=60)
+       .filter(lambda p: len({lab for _, lab in p}) == 2))
+def test_roc_and_pr_equals_sweep_oracle_property(points):
+    errors = [e for e, _ in points]
+    labels = [lab for _, lab in points]
+    assert roc_and_pr(errors, labels) == sweep_roc_and_pr(errors, labels)
 
 
 def test_roc_requires_both_classes():

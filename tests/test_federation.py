@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedsg import federation
-from fedsg.errors import RankDeficient
+from fedsg.errors import InputError, NonFiniteShard, RankDeficient
 from fedsg.federation import (FedConfig, aggregate, load_checkpoint,
                               local_update, procrustes_rotation, run_fedsg,
                               save_checkpoint, write_trace_csv)
@@ -166,6 +166,18 @@ def test_run_fedsg_records_skipped_and_aborted_rounds(monkeypatch):
     # every round kept the initial pair, the first draw of the seeded rng
     initial = retract(np.random.default_rng(cfg.seed).standard_normal((6, 2)))
     assert np.array_equal(pair.u.basis, initial.basis)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_fedsg_rejects_non_finite_shard(bad):
+    rng = np.random.default_rng(6)
+    shards = [rng.standard_normal((6, 8)) for _ in range(3)]
+    shards[1][2, 5] = bad
+    config = FedConfig(n_clients=3, rounds=2, local_steps=1,
+                       sample_fraction=1.0, k=2)
+    with pytest.raises(NonFiniteShard, match="shard 1") as err:
+        run_fedsg(config, shards)
+    assert isinstance(err.value, InputError)
 
 
 def test_run_fedsg_exact_rank_data_converges():
