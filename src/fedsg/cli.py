@@ -8,8 +8,9 @@ sweep.csv, bench.json.
 Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
 (a malformed, non-finite or empty CSV, an unknown label or feature, a
 corrupt checkpoint, data whose dimensions disagree with it, a
-non-finite training shard, or an out-of-range or unknown training or
---synthetic value).
+non-finite training shard, an out-of-range or unknown training or
+--synthetic value, or a --config or --synthetic file that is not a JSON
+object).
 """
 
 import argparse
@@ -52,8 +53,17 @@ def _sha256_text(text):
 
 
 def _load_config_file(path):
+    """The JSON object in a config file; malformed JSON or another JSON
+    value is a usage error."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise UsageError(f"{path}: expected a JSON object, got "
+                         f"{type(raw).__name__}")
+    return raw
 
 
 def _build(cls, values):
@@ -115,6 +125,16 @@ def _write_manifest(out_dir, payload):
         fh.write("\n")
 
 
+def _zscored_shards(path, features, n_clients, sort_feature):
+    """Load the training CSV, partition it and z-score each shard.
+    Returns (shards, dropped records). The parsed records and the raw
+    shards are freed on return, before training allocates."""
+    data = load_dataset(path, feature_list=features)
+    raw_shards, dropped = partition_non_iid(data, n_clients, sort_feature,
+                                            feature_list=features)
+    return [zscore_fit_apply(s) for s in raw_shards], dropped
+
+
 def cmd_train(args):
     config = _resolve_fed_config(args)
     os.makedirs(args.out, exist_ok=True)
@@ -140,13 +160,11 @@ def cmd_train(args):
             raise UsageError(f"data path not found: {args.data}")
         features = (read_feature_list(args.features) if args.features
                     else list(DEFAULT_FEATURES))
-        data = load_dataset(args.data, feature_list=features)
-        raw_shards, dropped = partition_non_iid(
-            data, config.n_clients, args.sort_feature, feature_list=features)
+        normed, dropped = _zscored_shards(args.data, features,
+                                          config.n_clients, args.sort_feature)
         if dropped:
             print(f"note: dropped {dropped} remainder records in partition",
                   file=sys.stderr)
-        normed = [zscore_fit_apply(s) for s in raw_shards]
         normed = equalize_widths(normed, seed=config.seed)
         shards = [s.features for s in normed]
         stats = {"means": np.stack([s.mean for s in normed]),

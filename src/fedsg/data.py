@@ -6,7 +6,6 @@ planted anomalies.
 Feature matrices are d x B with columns as samples.
 """
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -103,15 +102,19 @@ def load_dataset(path, feature_list=None, label_map=None,
     """Parse an NSL-KDD style CSV into a columnar Dataset with the
     configured feature subset and mapped labels.
 
-    One pass over the lines skips blanks and the optional header and
-    checks the column count and label; the kept lines stream into
-    np.loadtxt, which parses the selected columns without per-row
-    objects.
+    Valid input takes no per-row Python. A pass over the file's bytes
+    finds the data rows (blank lines and a header on line 0 are skipped)
+    and checks that each has the column count of the first, including
+    the label and feature columns. np.loadtxt then parses the path in
+    one C pass into a record per row (the features as float64 plus the
+    raw label), and each distinct label is mapped once. values is a view
+    of those records.
 
     Raises ParseError with the offending row/column (a non-numeric or
     non-finite value, a short row, or a file without data rows),
     UnknownLabel for labels outside the map, MissingFeature for unknown
-    feature names.
+    feature names. Of several faulty rows, the first in the file is
+    named.
     """
     features = list(feature_list) if feature_list else list(DEFAULT_FEATURES)
     label_map = dict(label_map) if label_map else dict(DEFAULT_LABEL_MAP)
@@ -121,66 +124,203 @@ def load_dataset(path, feature_list=None, label_map=None,
     except ValueError as exc:
         raise MissingFeature(str(exc)) from None
 
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")[0] == columns[0]
+        encoding = fh.encoding
     last_feature = max(idx)
-    labels, row_index = [], []
-    last_parts = None  # cells of the line loadtxt is converting
+    row_index, fault, width, ascii_text = _check_layout(
+        path, encoding, header, label_column, last_feature,
+        columns[last_feature])
+    if fault:
+        row, error = fault
+        _raise_first_fault(path, row_index[row_index < row], idx, columns,
+                           label_column, label_map)
+        raise error
 
-    def kept_lines(fh):
-        nonlocal last_parts
-        n_cols = None
+    # Bytes labels take a quarter of the memory of str ones; loadtxt
+    # stores them as latin-1, which holds ASCII text exactly.
+    dtype = np.dtype([("values", np.float64, (len(idx),)),
+                      ("label", ("S" if ascii_text else "U", max(width, 1)))],
+                     align=True)
+    # max_rows lets loadtxt allocate the table once. It parses fastest
+    # from the path, but takes a line of whitespace for a row and warns
+    # of an empty one once max_rows is set, so a file with blank lines
+    # between its rows is read as stripped lines without the empty ones.
+    gaps = row_index[-1] + 1 - header != row_index.size
+    with open(path) as fh:
+        try:
+            table = np.loadtxt(filter(None, map(str.strip, fh)) if gaps
+                               else path, delimiter=",", dtype=dtype,
+                               usecols=idx + [label_column],
+                               skiprows=int(header),
+                               max_rows=row_index.size, comments=None,
+                               ndmin=1)
+        except ValueError as exc:
+            _raise_first_fault(path, row_index, idx, columns, label_column,
+                               label_map)
+            # The scan names any cell loadtxt rejects; this is a backstop.
+            raise ParseError(f"{path}: {exc}") from None
+
+    raw = table["label"]
+    # np.unique copies its input; 8192 rows at a time keep the copy small.
+    keys = np.unique(np.concatenate([np.unique(raw[i:i + 8192])
+                                     for i in range(0, raw.size, 8192)]))
+    raw_labels = [k.strip().lower().rstrip(".") for k in keys.astype(str)]
+    names = [label_map.get(k) for k in raw_labels]
+    inverse = np.searchsorted(keys, raw)
+    if None in names:
+        i = np.flatnonzero(np.array([n is None for n in names])[inverse])[0]
+        raise UnknownLabel(f"row {row_index[i]}: label "
+                           f"{raw_labels[inverse[i]]!r}")
+    values = table["values"]
+    # min and max propagate NaN and reach +-inf, so they are finite only
+    # when every value is, without a temporary the size of values.
+    if not np.isfinite([values.min(), values.max()]).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(
+            f"row {row_index[i]}, column {columns[idx[j]]!r}: "
+            f"non-finite value {float(values[i, j])!r}")
+    return Dataset(values=values.T, labels=np.array(names)[inverse],
+                   row_index=row_index)
+
+
+# Bytes read at a time by the layout checks, which keep no copy of the
+# whole file.
+_CHUNK_BYTES = 1 << 18
+
+
+def _check_layout(path, encoding, header, label_column, last_feature,
+                  feature_name):
+    """Whole-file layout checks, one chunk of bytes at a time: split the
+    file into lines as text mode does (at \\n, \\r\\n or a lone \\r),
+    skip blank lines (empty or all whitespace; a line without commas is
+    decoded with `encoding` to tell) and the header, and check that each
+    data row has the column count of the first, and that this count holds
+    the label and feature columns.
+
+    Returns (line numbers of the data rows, the first fault as (row,
+    error) or None, the widest label cell in bytes, whether the file is
+    ASCII). Raises ParseError for a file without data rows.
+    """
+    rows, n_cols, ragged, unknown = [np.empty(0, np.intp)], None, None, None
+    width, ascii_text, line0, tail = 0, True, 0, b""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_CHUNK_BYTES)
+            buf = tail + chunk
+            if not chunk:
+                if not buf:
+                    break
+                buf += b"\n"  # the last line has no line end
+            # Cut after the last line end; a final \r may start a \r\n.
+            cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
+            tail = buf[cut:]
+            ascii_text = ascii_text and buf.isascii()
+            whole = np.frombuffer(buf, np.uint8)
+            a = whole[:cut]
+            ends = np.flatnonzero(a == 10)
+            if b"\r" in buf:
+                cr = np.flatnonzero(a == 13)
+                ends = np.sort(np.r_[ends, cr[whole[cr + 1] != 10]])
+            # Line i is buf[starts[i]:ends[i]], with the \r of a \r\n.
+            starts = np.r_[0, ends + 1][:-1]
+            cpos = np.flatnonzero(a == 44)
+            first = np.searchsorted(cpos, starts)
+            n = np.searchsorted(cpos, ends) - first
+            data = (n > 0) | (ends > starts)
+            # Only a line without commas can be all whitespace; valid
+            # files have such lines only as blank lines.
+            for i in np.flatnonzero((n == 0) & data):
+                data[i] = not buf[starts[i]:ends[i]].decode(encoding).isspace()
+            data[:int(header and not line0)] = False
+            lines = np.flatnonzero(data)
+            if lines.size:
+                n_cols = n_cols or int(n[lines[0]]) + 1
+                bad = lines[n[lines] != n_cols - 1]
+                if ragged is None and bad.size:
+                    row = line0 + bad[0]
+                    ragged = row, ParseError(
+                        f"row {row}: expected {n_cols} columns, "
+                        f"got {n[bad[0]] + 1}")
+            # Each label cell runs from after the comma before it to the
+            # comma after it or the line end.
+            has = np.flatnonzero(n >= label_column)
+            k = first[has] + label_column
+            lo = cpos[k - 1] + 1 if label_column else starts[has]
+            hi = ends[has]
+            after = n[has] > label_column
+            hi[after] = cpos[k[after]]
+            if has.size:
+                width = max(width, int((hi - lo).max()))
+            # numpy's fixed-width strings drop trailing NULs, so a label
+            # cell whose last byte (before the \r of a \r\n) is NUL, never
+            # a label-map key, is a fault found here.
+            last = hi - 1 - (a[hi - 1] == 13)
+            nul = np.flatnonzero((last >= lo) & (a[last] == 0) & data[has])
+            if unknown is None and nul.size:
+                i, row = nul[0], line0 + has[nul[0]]
+                label = buf[lo[i]:last[i] + 1].decode(encoding)
+                unknown = row, UnknownLabel(
+                    f"row {row}: label {label.strip().lower().rstrip('.')!r}")
+            rows.append(line0 + lines)
+            line0 += ends.size
+            if not chunk:
+                break
+    if n_cols is None:
+        raise ParseError(f"{path}: no data rows")
+    rows = np.concatenate(rows)
+    if label_column >= n_cols:
+        fault = rows[0], ParseError(f"row {rows[0]}: no label column "
+                                    f"{label_column}")
+    elif last_feature >= n_cols:
+        fault = rows[0], ParseError(f"row {rows[0]}: no column "
+                                    f"{feature_name!r}")
+    else:
+        # A row's column count is checked before its label.
+        fault = min(filter(None, (ragged, unknown)), default=None,
+                    key=lambda f: f[0])
+    return rows, fault, width, ascii_text
+
+
+def _raise_first_fault(path, rows, idx, columns, label_column, label_map):
+    """Raise the first unknown label or unparsable feature cell among the
+    data rows `rows` (line numbers, ascending, each with the file's
+    column count), in file order; return if they have none.
+
+    A per-row pass, called only after the layout checks or np.loadtxt
+    found a fault, to name the row (and column) that comes first.
+    """
+    if not rows.size:
+        return
+    wanted = set(rows.tolist())
+    row_no = parts = None
+
+    def checked_lines(fh):
+        nonlocal row_no, parts
         for row_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
+            if row_no not in wanted:
                 continue
-            parts = line.split(",")
-            if row_no == 0 and parts[0] == columns[0]:
-                continue  # optional header
-            if n_cols is None:
-                n_cols = len(parts)
-            if len(parts) != n_cols:
-                raise ParseError(
-                    f"row {row_no}: expected {n_cols} columns, got {len(parts)}"
-                )
-            if label_column >= len(parts):
-                raise ParseError(f"row {row_no}: no label column {label_column}")
-            if last_feature >= len(parts):
-                raise ParseError(f"row {row_no}: no column "
-                                 f"{columns[last_feature]!r}")
+            parts = line.strip().split(",")
             raw_label = parts[label_column].strip().lower().rstrip(".")
             if raw_label not in label_map:
                 raise UnknownLabel(f"row {row_no}: label {raw_label!r}")
-            labels.append(label_map[raw_label])
-            row_index.append(row_no)
-            last_parts = parts
-            yield line
+            yield line.strip()
 
     with open(path) as fh:
-        lines = kept_lines(fh)
-        first = next(lines, None)
-        if first is None:
-            raise ParseError(f"{path}: no data rows")
         try:
-            rows = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                              usecols=idx, comments=None, ndmin=2)
+            np.loadtxt(checked_lines(fh), delimiter=",", usecols=idx,
+                       comments=None, ndmin=2)
         except ValueError as exc:
             # loadtxt converts each line as it reads it, so the failing
             # cell is in the last line the generator yielded.
             for col_i in idx:
                 try:
-                    float(last_parts[col_i])
+                    float(parts[col_i])
                 except ValueError:
                     raise ParseError(
-                        f"row {row_index[-1]}, column {columns[col_i]!r}: "
-                        f"non-numeric value {last_parts[col_i]!r}") from None
-            raise ParseError(f"row {row_index[-1]}: {exc}") from None
-    bad = np.argwhere(~np.isfinite(rows))
-    if bad.size:
-        i, j = bad[0]
-        raise ParseError(
-            f"row {row_index[i]}, column {columns[idx[j]]!r}: "
-            f"non-finite value {float(rows[i, j])!r}")
-    return Dataset(values=rows.T, labels=np.array(labels),
-                   row_index=np.array(row_index))
+                        f"row {row_no}, column {columns[col_i]!r}: "
+                        f"non-numeric value {parts[col_i]!r}") from None
+            raise ParseError(f"row {row_no}: {exc}") from None
 
 
 def partition_non_iid(dataset: Dataset, n_clients, sort_feature,
@@ -250,7 +390,7 @@ def equalize_widths(shards, width=None, seed=0):
         if m < target:
             raise ShapeMismatch(f"client {s.client_id} has {m} < width {target}")
         keep = np.sort(rng.choice(m, size=target, replace=False))
-        labels = tuple(s.labels[i] for i in keep) if s.labels else ()
+        labels = tuple(np.array(s.labels)[keep].tolist()) if s.labels else ()
         out.append(replace(s, features=s.features[:, keep], labels=labels))
     return out
 

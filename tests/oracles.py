@@ -8,13 +8,17 @@ loop. sweep_roc_and_pr is the per-threshold ROC/PR sweep (one full
 confusion count per distinct score) that detection.roc_and_pr's sorted
 cumulative sweep replaced; parse_records and sorted_partition are the
 per-row, per-cell float() CSV parser and the per-record sort that
-data.load_dataset's columnar ingest and partition_non_iid replaced.
+data.load_dataset's columnar ingest and partition_non_iid replaced;
+csv_write_curve is the csv.writer row loop that detection.write_curve's
+single join replaced.
 sequential_fedsg is the per-client federated loop that the
 batched engine in fedsg.federation replaced; it reuses the library's
 single-pair gradients, point Riemannian step and retraction (each
 checked on its own elsewhere) and checks the batching, the per-client
 skip, the alignment and the mean around them.
 """
+
+import csv
 
 import numpy as np
 
@@ -168,6 +172,15 @@ def sorted_partition(values, labels, rows, n_clients, fpos):
     chunks = [pool[c * width:(c + 1) * width] for c in range(n_clients)]
     return [(np.column_stack([values[:, i] for i in chunk]),
              tuple(labels[i] for i in chunk)) for chunk in chunks]
+
+
+def csv_write_curve(points, path, header):
+    """write_curve one csv.writer row and two repr calls at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for a, b in points:
+            w.writerow([repr(float(a)), repr(float(b))])
 
 
 def random_orthonormal(rng, n, k):

@@ -144,6 +144,18 @@ def test_config_file_precedence(tmp_path):
     assert manifest["config"]["local_steps"] == 1
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("--synthetic", "{bad"), ("--config", "{bad"), ("--config", "5")],
+    ids=["synthetic_malformed", "config_malformed", "config_not_object"])
+def test_train_bad_json_file_is_usage_error(tmp_path, capsys, flag, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    source = [] if flag == "--synthetic" else ["--synthetic", SYNTH]
+    assert main(["train", flag, str(path), *source,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def _csv_row(rng, label, dst, count=None):
     """One NSL-KDD-shaped CSV line; count, if given, is written verbatim
     into the count column."""

@@ -1,13 +1,15 @@
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from fedsg import data as data_module
 from fedsg.data import (DEFAULT_FEATURES, NSL_KDD_COLUMNS, SynthSpec,
                         apply_zscore, equalize_widths, filter_slice,
                         generate_synthetic, load_dataset, partition_non_iid,
@@ -98,28 +100,60 @@ def _shout_labels(lines):
     return out
 
 
+def _relabel(row, label):
+    def rewrite(lines):
+        parts = lines[row].split(",")
+        parts[41] = label
+        return lines[:row] + [",".join(parts)] + lines[row + 1:]
+    return rewrite
+
+
+def _joined(transform):
+    """A variant that rewrites the lines and joins them with the line end
+    under test, ending the file with \\n."""
+    return lambda lines, newline: newline.join(transform(lines)) + "\n"
+
+
+# Each variant turns the oracle lines and a line end into file text.
 INGEST_VARIANTS = {
-    "plain": lambda lines: lines,
-    "header": lambda lines: [",".join(NSL_KDD_COLUMNS + ["label", "level"])]
-    + lines,
-    "blank_lines": lambda lines: [x for line in lines
-                                  for x in (line, "", "   ")],
-    "padded_cells": lambda lines: [",".join(f"  {c} " for c in line.split(","))
-                                   for line in lines],
-    "label_case": _shout_labels,
+    "plain": _joined(lambda lines: lines),
+    "header": _joined(lambda lines: [",".join(NSL_KDD_COLUMNS
+                                              + ["label", "level"])]
+                      + lines),
+    "blank_lines": _joined(lambda lines: [x for line in lines
+                                          for x in (line, "", "   ")]),
+    "padded_cells": _joined(lambda lines: [",".join(f"  {c} "
+                                                    for c in line.split(","))
+                                           for line in lines]),
+    "label_case": _joined(_shout_labels),
+    "lone_cr": lambda lines, newline: "\r".join(lines) + newline,
+    "no_trailing_newline": lambda lines, newline: newline.join(lines),
+    "nbsp_lines": _joined(lambda lines: ["\u00a0"] + lines[:5]
+                          + ["\u00a0\u2003 "] + lines[5:]),
+    "long_padded_label": _joined(_relabel(7, "normal" + " " * 40)),
+    "long_label": _joined(_relabel(7, "normal" + " " * 40 + "x")),
 }
+WELL_FORMED = sorted(set(INGEST_VARIANTS) - {"long_label"})
+
+
+def _write_variant(path, variant, crlf):
+    text = INGEST_VARIANTS[variant](_oracle_lines(), "\r\n" if crlf else "\n")
+    path.write_bytes(text.encode())
 
 
 @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
 @pytest.mark.parametrize("variant", sorted(INGEST_VARIANTS))
 def test_load_dataset_and_partition_match_parser_oracle(tmp_path, variant,
                                                         crlf):
-    lines = INGEST_VARIANTS[variant](_oracle_lines())
     path = tmp_path / "in.csv"
-    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode()
-                     + b"\n")
+    _write_variant(path, variant, crlf)
+    try:
+        values, labels, rows = parse_records(path)
+    except FedsgError as want:
+        with pytest.raises(type(want), match=re.escape(str(want))):
+            load_dataset(path)
+        return
     data = load_dataset(path)
-    values, labels, rows = parse_records(path)
     assert data.values.tobytes() == values.tobytes()
     assert data.labels.tolist() == labels
     assert data.row_index.tolist() == rows
@@ -131,6 +165,18 @@ def test_load_dataset_and_partition_match_parser_oracle(tmp_path, variant,
         assert shard.features.tobytes() == mat.tobytes()
         assert shard.features.flags["C_CONTIGUOUS"]
         assert shard.labels == labs
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("variant", WELL_FORMED)
+def test_load_dataset_well_formed_file_skips_fault_scan(tmp_path, monkeypatch,
+                                                        variant, crlf):
+    def scan(*args):
+        raise AssertionError("the per-line fault scan ran on valid input")
+    monkeypatch.setattr(data_module, "_raise_first_fault", scan)
+    path = tmp_path / "in.csv"
+    _write_variant(path, variant, crlf)
+    assert len(load_dataset(path)) == 48
 
 
 def _faulty_lines(fault):
@@ -215,6 +261,60 @@ def test_load_dataset_round_trips_repr(mat):
     assert data.values.tobytes() == mat.T.tobytes()
     assert data.labels.tolist() == ["normal"] * m
     assert data.row_index.tolist() == list(range(m))
+
+
+# Lines of small files with columns a, label, b or a, b, label: padded,
+# non-finite, non-numeric and empty cells, label spellings (one padded
+# with a non-latin-1 space, one ending in NUL), blank lines of several
+# kinds of whitespace and a row with an extra cell. Each line ends in any
+# line end or none, which joins it to the next.
+_FUZZ_CELL = st.sampled_from(["0", "1.5", " -2e3 ", "\u00a07", "nan", "inf",
+                              "x", ""])
+_FUZZ_LABEL = st.sampled_from(["normal", " Normal. ", "\u2003neptune",
+                               "smurf...", "zzz", "", "normal" + " " * 30,
+                               "normal\x00"])
+_FUZZ_LINE = (st.tuples(_FUZZ_CELL, _FUZZ_LABEL, _FUZZ_CELL)
+              | st.sampled_from(["", "  ", "\t", "\u00a0", "\x0c",
+                                 "1,normal,2,3"]))
+
+
+@settings(max_examples=300, deadline=None)
+# Two unknown labels: the first in the file, not in sort order, is named.
+@example(False, False, [(("0", "normal", "0"), "\n"),
+                        (("0", "zzz", "0"), "\n"), (("0", "", "0"), "\n")], 64)
+@example(False, True, [(("0", "normal\x00", "0"), "\r\n")], 64)
+@given(st.booleans(), st.booleans(),
+       st.lists(st.tuples(_FUZZ_LINE,
+                          st.sampled_from(["\n", "\r\n", "\r", ""])),
+                max_size=12),
+       st.sampled_from([1, 2, 5, 64]))
+def test_load_dataset_matches_parser_oracle_on_random_text(
+        header, label_last, lines, chunk_bytes):
+    """Small chunks put line ends, and the \\r and \\n of a \\r\\n, on
+    either side of a chunk boundary."""
+    columns = ["a", "b", "label"] if label_last else ["a", "label", "b"]
+    cells = (lambda a, lab, b: (a, b, lab)) if label_last else (
+        lambda a, lab, b: (a, lab, b))
+    text = (",".join(columns) + "\n" if header else "") + "".join(
+        (line if isinstance(line, str) else ",".join(cells(*line))) + end
+        for line, end in lines)
+    layout = {"feature_list": ["a", "b"], "columns": columns,
+              "label_column": columns.index("label")}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data_module, "_CHUNK_BYTES", chunk_bytes):
+        path = os.path.join(tmp, "f.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            values, labels, rows = parse_records(path, **layout)
+        except FedsgError as want:
+            with pytest.raises(type(want), match=re.escape(str(want))):
+                load_dataset(path, **layout)
+            return
+        data = load_dataset(path, **layout)
+    assert data.values.tobytes() == values.tobytes()
+    assert data.labels.tolist() == labels
+    assert data.row_index.tolist() == rows
 
 
 def test_partition_sorted_by_feature(toy_csv):
@@ -302,6 +402,16 @@ def test_equalize_widths_deterministic():
     assert all(a.features.shape[1] == 10 for a in out1)
     for a, b in zip(out1, out2):
         assert np.array_equal(a.features, b.features)
+
+
+def test_equalize_widths_keeps_labels_with_columns():
+    from fedsg.data import ClientShard
+    width = 12
+    labels = tuple(f"r{i}" for i in range(width))
+    shard = ClientShard(client_id=0, labels=labels,
+                        features=np.vstack([np.arange(width)] * 2))
+    (out,) = equalize_widths([shard], width=5, seed=1)
+    assert out.labels == tuple(labels[int(i)] for i in out.features[0])
 
 
 def test_filter_slice():

@@ -1,15 +1,19 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsg.detection import (evaluate, fit_threshold, roc_and_pr, score,
-                             score_matrix, self_svd_baseline)
+                             score_matrix, self_svd_baseline, write_curve)
 from fedsg.errors import AllOneClass, EmptyInput, LengthMismatch, ShapeMismatch
 from fedsg.grassmann import GrassmannPoint
 
-from oracles import (brute_force_metrics, pair_count_auc, random_orthonormal,
-                     sweep_roc_and_pr)
+from oracles import (brute_force_metrics, csv_write_curve, pair_count_auc,
+                     random_orthonormal, sweep_roc_and_pr)
 
 
 def _u(rng, d, k):
@@ -173,6 +177,28 @@ def test_roc_and_pr_equals_sweep_oracle_property(points):
     errors = [e for e, _ in points]
     labels = [lab for _, lab in points]
     assert roc_and_pr(errors, labels) == sweep_roc_and_pr(errors, labels)
+
+
+# Values whose text a repr cache could get wrong: signed zeros, NaNs
+# with other bit patterns (a sign, a payload) and subnormals.
+CURVE_VALUES = [0.0, -0.0, 1.0, 0.1, 1e-5, 1e16, float("nan"),
+                struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0],
+                5e-324, -5e-324, 2.2250738585072009e-308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from(CURVE_VALUES) | st.floats()] * 2),
+                max_size=40),
+       st.sampled_from([["fpr", "tpr"], ["recall", "precision"]]))
+@example([], ["fpr", "tpr"])
+@example([(0.5, 0.5)] * 3 + [(-0.0, 0.0), (0.0, -0.0)], ["fpr", "tpr"])
+def test_write_curve_matches_csv_writer(points, header):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        write_curve(points, got, header)
+        csv_write_curve(points, want, header)
+        with open(got, "rb") as g, open(want, "rb") as w:
+            assert g.read() == w.read()
 
 
 def test_roc_requires_both_classes():

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedsg import federation
 from fedsg.errors import InputError, NonFiniteShard, RankDeficient
@@ -251,6 +256,21 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.v.basis, pair.v.basis)
     # payload size contract: header + 8*k*(d+B)
     assert path.stat().st_size == 24 + 8 * 2 * (6 + 5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_property(d, width, k, round_index, seed):
+    assume(k <= min(d, width))
+    pair = _pair(np.random.default_rng(seed), d, width, k)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.bin")
+        save_checkpoint(pair, round_index, path)
+        loaded, rnd = load_checkpoint(path)
+    assert rnd == round_index
+    assert loaded.u.basis.tobytes() == pair.u.basis.tobytes()
+    assert loaded.v.basis.tobytes() == pair.v.basis.tobytes()
 
 
 def test_trace_csv_columns(tmp_path):
