@@ -13,7 +13,7 @@ from .objective import (FactorPair, grad_u, grad_v, loss, optimal_sigma,
                         reconstruct)
 from .federation import (FedConfig, RoundTrace, aggregate, load_checkpoint,
                          local_update, run_fedsg, save_checkpoint)
-from .detection import (MetricsReport, ScoreReport, evaluate, fit_threshold,
-                        roc_and_pr, score, score_matrix, self_svd_baseline)
+from .detection import (MetricsReport, evaluate, fit_threshold, roc_and_pr,
+                        score, score_matrix, self_svd_baseline)
 from .data import (ClientShard, Dataset, SynthSpec, generate_synthetic,
                    load_dataset, partition_non_iid, zscore_fit_apply)

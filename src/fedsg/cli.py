@@ -1,16 +1,19 @@
 """Command-line entry point: train / eval / sweep / bench.
 
+A CSV train partitions the benign records into equal-width shards,
+z-scores each with its own statistics and trains on those matrices.
+
 Outputs per run directory: manifest.json, trace.csv, checkpoint.bin,
 train_errors.npy, prep.npz (normalization stats) or synth_test.npz,
 and from evaluation: metrics.json, metrics.csv, roc.csv, pr.csv,
 sweep.csv, bench.json.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
-(a malformed, non-finite or empty CSV, an unknown label or feature, a
-corrupt checkpoint, data whose dimensions disagree with it, a
-non-finite training shard, an out-of-range or unknown training or
---synthetic value, or a --config or --synthetic file that is not a JSON
-object).
+(a missing input file, a malformed, non-finite, empty or undecodable
+CSV, an unknown label or feature, a corrupt checkpoint, data whose
+dimensions disagree with it, a non-finite training shard, an
+out-of-range or unknown training or --synthetic value, or a --config or
+--synthetic file that is not a JSON object).
 """
 
 import argparse
@@ -26,9 +29,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .data import (DEFAULT_FEATURES, SynthSpec, apply_zscore, equalize_widths,
-                   filter_slice, generate_synthetic, load_dataset,
-                   partition_non_iid, read_feature_list, zscore_fit_apply)
+from .data import (DEFAULT_FEATURES, SynthSpec, apply_zscore, filter_slice,
+                   generate_synthetic, load_dataset, partition_non_iid,
+                   read_feature_list, zscore_fit_apply)
 from .detection import (evaluate, fit_threshold, roc_and_pr, score,
                         score_matrix, write_curve, write_metrics)
 from .errors import DimensionMismatch, FedsgError, InputError
@@ -52,10 +55,17 @@ def _sha256_text(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _input_file(path, what):
+    """path, if it names a file; else a usage error."""
+    if not os.path.isfile(path):
+        raise UsageError(f"{what} not found: {path}")
+    return path
+
+
 def _load_config_file(path):
-    """The JSON object in a config file; malformed JSON or another JSON
-    value is a usage error."""
-    with open(path) as fh:
+    """The JSON object in a config file; a missing file, malformed JSON
+    or another JSON value is a usage error."""
+    with open(_input_file(path, "config file")) as fh:
         try:
             raw = json.load(fh)
         except ValueError as exc:
@@ -156,16 +166,16 @@ def cmd_train(args):
                  test=test, labels=labels)
         stats = None
     elif args.data:
-        if not os.path.exists(args.data):
-            raise UsageError(f"data path not found: {args.data}")
-        features = (read_feature_list(args.features) if args.features
-                    else list(DEFAULT_FEATURES))
+        _input_file(args.data, "data path")
+        features = list(DEFAULT_FEATURES)
+        if args.features:
+            features = read_feature_list(_input_file(args.features,
+                                                     "feature list"))
         normed, dropped = _zscored_shards(args.data, features,
                                           config.n_clients, args.sort_feature)
         if dropped:
             print(f"note: dropped {dropped} remainder records in partition",
                   file=sys.stderr)
-        normed = equalize_widths(normed, seed=config.seed)
         shards = [s.features for s in normed]
         stats = {"means": np.stack([s.mean for s in normed]),
                  "stds": np.stack([s.std for s in normed])}
@@ -199,8 +209,7 @@ def _load_eval_inputs(args, pair):
     ckpt_dir = os.path.dirname(os.path.abspath(args.checkpoint))
     d = pair.u.n
     if args.data:
-        if not os.path.exists(args.data):
-            raise UsageError(f"data path not found: {args.data}")
+        _input_file(args.data, "data path")
         prep_path = os.path.join(ckpt_dir, "prep.npz")
         if not os.path.exists(prep_path):
             raise UsageError(f"no prep.npz next to checkpoint: {prep_path}")
@@ -238,18 +247,19 @@ def _load_eval_inputs(args, pair):
     return score_matrix(pair.u, test), labels
 
 
-def _fit_tau(args, rho):
+def _train_errors(args):
+    """The benign training errors stored next to the checkpoint."""
     ckpt_dir = os.path.dirname(os.path.abspath(args.checkpoint))
     err_path = os.path.join(ckpt_dir, "train_errors.npy")
     if not os.path.exists(err_path):
         raise UsageError(f"no stored training errors: {err_path}")
-    return fit_threshold(np.load(err_path), rho)
+    return np.load(err_path)
 
 
 def cmd_eval(args):
-    pair, _ = load_checkpoint(args.checkpoint)
+    pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     errors, labels = _load_eval_inputs(args, pair)
-    tau = _fit_tau(args, args.rho)
+    tau = fit_threshold(_train_errors(args), args.rho)
     report = evaluate(errors, labels, tau)
     roc, pr, auc = roc_and_pr(errors, labels)
     report = dataclasses.replace(report, roc=roc, pr=pr, auc=auc)
@@ -279,14 +289,15 @@ def _parse_grid(text):
 
 
 def cmd_sweep(args):
-    pair, _ = load_checkpoint(args.checkpoint)
+    pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     errors, labels = _load_eval_inputs(args, pair)
     grid = _parse_grid(args.rho_grid)
     out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out, exist_ok=True)
+    train_errors = _train_errors(args)
     rows = []
     for rho in grid:
-        tau = _fit_tau(args, rho)
+        tau = fit_threshold(train_errors, rho)
         rep = evaluate(errors, labels, tau)
         rows.append([rho, tau, rep.acc, rep.pre, rep.tpr, rep.fpr, rep.f1])
     path = os.path.join(out, "sweep.csv")
@@ -299,7 +310,7 @@ def cmd_sweep(args):
 
 
 def cmd_bench(args):
-    pair, _ = load_checkpoint(args.checkpoint)
+    pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     d, k = pair.u.basis.shape
     width = pair.v.basis.shape[0]
     if args.data and os.path.exists(args.data):

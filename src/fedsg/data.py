@@ -1,9 +1,11 @@
 """Dataset ingestion and shard preparation: NSL-KDD style CSV parsing,
-feature selection, non-i.i.d. partitioning by a sort feature, per-client
-z-score normalization, and a seeded synthetic low-rank generator with
-planted anomalies.
+feature selection, non-i.i.d. partitioning of the benign records by a
+sort feature into equal-width shards, per-client z-score normalization,
+and a seeded synthetic low-rank generator with planted anomalies.
 
-Feature matrices are d x B with columns as samples.
+Feature matrices are d x B with columns as samples. A training shard
+holds only benign records: its feature matrix and, once z-scored, the
+client's statistics.
 """
 
 from dataclasses import dataclass, field, replace
@@ -65,12 +67,10 @@ LABEL_CLASSES = ("normal", "dos", "probe", "r2l", "u2r")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Parsed records in columns: values[:, i] holds the selected
-    features of record i, labels[i] its class name and row_index[i] its
-    0-based line number in the source file."""
-    values: np.ndarray = field(repr=False)     # d x m, a transposed view
-    labels: np.ndarray = field(repr=False)     # m class names
-    row_index: np.ndarray = field(repr=False)  # m ints
+    """Parsed records in columns, in file order: values[:, i] holds the
+    selected features of record i and labels[i] its class name."""
+    values: np.ndarray = field(repr=False)  # d x m, a transposed view
+    labels: np.ndarray = field(repr=False)  # m class names
 
     def __len__(self):
         return self.labels.shape[0]
@@ -80,7 +80,6 @@ class Dataset:
 class ClientShard:
     client_id: int
     features: np.ndarray = field(repr=False)  # d x B, columns are samples
-    labels: tuple = ()
     mean: np.ndarray = None
     std: np.ndarray = None
 
@@ -111,10 +110,10 @@ def load_dataset(path, feature_list=None, label_map=None,
     of those records.
 
     Raises ParseError with the offending row/column (a non-numeric or
-    non-finite value, a short row, or a file without data rows),
-    UnknownLabel for labels outside the map, MissingFeature for unknown
-    feature names. Of several faulty rows, the first in the file is
-    named.
+    non-finite value, a short row, or a file without data rows) or for a
+    file that is not text in the locale's encoding, UnknownLabel for
+    labels outside the map, MissingFeature for unknown feature names. Of
+    several faulty rows, the first in the file is named.
     """
     features = list(feature_list) if feature_list else list(DEFAULT_FEATURES)
     label_map = dict(label_map) if label_map else dict(DEFAULT_LABEL_MAP)
@@ -123,7 +122,16 @@ def load_dataset(path, feature_list=None, label_map=None,
         idx = [columns.index(f) for f in features]
     except ValueError as exc:
         raise MissingFeature(str(exc)) from None
+    try:
+        return _read_dataset(path, idx, columns, label_column, label_map)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {exc.encoding} text: "
+                         f"{exc.reason}") from None
 
+
+def _read_dataset(path, idx, columns, label_column, label_map):
+    """load_dataset on resolved columns: idx are the feature columns'
+    positions, label_map holds every accepted raw label."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")[0] == columns[0]
         encoding = fh.encoding
@@ -180,8 +188,7 @@ def load_dataset(path, feature_list=None, label_map=None,
         raise ParseError(
             f"row {row_index[i]}, column {columns[idx[j]]!r}: "
             f"non-finite value {float(values[i, j])!r}")
-    return Dataset(values=values.T, labels=np.array(names)[inverse],
-                   row_index=row_index)
+    return Dataset(values=values.T, labels=np.array(names)[inverse])
 
 
 # Bytes read at a time by the layout checks, which keep no copy of the
@@ -310,6 +317,8 @@ def _raise_first_fault(path, rows, idx, columns, label_column, label_map):
         try:
             np.loadtxt(checked_lines(fh), delimiter=",", usecols=idx,
                        comments=None, ndmin=2)
+        except UnicodeDecodeError:
+            raise  # the file's fault, not a cell's: load_dataset names it
         except ValueError as exc:
             # loadtxt converts each line as it reads it, so the failing
             # cell is in the last line the generator yielded.
@@ -324,11 +333,11 @@ def _raise_first_fault(path, rows, idx, columns, label_column, label_map):
 
 
 def partition_non_iid(dataset: Dataset, n_clients, sort_feature,
-                      feature_list=None, benign_only=True):
-    """Sort records by one feature (stable, ties by original row index)
-    and slice into n_clients contiguous equal-size shards; the trailing
-    remainder is dropped. With benign_only, attack records are removed
-    first so shards are pure training material.
+                      feature_list=None):
+    """Sort the benign records by one feature (stable, so ties keep file
+    order) and slice them into n_clients contiguous shards of equal
+    width; the trailing remainder is dropped. Attack records are left
+    out, so shards are pure training material.
 
     Returns (shards, n_dropped).
     """
@@ -337,12 +346,10 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature,
         fpos = features.index(sort_feature)
     except ValueError:
         raise MissingFeature(f"sort feature {sort_feature!r} not in feature list")
-    pool = (np.flatnonzero(dataset.labels == "normal") if benign_only
-            else np.arange(len(dataset)))
+    pool = np.flatnonzero(dataset.labels == "normal")
     if n_clients > pool.size:
         raise ShapeMismatch(f"{n_clients} clients but only {pool.size} records")
-    pool = pool[np.lexsort((dataset.row_index[pool],
-                            dataset.values[fpos, pool]))]
+    pool = pool[np.argsort(dataset.values[fpos, pool], kind="stable")]
     width = pool.size // n_clients
     dropped = pool.size - width * n_clients
     shards = []
@@ -351,14 +358,17 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature,
         # Row-major, so the per-feature z-score sums run along contiguous
         # rows.
         mat = np.ascontiguousarray(dataset.values[:, chunk])
-        shards.append(ClientShard(client_id=cid, features=mat,
-                                  labels=tuple(dataset.labels[chunk].tolist())))
+        shards.append(ClientShard(client_id=cid, features=mat))
     return shards, dropped
 
 
 def zscore_fit_apply(shard: ClientShard) -> ClientShard:
     """Per-feature z-scoring with the client's own statistics. Features
-    with vanishing spread are zeroed and their std recorded as 1."""
+    with vanishing spread are zeroed and their std recorded as 1.
+
+    The z-scored matrix is column-major, one contiguous column per
+    sample: the layout CSV-trained models have always been fitted on
+    (BLAS rounds the shard products differently in the other one)."""
     x = np.asarray(shard.features, dtype=float)
     if x.size == 0:
         raise EmptyShard(f"client {shard.client_id} shard is empty")
@@ -366,7 +376,8 @@ def zscore_fit_apply(shard: ClientShard) -> ClientShard:
     std = x.std(axis=1)
     degenerate = std < 1e-12
     std_safe = np.where(degenerate, 1.0, std)
-    z = (x - mean[:, None]) / std_safe[:, None]
+    z = np.subtract(x, mean[:, None], order="F")
+    z /= std_safe[:, None]
     z[degenerate, :] = 0.0
     return replace(shard, features=z, mean=mean, std=std_safe)
 
@@ -375,24 +386,6 @@ def apply_zscore(mean, std, x) -> np.ndarray:
     """Transform new samples (d x m) with previously fitted statistics."""
     x = np.asarray(x, dtype=float)
     return (x - np.asarray(mean)[:, None]) / np.asarray(std)[:, None]
-
-
-def equalize_widths(shards, width=None, seed=0):
-    """Subsample every shard to a common width (default: the minimum)
-    with a seeded generator, so the row-subspace factor is well-defined
-    across clients."""
-    widths = [s.features.shape[1] for s in shards]
-    target = min(widths) if width is None else width
-    rng = np.random.default_rng(seed)
-    out = []
-    for s in shards:
-        m = s.features.shape[1]
-        if m < target:
-            raise ShapeMismatch(f"client {s.client_id} has {m} < width {target}")
-        keep = np.sort(rng.choice(m, size=target, replace=False))
-        labels = tuple(np.array(s.labels)[keep].tolist()) if s.labels else ()
-        out.append(replace(s, features=s.features[:, keep], labels=labels))
-    return out
 
 
 def filter_slice(matrix, labels, keep_classes):

@@ -20,16 +20,6 @@ from .linalg import truncated_svd
 
 
 @dataclass(frozen=True)
-class ScoreReport:
-    errors: np.ndarray
-    threshold: float
-
-    @property
-    def flags(self) -> np.ndarray:
-        return self.errors > self.threshold
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     acc: float
     pre: float
@@ -48,21 +38,23 @@ class MetricsReport:
 
 
 def score(u: GrassmannPoint, x) -> float:
-    """Euclidean norm of the residual of x after projection onto span(U)."""
-    xv = np.asarray(x, dtype=float).ravel()
-    if xv.shape[0] != u.n:
-        raise ShapeMismatch(f"sample length {xv.shape[0]} != ambient dim {u.n}")
-    r = xv - u.basis @ (u.basis.T @ xv)
-    return float(np.linalg.norm(r))
+    """Euclidean norm of the residual of one sample x after projection
+    onto span(U)."""
+    return float(score_matrix(u, np.asarray(x, dtype=float).reshape(-1)))
 
 
-def score_matrix(u: GrassmannPoint, x) -> np.ndarray:
-    """Column-wise scores for a d x m matrix of samples."""
+def score_matrix(u: GrassmannPoint, x):
+    """Residual norms ||x - U U^T x||_2: one per column of a d x m matrix
+    of samples, or one for a length-d vector."""
     xm = np.asarray(x, dtype=float)
-    if xm.shape[0] != u.n:
-        raise ShapeMismatch(f"rows {xm.shape[0]} != ambient dim {u.n}")
-    r = xm - u.basis @ (u.basis.T @ xm)
-    return np.linalg.norm(r, axis=0)
+    b = u.basis
+    if xm.shape[0] != b.shape[0]:
+        raise ShapeMismatch(f"rows {xm.shape[0]} != ambient dim {b.shape[0]}")
+    r = xm - b @ (b.T @ xm)
+    r *= r
+    # The sum np.linalg.norm(r, axis=0) takes, bit for bit, without the
+    # argument handling that would slow single-sample scoring.
+    return np.sqrt(np.add.reduce(r, axis=0))
 
 
 def fit_threshold(training_errors, rho: float) -> float:

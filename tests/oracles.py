@@ -165,13 +165,12 @@ def parse_records(path, feature_list=None, label_map=None, columns=None,
 def sorted_partition(values, labels, rows, n_clients, fpos):
     """partition_non_iid by a Python sort of the benign records on
     (sort-feature value, row number) and np.column_stack of each
-    contiguous chunk. Returns [(d x width matrix, labels tuple)]."""
+    contiguous chunk. Returns one d x width matrix per client."""
     pool = [i for i, lab in enumerate(labels) if lab == "normal"]
     pool.sort(key=lambda i: (values[fpos, i], rows[i]))
     width = len(pool) // n_clients
     chunks = [pool[c * width:(c + 1) * width] for c in range(n_clients)]
-    return [(np.column_stack([values[:, i] for i in chunk]),
-             tuple(labels[i] for i in chunk)) for chunk in chunks]
+    return [np.column_stack([values[:, i] for i in chunk]) for chunk in chunks]
 
 
 def csv_write_curve(points, path, header):

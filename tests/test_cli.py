@@ -289,3 +289,52 @@ def test_non_finite_csv_value_is_input_error(csv_run, tmp_path, capsys,
     assert main(["eval", "--checkpoint", str(csv_run / "checkpoint.bin"),
                  "--data", str(bad)]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--config", "TMP/nope.json", "--synthetic", SYNTH,
+      "--out", "TMP/o"], "config file not found: TMP/nope.json"),
+    (["train", "--data", "TMP/train.csv", "--features", "TMP/nope.txt",
+      "--out", "TMP/o"], "feature list not found: TMP/nope.txt"),
+    (["eval", "--checkpoint", "TMP/nope.bin"],
+     "checkpoint not found: TMP/nope.bin"),
+    (["sweep", "--checkpoint", "TMP/nope.bin"],
+     "checkpoint not found: TMP/nope.bin"),
+    (["bench", "--checkpoint", "TMP/nope.bin", "--iters", "10"],
+     "checkpoint not found: TMP/nope.bin"),
+], ids=["config", "features", "eval_checkpoint", "sweep_checkpoint",
+        "bench_checkpoint"])
+def test_missing_input_file_is_usage_error(csv_run, tmp_path, capsys, argv,
+                                           message):
+    """csv_run writes TMP/train.csv, a valid training file."""
+    def fill(text):
+        return text.replace("TMP", str(tmp_path))
+    assert main([fill(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {fill(message)}\n"
+
+
+def _undecodable_rows(rng, where):
+    """40 benign CSV lines with byte 0xff on the first line, in the label
+    of a line past the first 8 KB, or on a line of its own."""
+    rows = [_csv_row(rng, "normal", i).encode() for i in range(40)]
+    if where == "first_line":
+        rows[0] = b"\xff" + rows[0]
+    elif where == "late_label":
+        rows[35] = rows[35].replace(b",normal,", b",norm\xffl,")
+    else:
+        rows.insert(35, b"\xff")
+    return b"\n".join(rows) + b"\n"
+
+
+@pytest.mark.parametrize("where", ["first_line", "late_label", "own_line"])
+def test_undecodable_csv_is_input_error(csv_run, tmp_path, capsys, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(_undecodable_rows(np.random.default_rng(4), where))
+    assert bad.stat().st_size > 8192
+    message = f"error: ParseError: {bad}: not utf-8 text"
+    assert main(["train", "--data", str(bad), "--out", str(tmp_path / "o"),
+                 *CSV_TRAIN_ARGS]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert main(["eval", "--checkpoint", str(csv_run / "checkpoint.bin"),
+                 "--data", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(message)

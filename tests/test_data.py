@@ -11,9 +11,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from fedsg import data as data_module
 from fedsg.data import (DEFAULT_FEATURES, NSL_KDD_COLUMNS, SynthSpec,
-                        apply_zscore, equalize_widths, filter_slice,
-                        generate_synthetic, load_dataset, partition_non_iid,
-                        read_feature_list, zscore_fit_apply)
+                        apply_zscore, filter_slice, generate_synthetic,
+                        load_dataset, partition_non_iid, read_feature_list,
+                        zscore_fit_apply)
 from fedsg.detection import score_matrix
 from fedsg.errors import FedsgError, MissingFeature, ParseError, UnknownLabel
 from fedsg.grassmann import GrassmannPoint
@@ -156,15 +156,13 @@ def test_load_dataset_and_partition_match_parser_oracle(tmp_path, variant,
     data = load_dataset(path)
     assert data.values.tobytes() == values.tobytes()
     assert data.labels.tolist() == labels
-    assert data.row_index.tolist() == rows
     shards, dropped = partition_non_iid(data, 5, "dst_bytes")
     fpos = DEFAULT_FEATURES.index("dst_bytes")
     expect = sorted_partition(values, labels, rows, 5, fpos)
     assert dropped == 43 - 5 * 8
-    for shard, (mat, labs) in zip(shards, expect):
+    for shard, mat in zip(shards, expect):
         assert shard.features.tobytes() == mat.tobytes()
         assert shard.features.flags["C_CONTIGUOUS"]
-        assert shard.labels == labs
 
 
 @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
@@ -260,7 +258,6 @@ def test_load_dataset_round_trips_repr(mat):
                             label_column=d)
     assert data.values.tobytes() == mat.T.tobytes()
     assert data.labels.tolist() == ["normal"] * m
-    assert data.row_index.tolist() == list(range(m))
 
 
 # Lines of small files with columns a, label, b or a, b, label: padded,
@@ -314,7 +311,6 @@ def test_load_dataset_matches_parser_oracle_on_random_text(
         data = load_dataset(path, **layout)
     assert data.values.tobytes() == values.tobytes()
     assert data.labels.tolist() == labels
-    assert data.row_index.tolist() == rows
 
 
 def test_partition_sorted_by_feature(toy_csv):
@@ -338,8 +334,12 @@ def test_partition_drops_remainder(toy_csv):
 
 def test_partition_excludes_attacks(toy_csv):
     data = load_dataset(toy_csv)
-    shards, _ = partition_non_iid(data, 3, "dst_bytes")
-    assert all(lab == "normal" for s in shards for lab in s.labels)
+    shards, dropped = partition_non_iid(data, 3, "dst_bytes")
+    assert dropped == 0
+    # The shards' columns are exactly the 30 benign records' features.
+    benign = data.values[:, data.labels == "normal"]
+    got = np.hstack([s.features for s in shards])
+    assert sorted(map(tuple, got.T)) == sorted(map(tuple, benign.T))
 
 
 def test_partition_missing_feature(toy_csv):
@@ -352,7 +352,7 @@ def test_partition_constant_feature_stable(toy_csv):
     data = load_dataset(toy_csv)
     data.values[DEFAULT_FEATURES.index("duration")] = 1.0
     shards, _ = partition_non_iid(data, 3, "duration")
-    # stable tie-break by original row index keeps original order
+    # a stable sort keeps tied records in file order
     pos = DEFAULT_FEATURES.index("dst_bytes")
     first = shards[0].features[pos]
     assert np.array_equal(first, np.sort(first))
@@ -367,6 +367,15 @@ def test_zscore_normalizes_training_rows(toy_csv):
     stds = z.features[nondeg].std(axis=1)
     assert np.all(np.abs(means) <= 1e-9)
     assert np.all(np.abs(stds - 1.0) <= 1e-9)
+
+
+def test_zscore_output_is_column_major(toy_csv):
+    data = load_dataset(toy_csv)
+    shards, _ = partition_non_iid(data, 2, "dst_bytes")
+    z = zscore_fit_apply(shards[0])
+    assert z.features.flags["F_CONTIGUOUS"]
+    x = shards[0].features
+    assert np.array_equal(z.features, (x - z.mean[:, None]) / z.std[:, None])
 
 
 def test_zscore_zeroes_constant_feature():
@@ -389,29 +398,6 @@ def test_apply_zscore_uses_train_stats():
     assert not np.allclose(with_train_stats, self_normed)
     assert np.allclose(with_train_stats,
                        (test - z.mean[:, None]) / z.std[:, None])
-
-
-def test_equalize_widths_deterministic():
-    rng = np.random.default_rng(4)
-    from fedsg.data import ClientShard
-    shards = [ClientShard(client_id=i,
-                          features=rng.standard_normal((3, 10 + i)))
-              for i in range(3)]
-    out1 = equalize_widths(shards, seed=7)
-    out2 = equalize_widths(shards, seed=7)
-    assert all(a.features.shape[1] == 10 for a in out1)
-    for a, b in zip(out1, out2):
-        assert np.array_equal(a.features, b.features)
-
-
-def test_equalize_widths_keeps_labels_with_columns():
-    from fedsg.data import ClientShard
-    width = 12
-    labels = tuple(f"r{i}" for i in range(width))
-    shard = ClientShard(client_id=0, labels=labels,
-                        features=np.vstack([np.arange(width)] * 2))
-    (out,) = equalize_widths([shard], width=5, seed=1)
-    assert out.labels == tuple(labels[int(i)] for i in out.features[0])
 
 
 def test_filter_slice():

@@ -58,6 +58,7 @@ def test_score_matrix_matches_score():
     cols = score_matrix(u, x)
     for j in range(7):
         assert cols[j] == pytest.approx(score(u, x[:, j]), abs=1e-12)
+        assert score(u, x[:, j:j + 1]) == score(u, x[:, j])  # a d x 1 column
 
 
 def test_fit_threshold_uniform_grid():
