@@ -25,7 +25,7 @@ fed_auc = roc_and_pr(score_matrix(pair.u, test), labels)[2]
 assign = np.arange(test.shape[1]) % spec.n_clients
 test_sets = [(test[:, assign == c], labels[assign == c])
              for c in range(spec.n_clients)]
-base, _, _ = self_svd_baseline(shards, test_sets, k=3, rho=18.0)
+base = self_svd_baseline(shards, test_sets, k=3, rho=18.0)
 
 print(f"federated model  AUC: {fed_auc:.4f}")
 print(f"self-trained SVD AUC: {base.auc:.4f}")

@@ -2,6 +2,8 @@
 
 A CSV train partitions the benign records into equal-width shards,
 z-scores each with its own statistics and trains on those matrices.
+Evaluation assigns test record i to client i % n_clients and z-scores
+it with that client's statistics.
 
 Outputs per run directory: manifest.json, trace.csv, checkpoint.bin,
 train_errors.npy, prep.npz (normalization stats) or synth_test.npz,
@@ -10,10 +12,12 @@ sweep.csv, bench.json.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
 (a missing input file, a malformed, non-finite, empty or undecodable
-CSV, an unknown label or feature, a corrupt checkpoint, data whose
-dimensions disagree with it, a non-finite training shard, an
-out-of-range or unknown training or --synthetic value, or a --config or
---synthetic file that is not a JSON object).
+CSV, an unknown label, --slice class or feature, a corrupt checkpoint,
+data whose dimensions disagree with it, a non-finite training shard, an
+out-of-range or unknown training or --synthetic value, a --clients or
+config n_clients that disagrees with --synthetic, a --config or
+--synthetic file that is not a JSON object, or a bench --data file that
+is not an .npz archive with a 'test' array).
 """
 
 import argparse
@@ -24,6 +28,7 @@ import json
 import os
 import sys
 import time
+import zipfile
 from datetime import datetime, timezone
 
 import numpy as np
@@ -85,16 +90,10 @@ def _build(cls, values):
         raise UsageError(f"invalid {cls.__name__}: {exc}") from None
 
 
-def _resolve_fed_config(args):
-    """CLI flags > config file > built-in defaults."""
-    values = {}
-    if args.config:
-        raw = _load_config_file(args.config)
-        allowed = {f.name for f in dataclasses.fields(FedConfig)}
-        unknown = set(raw) - allowed - {"rho", "sort_feature"}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        values.update({k: v for k, v in raw.items() if k in allowed})
+def _fed_config_values(args):
+    """The FedConfig values set explicitly: CLI flags > config file.
+    Unset keys keep FedConfig's defaults; _build rejects unknown keys."""
+    values = _load_config_file(args.config) if args.config else {}
     overrides = {
         "n_clients": args.clients, "rounds": args.rounds,
         "local_steps": args.local_steps, "sample_fraction": args.sample_fraction,
@@ -103,9 +102,9 @@ def _resolve_fed_config(args):
     for key, val in overrides.items():
         if val is not None:
             values[key] = val
-    if getattr(args, "no_align", False):
+    if args.no_align:
         values["align_before_average"] = False
-    return _build(FedConfig, values)
+    return values
 
 
 def _parse_synth_spec(arg, fallback_seed):
@@ -146,19 +145,21 @@ def _zscored_shards(path, features, n_clients, sort_feature):
 
 
 def cmd_train(args):
-    config = _resolve_fed_config(args)
+    values = _fed_config_values(args)
+    config = _build(FedConfig, values)
     os.makedirs(args.out, exist_ok=True)
     manifest = {"command": "train",
-                "config": dataclasses.asdict(config),
-                "rho": args.rho,
                 "out_dir": os.path.abspath(args.out)}
 
     if args.synthetic:
         spec = _parse_synth_spec(args.synthetic, config.seed)
-        if spec.n_clients != config.n_clients:
-            config = _build(FedConfig, dict(dataclasses.asdict(config),
-                                            n_clients=spec.n_clients))
-            manifest["config"] = dataclasses.asdict(config)
+        # The spec sets the client count unless --clients or the config
+        # file does, and then the two must agree.
+        if values.get("n_clients", spec.n_clients) != spec.n_clients:
+            raise UsageError(f"{values['n_clients']} clients requested, "
+                             f"but --synthetic has n_clients "
+                             f"{spec.n_clients}")
+        config = _build(FedConfig, dict(values, n_clients=spec.n_clients))
         shards, test, labels, _ = generate_synthetic(spec)
         manifest["dataset"] = {"kind": "synthetic",
                                "spec": dataclasses.asdict(spec)}
@@ -191,6 +192,7 @@ def cmd_train(args):
     else:
         raise UsageError("either --data or --synthetic is required")
 
+    manifest["config"] = dataclasses.asdict(config)
     pair, traces = run_fedsg(config, shards)
     save_checkpoint(pair, config.rounds,
                     os.path.join(args.out, "checkpoint.bin"))
@@ -221,17 +223,11 @@ def _load_eval_inputs(args, pair):
                 f"checkpoint d={d}, test records have "
                 f"{data.values.shape[0]} features")
         means, stds = prep["means"], prep["stds"]
-        n_clients = means.shape[0]
-        # Round-robin test assignment; each client's normalization stats
-        # transform its assigned slice.
-        errors = np.empty(len(data))
-        assign = np.arange(len(data)) % n_clients
-        for cid in range(n_clients):
-            cols = np.where(assign == cid)[0]
-            if cols.size == 0:
-                continue
-            z = apply_zscore(means[cid], stds[cid], data.values[:, cols])
-            errors[cols] = score_matrix(pair.u, z)
+        # Round-robin test assignment: record i is normalised with the
+        # statistics of client i % n_clients.
+        client = np.arange(len(data)) % means.shape[0]
+        z = apply_zscore(means[client].T, stds[client].T, data.values)
+        errors = score_matrix(pair.u, z)
         if args.slice:
             return filter_slice(errors, data.labels, args.slice.split(","))
         return errors, data.labels != "normal"
@@ -260,17 +256,16 @@ def cmd_eval(args):
     pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     errors, labels = _load_eval_inputs(args, pair)
     tau = fit_threshold(_train_errors(args), args.rho)
-    report = evaluate(errors, labels, tau)
     roc, pr, auc = roc_and_pr(errors, labels)
-    report = dataclasses.replace(report, roc=roc, pr=pr, auc=auc)
+    report = dataclasses.replace(evaluate(errors, labels, tau), auc=auc)
     out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out, exist_ok=True)
-    write_metrics(report, json_path=os.path.join(out, "metrics.json"),
-                  csv_path=os.path.join(out, "metrics.csv"))
-    write_curve(roc, os.path.join(out, "roc.csv"), ["fpr", "tpr"])
-    write_curve(pr, os.path.join(out, "pr.csv"), ["recall", "precision"])
-    print(json.dumps({"rho": args.rho, "tau": tau, **report.as_dict()},
-                     sort_keys=True))
+    write_metrics(report, os.path.join(out, "metrics.json"),
+                  os.path.join(out, "metrics.csv"))
+    write_curve(*roc, os.path.join(out, "roc.csv"), ["fpr", "tpr"])
+    write_curve(*pr, os.path.join(out, "pr.csv"), ["recall", "precision"])
+    print(json.dumps({"rho": args.rho, "tau": tau,
+                      **dataclasses.asdict(report)}, sort_keys=True))
     return 0
 
 
@@ -313,12 +308,18 @@ def cmd_bench(args):
     pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     d, k = pair.u.basis.shape
     width = pair.v.basis.shape[0]
-    if args.data and os.path.exists(args.data):
-        blob = np.load(args.data) if args.data.endswith(".npz") else None
-        samples = blob["test"] if blob is not None else None
+    if args.data:
+        try:
+            with open(_input_file(args.data, "data path"), "rb") as fh:
+                samples = np.load(fh)["test"]
+        except (OSError, EOFError, ValueError, KeyError, IndexError,
+                zipfile.BadZipFile):
+            raise UsageError(f"{args.data}: not an .npz file with a 'test' "
+                             f"array") from None
+        if samples.ndim != 2 or samples.shape[0] != d or not samples.size:
+            raise DimensionMismatch(f"checkpoint d={d}, --data test array "
+                                    f"has shape {samples.shape}")
     else:
-        samples = None
-    if samples is None:
         samples = np.random.default_rng(0).standard_normal((d, args.iters))
     score(pair.u, samples[:, 0])  # warm-up, discarded
     lat = np.empty(args.iters)
@@ -361,7 +362,6 @@ def build_parser():
     tr.add_argument("--out", required=True, help="output directory")
     tr.add_argument("--features", help="plain-text feature list file")
     tr.add_argument("--sort-feature", default="dst_bytes")
-    tr.add_argument("--rho", type=float, default=18.0)
     tr.add_argument("--seed", type=int)
     tr.add_argument("--clients", type=int)
     tr.add_argument("--rounds", type=int)

@@ -383,18 +383,30 @@ def zscore_fit_apply(shard: ClientShard) -> ClientShard:
 
 
 def apply_zscore(mean, std, x) -> np.ndarray:
-    """Transform new samples (d x m) with previously fitted statistics."""
+    """Transform new samples (d x m) with previously fitted statistics:
+    one (d,) mean/std pair for every sample, or a d x m pair holding each
+    sample's own. Any other shape is a ShapeMismatch, never a broadcast."""
     x = np.asarray(x, dtype=float)
-    return (x - np.asarray(mean)[:, None]) / np.asarray(std)[:, None]
+    mean, std = np.asarray(mean), np.asarray(std)
+    if x.ndim == 2 and mean.shape == std.shape == x.shape[:1]:
+        mean, std = mean[:, None], std[:, None]
+    elif not mean.shape == std.shape == x.shape:
+        raise ShapeMismatch(f"statistics {mean.shape}/{std.shape} fit "
+                            f"neither (d,) nor samples {x.shape}")
+    return (x - mean) / std
 
 
 def filter_slice(matrix, labels, keep_classes):
     """Evaluation-slice filter: keep normal plus the listed attack
     classes; returns (matrix subset, boolean attack labels). The last
     axis indexes records, so a d x m matrix and a length-m vector of
-    scores both work."""
+    scores both work. A class outside LABEL_CLASSES is an UnknownLabel."""
     labels = np.asarray(labels)
     keep = ["normal"] + [c.strip().lower() for c in keep_classes]
+    unknown = [c for c in keep if c not in LABEL_CLASSES]
+    if unknown:
+        raise UnknownLabel(f"slice classes {unknown} are not in "
+                           f"{list(LABEL_CLASSES)}")
     mask = np.isin(labels, keep)
     return np.asarray(matrix)[..., mask], labels[mask] != "normal"
 

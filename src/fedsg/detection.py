@@ -1,6 +1,7 @@
 """Reconstruction-error anomaly scoring, percentile thresholding,
 point metrics, ROC/PR curves, and the per-client self-trained SVD
-baseline.
+baseline. The curves stay numpy column arrays from the sweep until
+write_curve turns them into text.
 
 A single sample x is scored against the learned column subspace only:
 eps = ||x - U U^T x||_2. The row-subspace factor indexes training
@@ -8,9 +9,8 @@ samples and has no meaning for one new record.
 """
 
 import csv
-import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,15 +26,8 @@ class MetricsReport:
     tpr: float
     fpr: float
     f1: float
-    roc: tuple = ()
-    pr: tuple = ()
     auc: float = float("nan")
     degenerate: bool = False
-
-    def as_dict(self):
-        return {"acc": self.acc, "pre": self.pre, "tpr": self.tpr,
-                "fpr": self.fpr, "f1": self.f1, "auc": self.auc,
-                "degenerate": self.degenerate}
 
 
 def score(u: GrassmannPoint, x) -> float:
@@ -112,9 +105,9 @@ def evaluate(errors, labels, tau) -> MetricsReport:
 def roc_and_pr(errors, labels):
     """Sweep the threshold over all distinct error values plus +/-inf.
 
-    Returns (roc points (fpr, tpr) sorted by fpr, pr points
-    (recall, precision), trapezoidal AUC). Tied scores collapse to one
-    sweep point, so the trapezoid equals the half-weighted pair count.
+    Returns ((fpr, tpr) arrays sorted by fpr, (recall, precision)
+    arrays, trapezoidal AUC). Tied scores collapse to one sweep point,
+    so the trapezoid equals the half-weighted pair count.
 
     One stable sort by descending error and a cumulative count give the
     confusion counts at every threshold in O(n log n) (Fawcett 2006,
@@ -140,17 +133,17 @@ def roc_and_pr(errors, labels):
     # come out sorted.
     tp = np.r_[0, 0, np.cumsum(labs)[last]]
     fp = np.r_[0, 0, np.cumsum(~labs)[last]]
-    roc = list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
+    fpr, tpr = fp / n_neg, tp / n_pos
+    # -inf flags every record, so at least one point has a precision.
     flagged = tp + fp > 0
-    pr = list(zip((tp[flagged] / n_pos).tolist(),
-                  (tp[flagged] / (tp + fp)[flagged]).tolist()))
+    recall, precision = tpr[flagged], tp[flagged] / (tp + fp)[flagged]
     # precision at recall 0: first attained point.
-    if pr and pr[0][0] > 0.0:
-        pr.insert(0, (0.0, pr[0][1]))
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(roc[:-1], roc[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
-    return tuple(roc), tuple(pr), float(auc)
+    if recall[0] > 0.0:
+        recall, precision = np.r_[0.0, recall], np.r_[precision[0], precision]
+    # cumsum adds the trapezoids left to right (np.sum adds pairwise), so
+    # the AUC keeps a running sum's rounding.
+    auc = np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
+    return (fpr, tpr), (recall, precision), float(auc)
 
 
 def self_svd_baseline(train_shards, test_sets, k: int, rho: float):
@@ -158,8 +151,7 @@ def self_svd_baseline(train_shards, test_sets, k: int, rho: float):
     thresholds locally, and the server aggregates the confusion counts.
 
     test_sets is one (matrix d x m_i, bool labels) pair per client.
-    Returns (MetricsReport with pooled-score ROC/AUC, pooled errors,
-    pooled labels)."""
+    Returns the MetricsReport, with the AUC of the pooled scores."""
     if len(train_shards) != len(test_sets):
         raise LengthMismatch("one test assignment per client required")
     totals = np.zeros(4, dtype=int)
@@ -174,39 +166,32 @@ def self_svd_baseline(train_shards, test_sets, k: int, rho: float):
         totals += np.array(confusion_counts(errs, test_y, tau))
         pooled_errs.append(errs)
         pooled_labels.append(np.asarray(test_y, dtype=bool))
-    errs = np.concatenate(pooled_errs)
-    labels = np.concatenate(pooled_labels)
-    point = metrics_from_counts(*totals)
-    roc, pr, auc = roc_and_pr(errs, labels)
-    report = MetricsReport(acc=point.acc, pre=point.pre, tpr=point.tpr,
-                           fpr=point.fpr, f1=point.f1, roc=roc, pr=pr,
-                           auc=auc, degenerate=point.degenerate)
-    return report, errs, labels
+    _, _, auc = roc_and_pr(np.concatenate(pooled_errs),
+                           np.concatenate(pooled_labels))
+    return replace(metrics_from_counts(*totals), auc=auc)
 
 
-def write_metrics(report: MetricsReport, json_path=None, csv_path=None):
-    flat = report.as_dict()
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(flat, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["metric", "value"])
-            for key, val in sorted(flat.items()):
-                w.writerow([key, val])
+def write_metrics(report: MetricsReport, json_path, csv_path):
+    flat = asdict(report)
+    with open(json_path, "w") as fh:
+        json.dump(flat, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    with open(csv_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["metric", "value"])
+        for key, val in sorted(flat.items()):
+            w.writerow([key, val])
 
 
-def write_curve(points, path, header):
-    """Write (x, y) points as CSV rows of repr(float) cells under a
+def write_curve(x, y, path, header):
+    """Write the columns x and y as CSV rows of repr(float) cells under a
     header row, with csv.writer's \\r\\n line ends.
 
-    The points go out in one write: repr runs once per distinct value,
+    The rows go out in one write: repr runs once per distinct value,
     keyed by bit pattern so that -0.0 and NaN keep their own text, and
     the cells are joined once.
     """
-    xy = np.fromiter(itertools.chain.from_iterable(points), float)
+    xy = np.array((x, y), dtype=float).T.ravel()
     keys, inverse = np.unique(xy.view(np.uint64), return_inverse=True)
     text = np.array([repr(v) for v in keys.view(np.float64).tolist()],
                     dtype=object)

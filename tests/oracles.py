@@ -10,7 +10,9 @@ cumulative sweep replaced; parse_records and sorted_partition are the
 per-row, per-cell float() CSV parser and the per-record sort that
 data.load_dataset's columnar ingest and partition_non_iid replaced;
 csv_write_curve is the csv.writer row loop that detection.write_curve's
-single join replaced.
+single join replaced; round_robin_errors is the per-client loop that
+z-scored and scored the test set before fedsg eval did both in one
+broadcast call each.
 sequential_fedsg is the per-client federated loop that the
 batched engine in fedsg.federation replaced; it reuses the library's
 single-pair gradients, point Riemannian step and retraction (each
@@ -22,8 +24,9 @@ import csv
 
 import numpy as np
 
-from fedsg.data import DEFAULT_FEATURES, DEFAULT_LABEL_MAP, NSL_KDD_COLUMNS
-from fedsg.detection import confusion_counts
+from fedsg.data import (DEFAULT_FEATURES, DEFAULT_LABEL_MAP, NSL_KDD_COLUMNS,
+                        apply_zscore)
+from fedsg.detection import confusion_counts, score_matrix
 from fedsg.errors import ParseError, RankDeficient, UnknownLabel
 from fedsg.grassmann import retract, riemannian_step
 from fedsg.objective import FactorPair, grad_u, grad_v, loss
@@ -180,6 +183,22 @@ def csv_write_curve(points, path, header):
         w.writerow(header)
         for a, b in points:
             w.writerow([repr(float(a)), repr(float(b))])
+
+
+def round_robin_errors(u, means, stds, values):
+    """Residual norms of the d x m test records, record i z-scored with
+    client i % n_clients's statistics: one apply_zscore and one
+    score_matrix call per client on the columns assigned to it."""
+    n_clients = means.shape[0]
+    errors = np.empty(values.shape[1])
+    assign = np.arange(values.shape[1]) % n_clients
+    for cid in range(n_clients):
+        cols = np.where(assign == cid)[0]
+        if cols.size == 0:
+            continue
+        z = apply_zscore(means[cid], stds[cid], values[:, cols])
+        errors[cols] = score_matrix(u, z)
+    return errors
 
 
 def random_orthonormal(rng, n, k):

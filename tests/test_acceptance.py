@@ -152,7 +152,7 @@ def test_criterion_07_synthetic_end_to_end():
     assign = np.arange(test.shape[1]) % spec.n_clients
     test_sets = [(test[:, assign == cid], labels[assign == cid])
                  for cid in range(spec.n_clients)]
-    base_rep, _, _ = self_svd_baseline(shards, test_sets, k=3, rho=18.0)
+    base_rep = self_svd_baseline(shards, test_sets, k=3, rho=18.0)
     ok = fed_auc >= 0.95 and fed_auc - base_rep.auc >= 0.02
     _report(7, ok, f"federated AUC {fed_auc:.4f} (>= 0.95), "
                    f"self-trained baseline AUC {base_rep.auc:.4f} "

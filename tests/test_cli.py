@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import struct
@@ -5,8 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from fedsg.cli import main
-from fedsg.data import NSL_KDD_COLUMNS
+from fedsg.cli import _load_eval_inputs, main
+from fedsg.data import NSL_KDD_COLUMNS, load_dataset
+from fedsg.federation import load_checkpoint
+
+from oracles import round_robin_errors
 
 SYNTH = json.dumps({"d": 10, "width": 20, "n_clients": 4, "rank": 2,
                     "noise": 0.05, "anomaly_fraction": 0.1,
@@ -33,6 +37,7 @@ def test_train_outputs(run_dir):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["config"]["rounds"] == 8
     assert manifest["dataset"]["kind"] == "synthetic"
+    assert "rho" not in manifest
 
 
 def test_train_missing_data_path(tmp_path, capsys):
@@ -338,3 +343,114 @@ def test_undecodable_csv_is_input_error(csv_run, tmp_path, capsys, where):
     assert main(["eval", "--checkpoint", str(csv_run / "checkpoint.bin"),
                  "--data", str(bad)]) == 2
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_train_rho_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", *TRAIN_ARGS, "--rho", "18",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key,value", [("rho", 18.0),
+                                       ("sort_feature", "src_bytes")])
+def test_config_key_nothing_reads_is_usage_error(tmp_path, capsys, key,
+                                                 value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": 2, key: value}))
+    assert main(["train", "--config", str(cfg), "--synthetic", SYNTH,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid FedConfig: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_clients_disagreeing_with_synthetic_is_usage_error(
+        tmp_path, capsys, source):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_clients": 5}))
+    flags = (["--clients", "5"] if source == "flag"
+             else ["--config", str(cfg)])
+    assert main(["train", "--synthetic", SYNTH, *flags, "--rounds", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: 5 clients requested, but "
+                                       "--synthetic has n_clients 4\n")
+
+
+def test_train_unset_clients_follow_synthetic_spec(tmp_path):
+    out = tmp_path / "o"
+    assert main(["train", "--synthetic", SYNTH, "--rounds", "1",
+                 "--sample-fraction", "1.0", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["n_clients"] == 4
+
+
+def _attack_mix_csv(path, n, seed):
+    """n NSL-KDD-shaped rows cycling normal, dos and r2l records."""
+    rng = np.random.default_rng(seed)
+    names = ["normal", "neptune", "guess_passwd"]
+    path.write_text("\n".join(_csv_row(rng, names[i % 3], i)
+                              for i in range(n)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("n_test,max_ulp", [(10, 0), (3, 1)],
+                         ids=["not_divisible", "fewer_than_clients"])
+def test_round_robin_zscore_matches_per_client_loop(csv_run, tmp_path,
+                                                    n_test, max_ulp):
+    """csv_run trains 4 clients, each with its own z-score statistics.
+
+    With 10 records every client holds 2 or 3 and the errors match bit
+    for bit. With 3, each holds one, and the per-client loop scored that
+    single column with numpy's matrix-vector product (BLAS gemv), whose
+    last bit can differ from the matrix product (gemm) over all records.
+    """
+    test = _attack_mix_csv(tmp_path / "test.csv", n_test, seed=5)
+    ckpt = csv_run / "checkpoint.bin"
+    pair, _ = load_checkpoint(ckpt)
+    args = argparse.Namespace(checkpoint=str(ckpt), data=str(test),
+                              slice=None)
+    errors, _ = _load_eval_inputs(args, pair)
+    prep = np.load(csv_run / "prep.npz")
+    features = [str(f) for f in prep["features"]]
+    values = load_dataset(test, feature_list=features).values
+    want = round_robin_errors(pair.u, prep["means"], prep["stds"], values)
+    np.testing.assert_array_max_ulp(errors, want, maxulp=max_ulp)
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_unknown_slice_class_is_usage_error(csv_run, tmp_path, capsys,
+                                            command):
+    test = _attack_mix_csv(tmp_path / "test.csv", 12, seed=6)
+    assert main([command, "--checkpoint", str(csv_run / "checkpoint.bin"),
+                 "--data", str(test), "--slice", "r2l,r2lx"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnknownLabel: ") and "'r2lx'" in err
+
+
+@pytest.mark.parametrize("name,write,message", [
+    ("nope.npz", None, "data path not found"),
+    ("test.csv", lambda p: p.write_text("1,2\n"),
+     "not an .npz file with a 'test' array"),
+    ("other.npz", lambda p: np.savez(p, other=np.zeros((10, 3))),
+     "not an .npz file with a 'test' array"),
+    ("empty.npz", lambda p: p.write_bytes(b""),
+     "not an .npz file with a 'test' array"),
+], ids=["missing", "csv", "npz_without_test", "empty"])
+def test_bench_bad_data_is_usage_error(run_dir, tmp_path, capsys, name,
+                                       write, message):
+    path = tmp_path / name
+    if write:
+        write(path)
+    assert main(["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--data", str(path), "--iters", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (run_dir / "bench.json").exists()
+
+
+def test_bench_data_times_the_stored_test_set(run_dir, capsys):
+    assert main(["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--data", str(run_dir / "synth_test.npz"),
+                 "--iters", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["iters"] == 50

@@ -15,7 +15,8 @@ from fedsg.data import (DEFAULT_FEATURES, NSL_KDD_COLUMNS, SynthSpec,
                         load_dataset, partition_non_iid, read_feature_list,
                         zscore_fit_apply)
 from fedsg.detection import score_matrix
-from fedsg.errors import FedsgError, MissingFeature, ParseError, UnknownLabel
+from fedsg.errors import (FedsgError, MissingFeature, ParseError,
+                          ShapeMismatch, UnknownLabel)
 from fedsg.grassmann import GrassmannPoint
 
 from oracles import parse_records, sorted_partition
@@ -400,12 +401,39 @@ def test_apply_zscore_uses_train_stats():
                        (test - z.mean[:, None]) / z.std[:, None])
 
 
+def test_apply_zscore_per_sample_stats_match_per_column_calls():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((4, 7))
+    means, stds = rng.standard_normal((4, 7)), rng.random((4, 7)) + 0.5
+    got = apply_zscore(means, stds, x)
+    for j in range(7):
+        want = apply_zscore(means[:, j], stds[:, j], x[:, j:j + 1])
+        assert got[:, j:j + 1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (7,), (4, 8), (7, 4), ()],
+                         ids=["d_by_1", "m", "d_by_m_plus_1", "m_by_d",
+                              "scalar"])
+def test_apply_zscore_rejects_other_stat_shapes(shape):
+    x = np.ones((4, 7))
+    with pytest.raises(ShapeMismatch):
+        apply_zscore(np.zeros(shape), np.ones(shape), x)
+    with pytest.raises(ShapeMismatch):
+        apply_zscore(np.zeros(4), np.ones(shape), x)
+
+
 def test_filter_slice():
     mat = np.arange(12.0).reshape(2, 6)
     labels = ("normal", "dos", "r2l", "u2r", "probe", "normal")
     sub, is_attack = filter_slice(mat, labels, ["r2l", "u2r"])
     assert sub.shape == (2, 4)
     assert list(is_attack) == [False, True, True, False]
+
+
+def test_filter_slice_rejects_unknown_class():
+    labels = ("normal", "dos", "r2l")
+    with pytest.raises(UnknownLabel, match="r2lx"):
+        filter_slice(np.zeros(3), labels, ["r2l", "r2lx"])
 
 
 def test_read_feature_list(tmp_path):

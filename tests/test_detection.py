@@ -126,10 +126,10 @@ def test_evaluate_degenerate_flag_single_class():
 def test_roc_perfect_scorer():
     errors = [0.1, 0.2, 0.8, 0.9]
     labels = [False, False, True, True]
-    roc, pr, auc = roc_and_pr(errors, labels)
+    (fpr, tpr), _, auc = roc_and_pr(errors, labels)
     assert auc == pytest.approx(1.0)
-    assert roc[0] == (0.0, 0.0)
-    assert roc[-1] == (1.0, 1.0)
+    assert (fpr[0], tpr[0]) == (0.0, 0.0)
+    assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
 
 
 def test_roc_random_labels_near_half():
@@ -152,6 +152,13 @@ def test_roc_auc_matches_pair_counting():
         assert auc == pytest.approx(pair_count_auc(errors, labels), abs=1e-9)
 
 
+def _as_points(curves):
+    """roc_and_pr's column arrays as the oracle's tuples of points."""
+    (fpr, tpr), (recall, precision), auc = curves
+    return (tuple(zip(fpr.tolist(), tpr.tolist())),
+            tuple(zip(recall.tolist(), precision.tolist())), auc)
+
+
 def _roc_cases():
     rng = np.random.default_rng(9)
     labels = rng.random(3000) < 0.3
@@ -166,7 +173,8 @@ def _roc_cases():
 @pytest.mark.parametrize("name,errors,labels", list(_roc_cases()),
                          ids=[c[0] for c in _roc_cases()])
 def test_roc_and_pr_equals_sweep_oracle(name, errors, labels):
-    assert roc_and_pr(errors, labels) == sweep_roc_and_pr(errors, labels)
+    assert _as_points(roc_and_pr(errors, labels)) == \
+        sweep_roc_and_pr(errors, labels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,7 +185,8 @@ def test_roc_and_pr_equals_sweep_oracle(name, errors, labels):
 def test_roc_and_pr_equals_sweep_oracle_property(points):
     errors = [e for e, _ in points]
     labels = [lab for _, lab in points]
-    assert roc_and_pr(errors, labels) == sweep_roc_and_pr(errors, labels)
+    assert _as_points(roc_and_pr(errors, labels)) == \
+        sweep_roc_and_pr(errors, labels)
 
 
 # Values whose text a repr cache could get wrong: signed zeros, NaNs
@@ -196,7 +205,8 @@ CURVE_VALUES = [0.0, -0.0, 1.0, 0.1, 1e-5, 1e16, float("nan"),
 def test_write_curve_matches_csv_writer(points, header):
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
-        write_curve(points, got, header)
+        write_curve([x for x, _ in points], [y for _, y in points], got,
+                    header)
         csv_write_curve(points, want, header)
         with open(got, "rb") as g, open(want, "rb") as w:
             assert g.read() == w.read()
@@ -233,10 +243,10 @@ def test_self_svd_baseline_identical_clients_match_single():
     shard = rng.standard_normal((6, 30))
     test_x = rng.standard_normal((6, 40))
     test_y = rng.random(40) < 0.5
-    single, _, _ = self_svd_baseline([shard], [(test_x, test_y)], k=2, rho=50)
+    single = self_svd_baseline([shard], [(test_x, test_y)], k=2, rho=50)
     # same data replicated: aggregated counts scale, rates are unchanged
-    multi, _, _ = self_svd_baseline([shard] * 3, [(test_x, test_y)] * 3,
-                                    k=2, rho=50)
+    multi = self_svd_baseline([shard] * 3, [(test_x, test_y)] * 3,
+                              k=2, rho=50)
     assert multi.tpr == pytest.approx(single.tpr, abs=1e-12)
     assert multi.fpr == pytest.approx(single.fpr, abs=1e-12)
     assert multi.f1 == pytest.approx(single.f1, abs=1e-12)
