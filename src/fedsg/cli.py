@@ -12,12 +12,14 @@ sweep.csv, bench.json.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
 (a missing input file, a malformed, non-finite, empty or undecodable
-CSV, an unknown label, --slice class or feature, a corrupt checkpoint,
-data whose dimensions disagree with it, a non-finite training shard, an
-out-of-range or unknown training or --synthetic value, a --clients or
-config n_clients that disagrees with --synthetic, a --config or
---synthetic file that is not a JSON object, or a bench --data file that
-is not an .npz archive with a 'test' array).
+CSV, an unknown label, --slice class or feature, a --slice without
+--data, a rho outside [0, 100] or a malformed --rho-grid, a corrupt
+checkpoint, data whose dimensions disagree with it, a non-finite
+training shard, an out-of-range or unknown training or --synthetic
+value, a --clients or config n_clients that disagrees with --synthetic,
+a --config or --synthetic file that is not a JSON object, a bench
+--iters below 1, or a bench --data file that is not an .npz archive
+with a 'test' array).
 """
 
 import argparse
@@ -232,6 +234,9 @@ def _load_eval_inputs(args, pair):
             return filter_slice(errors, data.labels, args.slice.split(","))
         return errors, data.labels != "normal"
 
+    if args.slice:
+        raise UsageError("--slice needs --data: the stored synthetic test "
+                         "set has no attack classes")
     synth_path = os.path.join(ckpt_dir, "synth_test.npz")
     if not os.path.exists(synth_path):
         raise UsageError("no --data given and no synth_test.npz next to "
@@ -252,7 +257,15 @@ def _train_errors(args):
     return np.load(err_path)
 
 
+def _check_rho(rho):
+    """rho, if it is a percentile in [0, 100]; else a usage error."""
+    if not 0.0 <= rho <= 100.0:  # also false for nan
+        raise UsageError(f"rho must be in [0, 100], got {rho!r}")
+    return rho
+
+
 def cmd_eval(args):
+    _check_rho(args.rho)
     pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     errors, labels = _load_eval_inputs(args, pair)
     tau = fit_threshold(_train_errors(args), args.rho)
@@ -273,20 +286,24 @@ def _parse_grid(text):
     out = []
     for part in text.split(","):
         part = part.strip()
-        if ":" in part:
-            lo, hi = part.split(":")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(float(part))
+        try:
+            if ":" in part:
+                lo, hi = part.split(":")
+                out.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                out.append(float(part))
+        except ValueError:
+            raise UsageError(f"--rho-grid entry {part!r} is neither a "
+                             f"number nor an integer range lo:hi") from None
     if not out:
         raise UsageError("empty rho grid")
-    return [float(r) for r in out]
+    return [_check_rho(float(r)) for r in out]
 
 
 def cmd_sweep(args):
+    grid = _parse_grid(args.rho_grid)
     pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     errors, labels = _load_eval_inputs(args, pair)
-    grid = _parse_grid(args.rho_grid)
     out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out, exist_ok=True)
     train_errors = _train_errors(args)
@@ -305,6 +322,8 @@ def cmd_sweep(args):
 
 
 def cmd_bench(args):
+    if args.iters < 1:
+        raise UsageError(f"--iters must be at least 1, got {args.iters}")
     pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     d, k = pair.u.basis.shape
     width = pair.v.basis.shape[0]

@@ -259,16 +259,21 @@ def _check_layout(path, encoding, header, label_column, last_feature,
             hi[after] = cpos[k[after]]
             if has.size:
                 width = max(width, int((hi - lo).max()))
-            # numpy's fixed-width strings drop trailing NULs, so a label
-            # cell whose last byte (before the \r of a \r\n) is NUL, never
-            # a label-map key, is a fault found here.
-            last = hi - 1 - (a[hi - 1] == 13)
-            nul = np.flatnonzero((last >= lo) & (a[last] == 0) & data[has])
-            if unknown is None and nul.size:
-                i, row = nul[0], line0 + has[nul[0]]
-                label = buf[lo[i]:last[i] + 1].decode(encoding)
-                unknown = row, UnknownLabel(
-                    f"row {row}: label {label.strip().lower().rstrip('.')!r}")
+            # numpy's fixed-width strings drop trailing NULs, and a NUL
+            # that only whitespace follows becomes trailing when a file
+            # with blank lines is read as stripped lines. So a label cell
+            # holding a NUL byte anywhere, never a label-map key, is a
+            # fault found here.
+            if unknown is None and buf.find(b"\0", 0, cut) >= 0:
+                zeros = np.flatnonzero(a == 0)
+                nul = np.flatnonzero((np.searchsorted(zeros, hi)
+                                      > np.searchsorted(zeros, lo)) & data[has])
+                if nul.size:
+                    i, row = nul[0], line0 + has[nul[0]]
+                    label = buf[lo[i]:hi[i]].decode(encoding)
+                    unknown = row, UnknownLabel(
+                        f"row {row}: label "
+                        f"{label.strip().lower().rstrip('.')!r}")
             rows.append(line0 + lines)
             line0 += ends.size
             if not chunk:

@@ -6,9 +6,12 @@ exact communication accounting.
 A round runs as one batched engine: the sampled clients' bases are
 stacked as (s, d, k) and (s, B, k) arrays, and the gradients, QR
 retractions, Procrustes alignments and the mean act on the whole stack.
-Only the shard products X V and X^T U are formed client by client
-(objective.grad_u / grad_v), so the shards are never copied into a
-stack.
+Only the shard products X V and X^T U are formed client by client, into
+one preallocated stack (objective.grad_u / grad_v), so the shards are
+never copied into a stack. The per-round global loss over all shards is
+their energy, summed once per run, minus objective.captured_energy at
+the new global pair, so a round does O(k(d+B)) work per shard and forms
+no d x B residual.
 
 Message sizes follow the wire contract: each sampled client exchanges
 k*(d+B) float64 values per direction per round.
@@ -25,7 +28,7 @@ from .errors import (NonFiniteShard, ParseError, RankDeficient,
                      ShapeMismatch)
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .linalg import truncated_svd
-from .objective import FactorPair, grad_u, grad_v, loss
+from .objective import FactorPair, captured_energy, grad_u, grad_v
 
 CHECKPOINT_MAGIC = b"FEDSGCK1"
 # magic + d, B, k, round as little-endian uint32.
@@ -126,8 +129,11 @@ def run_fedsg(config: FedConfig, shards):
 
     Initial bases are retracted seeded Gaussians; each round samples
     ceil(sample_fraction * N) clients without replacement, runs their
-    local updates as one batch, aggregates, and records loss over ALL
-    shards.
+    local updates as one batch, aggregates, and records the loss over ALL
+    shards as sum_i ||X_i||^2 - captured_energy, clamped at 0. At the
+    orthonormal global pair that is objective.loss up to rounding of
+    about 1e-15 of the total energy, which near a perfect fit could
+    otherwise fall below 0.
     """
     shards = [np.asarray(s, dtype=float) for s in shards]
     if not shards:
@@ -143,6 +149,7 @@ def run_fedsg(config: FedConfig, shards):
             f"{len(shards)} shards but config.n_clients={config.n_clients}"
         )
 
+    energy = sum(float(np.vdot(s, s)) for s in shards)
     rng = np.random.default_rng(config.seed)
     pair = FactorPair(
         u=retract(rng.standard_normal((d, config.k))),
@@ -170,7 +177,8 @@ def run_fedsg(config: FedConfig, shards):
 
         traces.append(RoundTrace(
             round=rnd,
-            global_loss=loss(pair.u, pair.v, shards),
+            global_loss=max(energy - captured_energy(pair.u, pair.v, shards),
+                            0.0),
             sampled=tuple(int(c) for c in sampled),
             skipped_steps=int(skipped.sum()),
             aborted=aborted,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import batched_qr, thin_qr
+from .linalg import batched_qr, gram, thin_qr
 
 # Orthonormality tolerance checked on construction and after retraction.
 ORTHO_TOL = 1e-8
@@ -19,8 +19,8 @@ def check_orthonormal(b):
     (..., n, k) stack) is finite with ||B^T B - I||_F <= ORTHO_TOL."""
     if not np.all(np.isfinite(b)):
         raise ValueError("basis has non-finite entries")
-    gram = np.swapaxes(b, -1, -2) @ b - np.eye(b.shape[-1])
-    err = np.max(np.sqrt(np.sum(gram * gram, axis=(-2, -1))), initial=0.0)
+    off = gram(b) - np.eye(b.shape[-1])
+    err = np.max(np.sqrt(np.sum(off * off, axis=(-2, -1))), initial=0.0)
     if err > ORTHO_TOL:
         raise ValueError(f"basis not orthonormal: ||B^T B - I||_F = {err:.3e}")
 
@@ -89,6 +89,7 @@ def riemannian_step(a, euclidean_grad, eta: float):
         return retract(a.basis - eta * project_tangent(a, euclidean_grad))
     bases = np.asarray(a, dtype=float)
     q, _, deficient = batched_qr(bases - eta * project_tangent(bases, euclidean_grad))
-    q = np.where(deficient[:, None, None], bases, q)
+    if deficient.any():
+        q = np.where(deficient[:, None, None], bases, q)
     check_orthonormal(q)
     return q, ~deficient

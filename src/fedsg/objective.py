@@ -5,12 +5,18 @@ per-shard core is C_i = U^T X_i V (the closed-form optimal middle
 factor), the reconstruction is U C_i V^T, and the loss is
 sum_i ||X_i - U U^T X_i V V^T||_F^2.
 
+loss forms each d x B residual and is exact at any U, V; tests use it
+as the reference. At orthonormal U, V the residual is orthogonal to
+the reconstruction, so the loss is also sum_i ||X_i||_F^2 minus
+captured_energy, sum_i ||U^T X_i V||_F^2, which needs only the products
+X_i V; the federated engine records its per-round loss that way.
+
 Gradients are derived from this loss and hold for arbitrary (also
-non-orthonormal) U, V, so they agree with finite differences of
-raw_loss in every direction. They are computed from the k-column shard
-products X_i V and X_i^T U, and take stacks of bases, one member per
-shard, so the federated engine gets every sampled client's gradient in
-one call.
+non-orthonormal) U, V, so they agree with finite differences of loss in
+every direction. They are computed from the k-column shard products
+X_i V and X_i^T U and k x k cores, and take stacks of bases, one member
+per shard, so the federated engine gets every sampled client's gradient
+in one call.
 """
 
 from dataclasses import dataclass
@@ -19,6 +25,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .grassmann import GrassmannPoint
+from .linalg import gram
 
 
 @dataclass(frozen=True)
@@ -73,41 +80,54 @@ def loss(u, v, shards) -> float:
     return total
 
 
+def captured_energy(u, v, shards) -> float:
+    """Sum over shards of ||U^T X_i V||_F^2 for one pair U, V: the shard
+    energy that the model holds. At orthonormal U, V,
+    loss = sum_i ||X_i||_F^2 - captured_energy, which with the shard
+    energies cached costs O(dBk) per shard. That difference cancels as
+    the fit becomes exact: it is accurate to about 1e-15 of
+    sum_i ||X_i||_F^2 in absolute terms (and may round below 0), where
+    loss is accurate relative to the residual itself."""
+    ub, vb = _basis(u), _basis(v)
+    core = ub.T @ _shard_products(ub, vb, shards, transpose=False)
+    return float(np.sum(core * core))
+
+
 def _shard_products(ub, vb, shards, transpose):
-    """X_i V (or X_i^T U with transpose) for every shard, as an
+    """X_i V (or X_i^T U with transpose) for every shard, written into one
     (n_shards, rows, k) stack. A single pair is shared by all shards;
     stacked bases carry one member per shard."""
-    xs = [np.asarray(x, dtype=float) for x in shards]
-    if ub.ndim == 3:
-        if not len(xs) == len(ub) == len(vb):
-            raise ShapeMismatch(f"{len(xs)} shards for stacks of "
-                                f"{len(ub)} and {len(vb)} bases")
-        members = zip(xs, ub, vb)
-    else:
-        members = ((x, ub, vb) for x in xs)
-    out = []
-    for x, ui, vi in members:
-        _check_shard(ui, vi, x)
-        out.append(x.T @ ui if transpose else x @ vi)
+    if ub.ndim == 3 and not len(shards) == len(ub) == len(vb):
+        raise ShapeMismatch(f"{len(shards)} shards for stacks of "
+                            f"{len(ub)} and {len(vb)} bases")
     rows = (vb if transpose else ub).shape[-2]
-    return np.reshape(np.array(out), (len(out), rows, ub.shape[-1]))
+    out = np.empty((len(shards), rows, ub.shape[-1]))
+    for i, x in enumerate(shards):
+        x = np.asarray(x, dtype=float)
+        ui, vi = (ub[i], vb[i]) if ub.ndim == 3 else (ub, vb)
+        _check_shard(ui, vi, x)
+        np.matmul(x.T if transpose else x, ui if transpose else vi,
+                  out=out[i])
+    return out
 
 
 def _gradient(a, b, products):
     """Gradient with respect to A of sum_i ||Y_i - A A^T Y_i B B^T||_F^2
     from the products P_i = Y_i B. With C = A^T P, G_a = A^T A and
     G_b = B^T B it is
-        -2 ((P - A C G_b) C^T + P (C^T - G_b C^T G_a)),
-    which costs O(n m k) per shard and never forms an n x m matrix. At
-    orthonormal A, B the second term vanishes and the first is already
-    tangent at A: -2 (I - A A^T) Y B C^T (Edelman, Arias & Smith 1998).
+        -2 (P (2 C^T - G_b C^T G_a) - A (C G_b C^T)),
+    exact at any A, B. Past C and the Gram matrices, only P and A are
+    multiplied at full height, each by one k x k core, so it costs
+    O(n m k) per shard and never forms an n x m matrix. At orthonormal
+    A, B it is already tangent at A: -2 (I - A A^T) Y B C^T (Edelman,
+    Arias & Smith 1998).
     """
     at = np.swapaxes(a, -1, -2)
     core = at @ products
     ct = np.swapaxes(core, -1, -2)
-    g_b = np.swapaxes(b, -1, -2) @ b
-    return -2.0 * ((products - a @ core @ g_b) @ ct
-                   + products @ (ct - g_b @ ct @ (at @ a)))
+    g_b = gram(b)
+    return -2.0 * (products @ (2.0 * ct - g_b @ ct @ gram(a))
+                   - a @ (core @ g_b @ ct))
 
 
 def grad_u(u, v, shards) -> np.ndarray:

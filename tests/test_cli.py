@@ -454,3 +454,33 @@ def test_bench_data_times_the_stored_test_set(run_dir, capsys):
                  "--data", str(run_dir / "synth_test.npz"),
                  "--iters", "50"]) == 0
     assert json.loads(capsys.readouterr().out)["iters"] == 50
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_slice_without_data_is_usage_error(run_dir, capsys, command):
+    """The stored synthetic test set has boolean labels, no classes."""
+    assert main([command, "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--slice", "r2l,u2r"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --slice needs --data")
+    assert not (run_dir / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--rho-grid", "1:x"], "--rho-grid entry '1:x'"),
+    (["sweep", "--rho-grid", "1:2:3"], "--rho-grid entry '1:2:3'"),
+    (["sweep", "--rho-grid", "abc"], "--rho-grid entry 'abc'"),
+    (["sweep", "--rho-grid", "95:101"], "rho must be in [0, 100], got 101.0"),
+    (["eval", "--rho", "nan"], "rho must be in [0, 100], got nan"),
+    (["eval", "--rho", "150"], "rho must be in [0, 100], got 150.0"),
+    (["eval", "--rho", "-5"], "rho must be in [0, 100], got -5.0"),
+    (["bench", "--iters", "0"], "--iters must be at least 1, got 0"),
+    (["bench", "--iters", "-3"], "--iters must be at least 1, got -3"),
+], ids=["grid_range_not_int", "grid_three_part_range", "grid_not_number",
+        "grid_above_100", "rho_nan", "rho_above_100", "rho_negative",
+        "iters_zero", "iters_negative"])
+def test_bad_number_is_usage_error(run_dir, capsys, argv, message):
+    assert main([argv[0], "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1

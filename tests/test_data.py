@@ -281,6 +281,10 @@ _FUZZ_LINE = (st.tuples(_FUZZ_CELL, _FUZZ_LABEL, _FUZZ_CELL)
 @example(False, False, [(("0", "normal", "0"), "\n"),
                         (("0", "zzz", "0"), "\n"), (("0", "", "0"), "\n")], 64)
 @example(False, True, [(("0", "normal\x00", "0"), "\r\n")], 64)
+# A blank line makes the reader strip each line, which leaves the NUL last
+# in the label cell "normal\x00  " for numpy to drop.
+@example(False, True, [(("0", "normal\x00", "0"), ""), ("  ", "\n"),
+                       ("", "\n"), (("0", "normal", "0"), "\n")], 64)
 @given(st.booleans(), st.booleans(),
        st.lists(st.tuples(_FUZZ_LINE,
                           st.sampled_from(["\n", "\r\n", "\r", ""])),

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedsg import federation
+from fedsg.data import SynthSpec, generate_synthetic
 from fedsg.errors import InputError, NonFiniteShard, RankDeficient
 from fedsg.federation import (FedConfig, aggregate, load_checkpoint,
                               local_update, procrustes_rotation, run_fedsg,
@@ -171,6 +172,42 @@ def test_run_fedsg_records_skipped_and_aborted_rounds(monkeypatch):
     # every round kept the initial pair, the first draw of the seeded rng
     initial = retract(np.random.default_rng(cfg.seed).standard_normal((6, 2)))
     assert np.array_equal(pair.u.basis, initial.basis)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trace_loss_matches_exact_loss_on_random_shards(seed):
+    rng = np.random.default_rng(200 + seed)
+    shards = [rng.standard_normal((7, 9)) for _ in range(6)]
+    cfg = FedConfig(n_clients=6, rounds=5, local_steps=2,
+                    sample_fraction=0.5, k=2, eta=0.05, seed=seed)
+    pair, traces = run_fedsg(cfg, shards)
+    assert traces[-1].global_loss == pytest.approx(
+        loss(pair.u, pair.v, shards), rel=1e-12, abs=0.0)
+
+
+def test_trace_loss_matches_exact_loss_at_paper_scale():
+    shards, *_ = generate_synthetic(SynthSpec(d=34, width=600,
+                                              n_clients=100, seed=41))
+    pair, traces = run_fedsg(FedConfig(rounds=3, seed=41), shards)
+    assert traces[-1].global_loss == pytest.approx(
+        loss(pair.u, pair.v, shards), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_trace_loss_is_never_negative_on_exact_rank_data(seed):
+    """Near a perfect fit the energy difference rounds to either side of
+    0 (these runs reach -1.7e-13 before the clamp); the trace keeps it at
+    or above 0 and within about 1e-15 of the energy."""
+    rng = np.random.default_rng(seed)
+    u = random_orthonormal(rng, 10, 3)
+    v = random_orthonormal(rng, 12, 3)
+    shards = [u @ np.diag(rng.uniform(1.0, 5.0, 3)) @ v.T for _ in range(4)]
+    cfg = FedConfig(n_clients=4, rounds=150, local_steps=5,
+                    sample_fraction=0.5, k=3, eta=0.015, seed=seed)
+    _, traces = run_fedsg(cfg, shards)
+    energy = sum(frobenius_norm(x) ** 2 for x in shards)
+    assert min(t.global_loss for t in traces) >= 0.0
+    assert traces[-1].global_loss <= 1e-14 * energy
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

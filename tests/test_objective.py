@@ -4,8 +4,8 @@ import pytest
 from fedsg.errors import ShapeMismatch
 from fedsg.grassmann import GrassmannPoint, project_tangent
 from fedsg.linalg import frobenius_norm, truncated_svd
-from fedsg.objective import (FactorPair, grad_u, grad_v, loss, optimal_sigma,
-                             reconstruct)
+from fedsg.objective import (FactorPair, _shard_products, captured_energy,
+                             grad_u, grad_v, loss, optimal_sigma, reconstruct)
 
 from oracles import finite_difference_grad, random_orthonormal, svd_tail_energy
 
@@ -177,6 +177,38 @@ def test_stacked_gradients_are_per_member():
         assert np.allclose(gv[i], grad_v(u, v, [x]), rtol=0.0, atol=1e-12)
     with pytest.raises(ShapeMismatch):
         grad_u(us, vs, shards[:2])
+
+
+def test_captured_energy_is_energy_minus_loss():
+    rng = np.random.default_rng(14)
+    u, v = _uv(rng, 6, 5, 2)
+    shards = [rng.standard_normal((6, 5)) for _ in range(4)]
+    energy = sum(frobenius_norm(x) ** 2 for x in shards)
+    assert energy - captured_energy(u, v, shards) == pytest.approx(
+        loss(u, v, shards), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_shard_products_match_per_shard_products(transpose):
+    """Row-major shards (the synthetic path) and column-major ones (the
+    CSV path), for one pair and for a stack with one pair per shard."""
+    rng = np.random.default_rng(15)
+    shards = [rng.standard_normal((6, 5)) for _ in range(2)]
+    shards += [np.asfortranarray(x) for x in shards]
+    pairs = [_uv(rng, 6, 5, 2) for _ in shards]
+    us = np.stack([u.basis for u, _ in pairs])
+    vs = np.stack([v.basis for _, v in pairs])
+
+    def product(x, u, v):
+        return x.T @ u if transpose else x @ v
+
+    u, v = pairs[0]
+    np.testing.assert_array_equal(
+        _shard_products(u.basis, v.basis, shards, transpose),
+        [product(x, u.basis, v.basis) for x in shards])
+    np.testing.assert_array_equal(
+        _shard_products(us, vs, shards, transpose),
+        [product(x, u, v) for x, u, v in zip(shards, us, vs)])
 
 
 def test_loss_shape_mismatch():
