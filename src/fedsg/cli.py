@@ -11,15 +11,17 @@ and from evaluation: metrics.json, metrics.csv, roc.csv, pr.csv,
 sweep.csv, bench.json.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
-(a missing input file, a malformed, non-finite, empty or undecodable
-CSV, an unknown label, --slice class or feature, a --slice without
---data, a rho outside [0, 100] or a malformed --rho-grid, a corrupt
-checkpoint, data whose dimensions disagree with it, a non-finite
-training shard, an out-of-range or unknown training or --synthetic
-value, a --clients or config n_clients that disagrees with --synthetic,
-a --config or --synthetic file that is not a JSON object, a bench
---iters below 1, or a bench --data file that is not an .npz archive
-with a 'test' array).
+(a missing input file, a --features file without names, train with both
+--data and --synthetic, a synth_test.npz, prep.npz or train_errors.npy
+that numpy cannot read or that lacks an array, a malformed, non-finite,
+empty or undecodable CSV, an unknown label, --slice class or feature, a
+--slice without --data, a rho outside [0, 100] or a malformed
+--rho-grid, a corrupt checkpoint, data whose dimensions disagree with
+it, a non-finite training shard, an out-of-range or unknown training or
+--synthetic value, a --clients or config n_clients that disagrees with
+--synthetic, a --config or --synthetic file that is not a JSON object,
+a bench --iters below 1, or a bench --data file that is not an .npz
+archive with a 'test' array).
 """
 
 import argparse
@@ -67,6 +69,25 @@ def _input_file(path, what):
     if not os.path.isfile(path):
         raise UsageError(f"{what} not found: {path}")
     return path
+
+
+def _load_arrays(path, *names):
+    """The arrays `names` of the .npz archive at path or, without names,
+    the array of the .npy file there. A file numpy cannot read, or one
+    without a named array, is a usage error."""
+    try:
+        with open(path, "rb") as fh:
+            blob = np.load(fh, allow_pickle=False)
+            if names:
+                return [blob[name] for name in names]
+            if isinstance(blob, np.ndarray):
+                return blob
+    except (OSError, EOFError, ValueError, KeyError, IndexError,
+            zipfile.BadZipFile):
+        pass
+    what = " and ".join(f"a {name!r}" for name in names)
+    raise UsageError(f"{path}: not an .npz file with {what} array"
+                     if names else f"{path}: not an .npy file")
 
 
 def _load_config_file(path):
@@ -141,12 +162,13 @@ def _zscored_shards(path, features, n_clients, sort_feature):
     Returns (shards, dropped records). The parsed records and the raw
     shards are freed on return, before training allocates."""
     data = load_dataset(path, feature_list=features)
-    raw_shards, dropped = partition_non_iid(data, n_clients, sort_feature,
-                                            feature_list=features)
+    raw_shards, dropped = partition_non_iid(data, n_clients, sort_feature)
     return [zscore_fit_apply(s) for s in raw_shards], dropped
 
 
 def cmd_train(args):
+    if args.synthetic and args.data:
+        raise UsageError("--data and --synthetic are mutually exclusive")
     values = _fed_config_values(args)
     config = _build(FedConfig, values)
     os.makedirs(args.out, exist_ok=True)
@@ -217,14 +239,13 @@ def _load_eval_inputs(args, pair):
         prep_path = os.path.join(ckpt_dir, "prep.npz")
         if not os.path.exists(prep_path):
             raise UsageError(f"no prep.npz next to checkpoint: {prep_path}")
-        prep = np.load(prep_path, allow_pickle=False)
-        features = [str(f) for f in prep["features"]]
-        data = load_dataset(args.data, feature_list=features)
+        means, stds, features = _load_arrays(prep_path, "means", "stds",
+                                             "features")
+        data = load_dataset(args.data, feature_list=[str(f) for f in features])
         if data.values.shape[0] != d:
             raise DimensionMismatch(
                 f"checkpoint d={d}, test records have "
                 f"{data.values.shape[0]} features")
-        means, stds = prep["means"], prep["stds"]
         # Round-robin test assignment: record i is normalised with the
         # statistics of client i % n_clients.
         client = np.arange(len(data)) % means.shape[0]
@@ -241,11 +262,10 @@ def _load_eval_inputs(args, pair):
     if not os.path.exists(synth_path):
         raise UsageError("no --data given and no synth_test.npz next to "
                          "the checkpoint")
-    blob = np.load(synth_path)
-    test, labels = blob["test"], blob["labels"].astype(bool)
+    test, labels = _load_arrays(synth_path, "test", "labels")
     if test.shape[0] != d:
         raise DimensionMismatch(f"checkpoint d={d}, test has {test.shape[0]}")
-    return score_matrix(pair.u, test), labels
+    return score_matrix(pair.u, test), labels.astype(bool)
 
 
 def _train_errors(args):
@@ -254,7 +274,7 @@ def _train_errors(args):
     err_path = os.path.join(ckpt_dir, "train_errors.npy")
     if not os.path.exists(err_path):
         raise UsageError(f"no stored training errors: {err_path}")
-    return np.load(err_path)
+    return _load_arrays(err_path)
 
 
 def _check_rho(rho):
@@ -328,13 +348,7 @@ def cmd_bench(args):
     d, k = pair.u.basis.shape
     width = pair.v.basis.shape[0]
     if args.data:
-        try:
-            with open(_input_file(args.data, "data path"), "rb") as fh:
-                samples = np.load(fh)["test"]
-        except (OSError, EOFError, ValueError, KeyError, IndexError,
-                zipfile.BadZipFile):
-            raise UsageError(f"{args.data}: not an .npz file with a 'test' "
-                             f"array") from None
+        samples, = _load_arrays(_input_file(args.data, "data path"), "test")
         if samples.ndim != 2 or samples.shape[0] != d or not samples.size:
             raise DimensionMismatch(f"checkpoint d={d}, --data test array "
                                     f"has shape {samples.shape}")

@@ -68,9 +68,11 @@ LABEL_CLASSES = ("normal", "dos", "probe", "r2l", "u2r")
 @dataclass(frozen=True)
 class Dataset:
     """Parsed records in columns, in file order: values[:, i] holds the
-    selected features of record i and labels[i] its class name."""
+    selected features of record i, in the order of `features`, and
+    labels[i] its class name."""
     values: np.ndarray = field(repr=False)  # d x m, a transposed view
     labels: np.ndarray = field(repr=False)  # m class names
+    features: tuple
 
     def __len__(self):
         return self.labels.shape[0]
@@ -86,13 +88,15 @@ class ClientShard:
 
 def read_feature_list(path):
     """Plain-text feature config: one name per line; blanks and '#'
-    comment lines ignored."""
+    comment lines ignored. A file without names is a ParseError."""
     names = []
     with open(path) as fh:
         for line in fh:
             name = line.strip()
             if name and not name.startswith("#"):
                 names.append(name)
+    if not names:
+        raise ParseError(f"{path}: no feature names")
     return names
 
 
@@ -103,17 +107,17 @@ def load_dataset(path, feature_list=None, label_map=None,
 
     Valid input takes no per-row Python. A pass over the file's bytes
     finds the data rows (blank lines and a header on line 0 are skipped)
-    and checks that each has the column count of the first, including
-    the label and feature columns. np.loadtxt then parses the path in
-    one C pass into a record per row (the features as float64 plus the
-    raw label), and each distinct label is mapped once. values is a view
-    of those records.
+    and checks their layout. np.loadtxt then parses the path in one C
+    pass into a record per row (the features as float64 plus the raw
+    label), and each distinct label is mapped once. values is a view of
+    those records.
 
     Raises ParseError with the offending row/column (a non-numeric or
     non-finite value, a short row, or a file without data rows) or for a
     file that is not text in the locale's encoding, UnknownLabel for
     labels outside the map, MissingFeature for unknown feature names. Of
-    several faulty rows, the first in the file is named.
+    several faulty rows, the first in the file is named. The CLI exits 2
+    for each of these.
     """
     features = list(feature_list) if feature_list else list(DEFAULT_FEATURES)
     label_map = dict(label_map) if label_map else dict(DEFAULT_LABEL_MAP)
@@ -123,27 +127,27 @@ def load_dataset(path, feature_list=None, label_map=None,
     except ValueError as exc:
         raise MissingFeature(str(exc)) from None
     try:
-        return _read_dataset(path, idx, columns, label_column, label_map)
+        values, labels = _read_dataset(path, idx, columns, label_column,
+                                       label_map)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not {exc.encoding} text: "
                          f"{exc.reason}") from None
+    return Dataset(values=values.T, labels=labels, features=tuple(features))
 
 
 def _read_dataset(path, idx, columns, label_column, label_map):
     """load_dataset on resolved columns: idx are the feature columns'
-    positions, label_map holds every accepted raw label."""
+    positions, label_map holds every accepted raw label. Returns the
+    m x d values and the m class names."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")[0] == columns[0]
         encoding = fh.encoding
-    last_feature = max(idx)
-    row_index, fault, width, ascii_text = _check_layout(
-        path, encoding, header, label_column, last_feature,
-        columns[last_feature])
-    if fault:
-        row, error = fault
-        _raise_first_fault(path, row_index[row_index < row], idx, columns,
-                           label_column, label_map)
-        raise error
+    # Every rejection below goes to the per-line pass, which names it.
+    scan = (path, header, idx, columns, label_column, label_map)
+    n_rows, gaps, width, ascii_text, faulty = _check_layout(
+        path, encoding, header, label_column)
+    if faulty:
+        _raise_first_fault(*scan)
 
     # Bytes labels take a quarter of the memory of str ones; loadtxt
     # stores them as latin-1, which holds ASCII text exactly.
@@ -154,41 +158,28 @@ def _read_dataset(path, idx, columns, label_column, label_map):
     # from the path, but takes a line of whitespace for a row and warns
     # of an empty one once max_rows is set, so a file with blank lines
     # between its rows is read as stripped lines without the empty ones.
-    gaps = row_index[-1] + 1 - header != row_index.size
     with open(path) as fh:
         try:
             table = np.loadtxt(filter(None, map(str.strip, fh)) if gaps
                                else path, delimiter=",", dtype=dtype,
                                usecols=idx + [label_column],
-                               skiprows=int(header),
-                               max_rows=row_index.size, comments=None,
-                               ndmin=1)
-        except ValueError as exc:
-            _raise_first_fault(path, row_index, idx, columns, label_column,
-                               label_map)
-            # The scan names any cell loadtxt rejects; this is a backstop.
-            raise ParseError(f"{path}: {exc}") from None
+                               skiprows=int(header), max_rows=n_rows,
+                               comments=None, ndmin=1)
+        except ValueError:
+            _raise_first_fault(*scan)
 
     raw = table["label"]
     # np.unique copies its input; 8192 rows at a time keep the copy small.
     keys = np.unique(np.concatenate([np.unique(raw[i:i + 8192])
                                      for i in range(0, raw.size, 8192)]))
-    raw_labels = [k.strip().lower().rstrip(".") for k in keys.astype(str)]
-    names = [label_map.get(k) for k in raw_labels]
-    inverse = np.searchsorted(keys, raw)
-    if None in names:
-        i = np.flatnonzero(np.array([n is None for n in names])[inverse])[0]
-        raise UnknownLabel(f"row {row_index[i]}: label "
-                           f"{raw_labels[inverse[i]]!r}")
+    names = [label_map.get(k.strip().lower().rstrip("."))
+             for k in keys.astype(str)]
     values = table["values"]
     # min and max propagate NaN and reach +-inf, so they are finite only
     # when every value is, without a temporary the size of values.
-    if not np.isfinite([values.min(), values.max()]).all():
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise ParseError(
-            f"row {row_index[i]}, column {columns[idx[j]]!r}: "
-            f"non-finite value {float(values[i, j])!r}")
-    return Dataset(values=values.T, labels=np.array(names)[inverse])
+    if None in names or not np.isfinite([values.min(), values.max()]).all():
+        _raise_first_fault(*scan)
+    return values, np.array(names)[np.searchsorted(keys, raw)]
 
 
 # Bytes read at a time by the layout checks, which keep no copy of the
@@ -196,20 +187,21 @@ def _read_dataset(path, idx, columns, label_column, label_map):
 _CHUNK_BYTES = 1 << 18
 
 
-def _check_layout(path, encoding, header, label_column, last_feature,
-                  feature_name):
+def _check_layout(path, encoding, header, label_column):
     """Whole-file layout checks, one chunk of bytes at a time: split the
     file into lines as text mode does (at \\n, \\r\\n or a lone \\r),
     skip blank lines (empty or all whitespace; a line without commas is
     decoded with `encoding` to tell) and the header, and check that each
-    data row has the column count of the first, and that this count holds
-    the label and feature columns.
+    data row has the column count of the first and that no label cell
+    holds a NUL. (np.loadtxt rejects a label or feature column past the
+    row end.)
 
-    Returns (line numbers of the data rows, the first fault as (row,
-    error) or None, the widest label cell in bytes, whether the file is
-    ASCII). Raises ParseError for a file without data rows.
+    Returns (the number of data rows, whether blank lines fall between
+    them, the widest label cell in bytes, whether the file is ASCII,
+    whether a check failed; the scan stops at the chunk that fails one).
+    Raises ParseError for a file without data rows.
     """
-    rows, n_cols, ragged, unknown = [np.empty(0, np.intp)], None, None, None
+    n_rows, last, n_cols, faulty = 0, -1, None, False
     width, ascii_text, line0, tail = 0, True, 0, b""
     with open(path, "rb") as fh:
         while True:
@@ -243,12 +235,9 @@ def _check_layout(path, encoding, header, label_column, last_feature,
             lines = np.flatnonzero(data)
             if lines.size:
                 n_cols = n_cols or int(n[lines[0]]) + 1
-                bad = lines[n[lines] != n_cols - 1]
-                if ragged is None and bad.size:
-                    row = line0 + bad[0]
-                    ragged = row, ParseError(
-                        f"row {row}: expected {n_cols} columns, "
-                        f"got {n[bad[0]] + 1}")
+                faulty = faulty or bool((n[lines] != n_cols - 1).any())
+                n_rows += lines.size
+                last = line0 + int(lines[-1])
             # Each label cell runs from after the comma before it to the
             # comma after it or the line end.
             has = np.flatnonzero(n >= label_column)
@@ -264,64 +253,58 @@ def _check_layout(path, encoding, header, label_column, last_feature,
             # with blank lines is read as stripped lines. So a label cell
             # holding a NUL byte anywhere, never a label-map key, is a
             # fault found here.
-            if unknown is None and buf.find(b"\0", 0, cut) >= 0:
+            if not faulty and buf.find(b"\0", 0, cut) >= 0:
                 zeros = np.flatnonzero(a == 0)
-                nul = np.flatnonzero((np.searchsorted(zeros, hi)
-                                      > np.searchsorted(zeros, lo)) & data[has])
-                if nul.size:
-                    i, row = nul[0], line0 + has[nul[0]]
-                    label = buf[lo[i]:hi[i]].decode(encoding)
-                    unknown = row, UnknownLabel(
-                        f"row {row}: label "
-                        f"{label.strip().lower().rstrip('.')!r}")
-            rows.append(line0 + lines)
+                faulty = bool(((np.searchsorted(zeros, hi)
+                                > np.searchsorted(zeros, lo))
+                               & data[has]).any())
             line0 += ends.size
-            if not chunk:
+            if faulty or not chunk:
                 break
     if n_cols is None:
         raise ParseError(f"{path}: no data rows")
-    rows = np.concatenate(rows)
-    if label_column >= n_cols:
-        fault = rows[0], ParseError(f"row {rows[0]}: no label column "
-                                    f"{label_column}")
-    elif last_feature >= n_cols:
-        fault = rows[0], ParseError(f"row {rows[0]}: no column "
-                                    f"{feature_name!r}")
-    else:
-        # A row's column count is checked before its label.
-        fault = min(filter(None, (ragged, unknown)), default=None,
-                    key=lambda f: f[0])
-    return rows, fault, width, ascii_text
+    return n_rows, last + 1 - header != n_rows, width, ascii_text, faulty
 
 
-def _raise_first_fault(path, rows, idx, columns, label_column, label_map):
-    """Raise the first unknown label or unparsable feature cell among the
-    data rows `rows` (line numbers, ascending, each with the file's
-    column count), in file order; return if they have none.
-
-    A per-row pass, called only after the layout checks or np.loadtxt
-    found a fault, to name the row (and column) that comes first.
-    """
-    if not rows.size:
-        return
-    wanted = set(rows.tolist())
-    row_no = parts = None
+def _raise_first_fault(path, header, idx, columns, label_column, label_map):
+    """The one per-line pass, run only after a check on the fast path
+    failed: raise the file's first fault, in file order. Each data row
+    must have the column count of the first, which must hold the label
+    and feature columns, and a mapped label; np.loadtxt then parses the
+    rows that pass as stripped lines and names the first unparsable
+    cell. The first non-finite value comes last."""
+    last_feature = max(idx)
+    rows, parts = [], None
 
     def checked_lines(fh):
-        nonlocal row_no, parts
+        nonlocal parts
+        n_cols = None
         for row_no, line in enumerate(fh):
-            if row_no not in wanted:
+            line = line.strip()
+            if not line or (header and row_no == 0):
                 continue
-            parts = line.strip().split(",")
+            parts = line.split(",")
+            if n_cols is None:
+                n_cols = len(parts)
+                if label_column >= n_cols:
+                    raise ParseError(f"row {row_no}: no label column "
+                                     f"{label_column}")
+                if last_feature >= n_cols:
+                    raise ParseError(f"row {row_no}: no column "
+                                     f"{columns[last_feature]!r}")
+            if len(parts) != n_cols:
+                raise ParseError(f"row {row_no}: expected {n_cols} columns, "
+                                 f"got {len(parts)}")
             raw_label = parts[label_column].strip().lower().rstrip(".")
             if raw_label not in label_map:
                 raise UnknownLabel(f"row {row_no}: label {raw_label!r}")
-            yield line.strip()
+            rows.append(row_no)
+            yield line
 
     with open(path) as fh:
         try:
-            np.loadtxt(checked_lines(fh), delimiter=",", usecols=idx,
-                       comments=None, ndmin=2)
+            values = np.loadtxt(checked_lines(fh), delimiter=",", usecols=idx,
+                                comments=None, ndmin=2)
         except UnicodeDecodeError:
             raise  # the file's fault, not a cell's: load_dataset names it
         except ValueError as exc:
@@ -332,13 +315,18 @@ def _raise_first_fault(path, rows, idx, columns, label_column, label_map):
                     float(parts[col_i])
                 except ValueError:
                     raise ParseError(
-                        f"row {row_no}, column {columns[col_i]!r}: "
+                        f"row {rows[-1]}, column {columns[col_i]!r}: "
                         f"non-numeric value {parts[col_i]!r}") from None
-            raise ParseError(f"row {row_no}: {exc}") from None
+            raise ParseError(f"row {rows[-1]}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(f"row {rows[i]}, column {columns[idx[j]]!r}: "
+                         f"non-finite value {float(values[i, j])!r}")
+    raise ParseError(f"{path}: cannot be parsed")  # a backstop
 
 
-def partition_non_iid(dataset: Dataset, n_clients, sort_feature,
-                      feature_list=None):
+def partition_non_iid(dataset: Dataset, n_clients, sort_feature):
     """Sort the benign records by one feature (stable, so ties keep file
     order) and slice them into n_clients contiguous shards of equal
     width; the trailing remainder is dropped. Attack records are left
@@ -346,9 +334,8 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature,
 
     Returns (shards, n_dropped).
     """
-    features = list(feature_list) if feature_list else list(DEFAULT_FEATURES)
     try:
-        fpos = features.index(sort_feature)
+        fpos = dataset.features.index(sort_feature)
     except ValueError:
         raise MissingFeature(f"sort feature {sort_feature!r} not in feature list")
     pool = np.flatnonzero(dataset.labels == "normal")

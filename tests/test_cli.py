@@ -58,8 +58,10 @@ def test_train_requires_source(tmp_path):
      "rank must be <= min"),
     (["--synthetic", json.dumps({"n_clients": 4, "no_such_key": 1})],
      "no_such_key"),
+    (["--data", "nope.csv", "--synthetic", SYNTH],
+     "--data and --synthetic are mutually exclusive"),
 ], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
-        "unknown_synthetic_key"])
+        "unknown_synthetic_key", "data_and_synthetic"])
 def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
     assert main(["train", *flags, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -271,6 +273,22 @@ def test_train_unknown_label_is_input_error(tmp_path, capsys):
     assert "UnknownLabel" in capsys.readouterr().err
 
 
+def test_train_empty_feature_list_is_input_error(tmp_path, capsys):
+    """A list without names must not train on the default features."""
+    rng = np.random.default_rng(1)
+    train = tmp_path / "train.csv"
+    train.write_text("\n".join(_csv_row(rng, "normal", i)
+                               for i in range(40)) + "\n")
+    features = tmp_path / "empty.txt"
+    features.write_text("# no names\n\n")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(train), "--features", str(features),
+                 "--out", str(out), *CSV_TRAIN_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: ParseError: {features}: no feature names\n"
+    assert not (out / "prep.npz").exists()
+
+
 def test_eval_empty_csv_is_input_error(csv_run, tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -447,6 +465,34 @@ def test_bench_bad_data_is_usage_error(run_dir, tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (run_dir / "bench.json").exists()
+
+
+@pytest.mark.parametrize("run,name,write,command", [
+    ("run_dir", "synth_test.npz", lambda p: p.write_text("junk\n"), "eval"),
+    ("run_dir", "synth_test.npz",
+     lambda p: np.savez(p, labels=np.zeros(3, bool)), "eval"),
+    ("run_dir", "train_errors.npy", lambda p: p.write_bytes(b""), "sweep"),
+    ("run_dir", "train_errors.npy",
+     lambda p: p.write_bytes((p.parent / "synth_test.npz").read_bytes()),
+     "eval"),
+    ("csv_run", "prep.npz", lambda p: p.write_text("junk\n"), "eval"),
+    ("csv_run", "prep.npz",
+     lambda p: np.savez(p, means=np.zeros((4, 34)), stds=np.ones((4, 34))),
+     "sweep"),
+], ids=["synth_test_junk", "synth_test_without_test", "train_errors_empty",
+        "train_errors_npz", "prep_junk", "prep_without_features"])
+def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
+                                            name, write, command):
+    out = request.getfixturevalue(run)
+    write(out / name)
+    argv = [command, "--checkpoint", str(out / "checkpoint.bin")]
+    if run == "csv_run":
+        argv += ["--data", str(_attack_mix_csv(tmp_path / "t.csv", 12, 6))]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / name}: not an ")
+    assert err.count("\n") == 1
 
 
 def test_bench_data_times_the_stored_test_set(run_dir, capsys):

@@ -206,13 +206,30 @@ def _faulty_lines(fault):
     elif fault == "nan_after_unknown_label":
         lines[2] = cell(lines[2], "count", "nan")
         lines[6] = cell(lines[6], "label", "zzz_attack")
+    elif fault == "nul_label_before_short_row":
+        lines[2] = cell(lines[2], "label", "normal\x00")
+        lines[6] = "1,2,3"
+    elif fault == "short_row_before_unknown_label":
+        lines[2] = "1,2,3"
+        lines[6] = cell(lines[6], "label", "zzz_attack")
+    elif fault == "unknown_label_before_non_numeric":
+        lines[2] = cell(lines[2], "label", "zzz_attack")
+        lines[6] = cell(lines[6], "src_bytes", "12x")
+    elif fault == "no_label_column":
+        lines = [",".join(line.split(",")[:41]) for line in lines]
+    elif fault == "header_then_faulty_first_row":
+        lines[0] = "1,2,3"
+        lines.insert(0, ",".join(NSL_KDD_COLUMNS + ["label", "level"]))
     return lines
 
 
 @pytest.mark.parametrize("fault", [
     "non_numeric", "nan", "inf", "-inf", "short_row", "unknown_label",
     "no_rows", "header_only", "non_numeric_before_short_row",
-    "short_row_before_nan", "nan_after_unknown_label"])
+    "short_row_before_nan", "nan_after_unknown_label",
+    "nul_label_before_short_row", "short_row_before_unknown_label",
+    "unknown_label_before_non_numeric", "no_label_column",
+    "header_then_faulty_first_row"])
 def test_load_dataset_errors_match_parser_oracle(tmp_path, fault):
     path = tmp_path / "bad.csv"
     _write_csv(path, _faulty_lines(fault))
@@ -444,6 +461,17 @@ def test_read_feature_list(tmp_path):
     path = tmp_path / "features.txt"
     path.write_text("# comment\nduration\n\nsrc_bytes\n")
     assert read_feature_list(path) == ["duration", "src_bytes"]
+
+
+def test_partition_sorts_by_the_loaded_feature_order(toy_csv):
+    features = ["dst_bytes", "duration"]
+    data = load_dataset(toy_csv, feature_list=features)
+    assert data.features == tuple(features)
+    shards, _ = partition_non_iid(data, 3, "dst_bytes")
+    assert np.array_equal(np.hstack([s.features for s in shards])[0],
+                          np.arange(30.0))
+    with pytest.raises(MissingFeature):
+        partition_non_iid(data, 3, "src_bytes")
 
 
 def test_synthetic_noiseless_benign_on_subspace():
