@@ -15,5 +15,5 @@ from .federation import (FedConfig, RoundTrace, aggregate, load_checkpoint,
                          local_update, run_fedsg, save_checkpoint)
 from .detection import (MetricsReport, evaluate, fit_threshold, roc_and_pr,
                         score, score_matrix, self_svd_baseline)
-from .data import (ClientShard, Dataset, SynthSpec, generate_synthetic,
-                   load_dataset, partition_non_iid, zscore_fit_apply)
+from .data import (Dataset, SynthSpec, generate_synthetic, load_dataset,
+                   partition_non_iid, zscore_fit_apply)

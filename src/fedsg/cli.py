@@ -1,9 +1,9 @@
 """Command-line entry point: train / eval / sweep / bench.
 
-A CSV train partitions the benign records into equal-width shards,
-z-scores each with its own statistics and trains on those matrices.
-Evaluation assigns test record i to client i % n_clients and z-scores
-it with that client's statistics.
+A CSV train partitions the benign records into one (n_clients, d, B)
+stack of equal-width shards, z-scores each with its own statistics and
+trains on that stack. Evaluation assigns test record i to client
+i % n_clients and z-scores it with that client's statistics.
 
 Outputs per run directory: manifest.json, trace.csv, checkpoint.bin,
 train_errors.npy, prep.npz (normalization stats) or synth_test.npz,
@@ -14,13 +14,14 @@ Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
 (a missing input file, a --features file without names, train with both
 --data and --synthetic, a synth_test.npz, prep.npz or train_errors.npy
 that numpy cannot read or that lacks an array, a malformed, non-finite,
-empty or undecodable CSV, an unknown label, --slice class or feature, a
---slice without --data, a rho outside [0, 100] or a malformed
---rho-grid, a corrupt checkpoint, data whose dimensions disagree with
-it, a non-finite training shard, an out-of-range or unknown training or
+empty or undecodable CSV, an unknown label, --slice class or feature, an
+empty feature list in prep.npz, a test set with one class, a --slice
+without --data, a rho outside [0, 100] or a malformed --rho-grid, a
+corrupt checkpoint, data whose dimensions disagree with it, a non-finite
+training shard, an out-of-range, non-finite or unknown training or
 --synthetic value, a --clients or config n_clients that disagrees with
---synthetic, a --config or --synthetic file that is not a JSON object,
-a bench --iters below 1, or a bench --data file that is not an .npz
+--synthetic, a --config or --synthetic file that is not a JSON object, a
+bench --iters below 1, or a bench --data file that is not an .npz
 archive with a 'test' array).
 """
 
@@ -157,15 +158,6 @@ def _write_manifest(out_dir, payload):
         fh.write("\n")
 
 
-def _zscored_shards(path, features, n_clients, sort_feature):
-    """Load the training CSV, partition it and z-score each shard.
-    Returns (shards, dropped records). The parsed records and the raw
-    shards are freed on return, before training allocates."""
-    data = load_dataset(path, feature_list=features)
-    raw_shards, dropped = partition_non_iid(data, n_clients, sort_feature)
-    return [zscore_fit_apply(s) for s in raw_shards], dropped
-
-
 def cmd_train(args):
     if args.synthetic and args.data:
         raise UsageError("--data and --synthetic are mutually exclusive")
@@ -189,21 +181,21 @@ def cmd_train(args):
                                "spec": dataclasses.asdict(spec)}
         np.savez(os.path.join(args.out, "synth_test.npz"),
                  test=test, labels=labels)
-        stats = None
     elif args.data:
         _input_file(args.data, "data path")
         features = list(DEFAULT_FEATURES)
         if args.features:
             features = read_feature_list(_input_file(args.features,
                                                      "feature list"))
-        normed, dropped = _zscored_shards(args.data, features,
-                                          config.n_clients, args.sort_feature)
+        # The parsed records are freed once partitioned, and the raw
+        # stack once z-scored, before training allocates.
+        shards, dropped = partition_non_iid(
+            load_dataset(args.data, feature_list=features),
+            config.n_clients, args.sort_feature)
+        shards, means, stds = zscore_fit_apply(shards)
         if dropped:
             print(f"note: dropped {dropped} remainder records in partition",
                   file=sys.stderr)
-        shards = [s.features for s in normed]
-        stats = {"means": np.stack([s.mean for s in normed]),
-                 "stds": np.stack([s.std for s in normed])}
         manifest["dataset"] = {"kind": "csv",
                                "path": os.path.abspath(args.data),
                                "sha256": _sha256_file(args.data),
@@ -211,8 +203,7 @@ def cmd_train(args):
                                "sort_feature": args.sort_feature}
         manifest["feature_list_sha256"] = _sha256_text("\n".join(features))
         np.savez(os.path.join(args.out, "prep.npz"),
-                 means=stats["means"], stds=stats["stds"],
-                 features=np.array(features))
+                 means=means, stds=stds, features=np.array(features))
     else:
         raise UsageError("either --data or --synthetic is required")
 

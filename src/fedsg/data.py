@@ -3,12 +3,12 @@ feature selection, non-i.i.d. partitioning of the benign records by a
 sort feature into equal-width shards, per-client z-score normalization,
 and a seeded synthetic low-rank generator with planted anomalies.
 
-Feature matrices are d x B with columns as samples. A training shard
-holds only benign records: its feature matrix and, once z-scored, the
-client's statistics.
+Feature matrices are d x B with columns as samples. The training shards
+hold only benign records, stacked as one (n_clients, d, B) array; their
+z-score statistics are (n_clients, d) arrays.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,14 +78,6 @@ class Dataset:
         return self.labels.shape[0]
 
 
-@dataclass(frozen=True)
-class ClientShard:
-    client_id: int
-    features: np.ndarray = field(repr=False)  # d x B, columns are samples
-    mean: np.ndarray = None
-    std: np.ndarray = None
-
-
 def read_feature_list(path):
     """Plain-text feature config: one name per line; blanks and '#'
     comment lines ignored. A file without names is a ParseError."""
@@ -103,7 +95,8 @@ def read_feature_list(path):
 def load_dataset(path, feature_list=None, label_map=None,
                  columns=None, label_column=41) -> Dataset:
     """Parse an NSL-KDD style CSV into a columnar Dataset with the
-    configured feature subset and mapped labels.
+    configured feature subset (DEFAULT_FEATURES when feature_list is
+    None) and mapped labels.
 
     Valid input takes no per-row Python. A pass over the file's bytes
     finds the data rows (blank lines and a header on line 0 are skipped)
@@ -115,11 +108,13 @@ def load_dataset(path, feature_list=None, label_map=None,
     Raises ParseError with the offending row/column (a non-numeric or
     non-finite value, a short row, or a file without data rows) or for a
     file that is not text in the locale's encoding, UnknownLabel for
-    labels outside the map, MissingFeature for unknown feature names. Of
-    several faulty rows, the first in the file is named. The CLI exits 2
-    for each of these.
+    labels outside the map, MissingFeature for an empty feature list or
+    unknown feature names. Of several faulty rows, the first in the file
+    is named. The CLI exits 2 for each of these.
     """
-    features = list(feature_list) if feature_list else list(DEFAULT_FEATURES)
+    features = list(DEFAULT_FEATURES if feature_list is None else feature_list)
+    if not features:
+        raise MissingFeature("empty feature list")
     label_map = dict(label_map) if label_map else dict(DEFAULT_LABEL_MAP)
     columns = list(columns) if columns else list(NSL_KDD_COLUMNS)
     try:
@@ -332,7 +327,8 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature):
     width; the trailing remainder is dropped. Attack records are left
     out, so shards are pure training material.
 
-    Returns (shards, n_dropped).
+    Returns (shards as one C-contiguous (n_clients, d, width) stack,
+    n_dropped).
     """
     try:
         fpos = dataset.features.index(sort_feature)
@@ -343,35 +339,39 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature):
         raise ShapeMismatch(f"{n_clients} clients but only {pool.size} records")
     pool = pool[np.argsort(dataset.values[fpos, pool], kind="stable")]
     width = pool.size // n_clients
-    dropped = pool.size - width * n_clients
-    shards = []
-    for cid in range(n_clients):
-        chunk = pool[cid * width:(cid + 1) * width]
-        # Row-major, so the per-feature z-score sums run along contiguous
-        # rows.
-        mat = np.ascontiguousarray(dataset.values[:, chunk])
-        shards.append(ClientShard(client_id=cid, features=mat))
-    return shards, dropped
+    chunks = pool[:width * n_clients].reshape(n_clients, width)
+    # One gather, with no intermediate copy, straight into the stack:
+    # shards[i, j, b] is feature j of client i's b-th record.
+    feature_rows = np.arange(dataset.values.shape[0])[:, None]
+    shards = dataset.values[feature_rows, chunks[:, None, :]]
+    return shards, pool.size - width * n_clients
 
 
-def zscore_fit_apply(shard: ClientShard) -> ClientShard:
-    """Per-feature z-scoring with the client's own statistics. Features
-    with vanishing spread are zeroed and their std recorded as 1.
+def zscore_fit_apply(shards):
+    """Per-feature z-scoring of each client's shard with that client's
+    own statistics. Features with vanishing spread are zeroed and their
+    std recorded as 1.
 
-    The z-scored matrix is column-major, one contiguous column per
-    sample: the layout CSV-trained models have always been fitted on
-    (BLAS rounds the shard products differently in the other one)."""
-    x = np.asarray(shard.features, dtype=float)
-    if x.size == 0:
-        raise EmptyShard(f"client {shard.client_id} shard is empty")
-    mean = x.mean(axis=1)
-    std = x.std(axis=1)
-    degenerate = std < 1e-12
-    std_safe = np.where(degenerate, 1.0, std)
-    z = np.subtract(x, mean[:, None], order="F")
-    z /= std_safe[:, None]
-    z[degenerate, :] = 0.0
-    return replace(shard, features=z, mean=mean, std=std_safe)
+    shards is an (n_clients, d, B) stack; returns (z, means, stds) with
+    means and stds (n_clients, d). The statistics are summed along
+    contiguous rows, which rounds as a per-shard row-major reduction
+    does. Each z[i] is column-major, one contiguous column per sample:
+    the layout CSV-trained models have always been fitted on (BLAS rounds
+    the shard products differently in the other one)."""
+    x = np.ascontiguousarray(shards, dtype=float)
+    if x.ndim != 3 or x.size == 0:
+        raise EmptyShard(f"expected a non-empty (n_clients, d, B) stack of "
+                         f"shards, got shape {x.shape}")
+    n_clients, d, width = x.shape
+    means = x.mean(axis=2)
+    stds = x.std(axis=2)
+    degenerate = stds < 1e-12
+    stds[degenerate] = 1.0
+    z = np.empty((n_clients, width, d)).transpose(0, 2, 1)
+    np.subtract(x, means[..., None], out=z)
+    z /= stds[..., None]
+    z[degenerate] = 0.0
+    return z, means, stds
 
 
 def apply_zscore(mean, std, x) -> np.ndarray:
@@ -420,6 +420,8 @@ class SynthSpec:
             raise ValueError("rank must be <= min(d, width)")
         if not 0.0 <= self.anomaly_fraction < 1.0:
             raise ValueError("anomaly_fraction must be in [0, 1)")
+        if not np.isfinite([self.noise, self.anomaly_offset]).all():
+            raise ValueError("noise and anomaly_offset must be finite")
 
 
 def generate_synthetic(spec: SynthSpec):

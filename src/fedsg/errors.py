@@ -25,13 +25,14 @@ class LengthMismatch(FedsgError):
     """Paired sequences have different lengths."""
 
 
-class AllOneClass(FedsgError):
-    """Rate metrics are undefined when only one label class is present."""
-
-
 class InputError(FedsgError):
     """Base class for faults in input from outside the program (files,
     labels, feature names); the CLI exits 2 for them, not 1."""
+
+
+class AllOneClass(InputError):
+    """Rate metrics are undefined when the labels hold only one class, a
+    property of the test set."""
 
 
 class ParseError(InputError):
@@ -47,7 +48,7 @@ class MissingFeature(InputError):
 
 
 class EmptyShard(InputError):
-    """A client shard has no records."""
+    """A stack of client shards is empty or not (n_clients, d, B)."""
 
 
 class NonFiniteShard(InputError):

@@ -53,8 +53,8 @@ class FedConfig:
             raise ValueError("sample_fraction must be in (0, 1]")
         if self.sample_fraction * self.n_clients < 1.0:
             raise ValueError("sample_fraction * n_clients must be >= 1")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < self.eta < np.inf:  # also false for nan
+            raise ValueError("eta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,25 @@ def aggregate(u, v, previous: FactorPair, align: bool) -> FactorPair:
     return FactorPair(u=retract(u.mean(axis=0)), v=retract(v.mean(axis=0)))
 
 
+def initial_pair(config: FedConfig, shards, rng) -> FactorPair:
+    """The seeded start: retracted Gaussian d x k and B x k bases for
+    shards of shape d x B, U drawn from rng before V."""
+    d, width = np.shape(shards[0])
+    return FactorPair(u=retract(rng.standard_normal((d, config.k))),
+                      v=retract(rng.standard_normal((width, config.k))))
+
+
 def run_fedsg(config: FedConfig, shards):
     """Run the full federated loop and return (final FactorPair, traces).
 
-    Initial bases are retracted seeded Gaussians; each round samples
-    ceil(sample_fraction * N) clients without replacement, runs their
-    local updates as one batch, aggregates, and records the loss over ALL
-    shards as sum_i ||X_i||^2 - captured_energy, clamped at 0. At the
-    orthonormal global pair that is objective.loss up to rounding of
-    about 1e-15 of the total energy, which near a perfect fit could
-    otherwise fall below 0.
+    The start is initial_pair, drawn from the seeded generator that then
+    samples the clients. Each round samples ceil(sample_fraction * N)
+    clients without replacement, runs their local updates as one batch,
+    aggregates, and records the loss over ALL shards as
+    sum_i ||X_i||^2 - captured_energy, clamped at 0. At the orthonormal
+    global pair that is objective.loss up to rounding of about 1e-15 of
+    the total energy, which near a perfect fit could otherwise fall
+    below 0.
     """
     shards = [np.asarray(s, dtype=float) for s in shards]
     if not shards:
@@ -151,10 +160,7 @@ def run_fedsg(config: FedConfig, shards):
 
     energy = sum(float(np.vdot(s, s)) for s in shards)
     rng = np.random.default_rng(config.seed)
-    pair = FactorPair(
-        u=retract(rng.standard_normal((d, config.k))),
-        v=retract(rng.standard_normal((width, config.k))),
-    )
+    pair = initial_pair(config, shards, rng)
 
     n_sample = int(np.ceil(config.sample_fraction * config.n_clients))
     per_client_bytes = config.k * (d + width) * 8

@@ -15,9 +15,10 @@ z-scored and scored the test set before fedsg eval did both in one
 broadcast call each.
 sequential_fedsg is the per-client federated loop that the
 batched engine in fedsg.federation replaced; it reuses the library's
-single-pair gradients, point Riemannian step and retraction (each
-checked on its own elsewhere) and checks the batching, the per-client
-skip, the alignment and the mean around them.
+seeded start (federation.initial_pair), single-pair gradients, point
+Riemannian step and retraction (each checked on its own elsewhere) and
+checks the batching, the per-client skip, the alignment and the mean
+around them.
 """
 
 import csv
@@ -28,6 +29,7 @@ from fedsg.data import (DEFAULT_FEATURES, DEFAULT_LABEL_MAP, NSL_KDD_COLUMNS,
                         apply_zscore)
 from fedsg.detection import confusion_counts, score_matrix
 from fedsg.errors import ParseError, RankDeficient, UnknownLabel
+from fedsg.federation import initial_pair
 from fedsg.grassmann import retract, riemannian_step
 from fedsg.objective import FactorPair, grad_u, grad_v, loss
 
@@ -218,7 +220,9 @@ def sequential_fedsg(config, shards):
     Riemannian step per sub-step (a rank-deficient retraction keeps the
     iterate), per-client Procrustes alignment, the mean in ascending
     client order and a re-retraction (a rank-deficient mean keeps the
-    previous pair). Draws from the generator in run_fedsg's order.
+    previous pair). Starts from federation.initial_pair on a generator
+    seeded with config.seed, then samples the clients from that generator
+    in run_fedsg's order.
 
     Returns (final FactorPair, per-round global losses, per-round
     skipped sub-steps, per-round aborted flags).
@@ -226,8 +230,7 @@ def sequential_fedsg(config, shards):
     shards = [np.asarray(x, dtype=float) for x in shards]
     d, width = shards[0].shape
     rng = np.random.default_rng(config.seed)
-    pair = FactorPair(u=retract(rng.standard_normal((d, config.k))),
-                      v=retract(rng.standard_normal((width, config.k))))
+    pair = initial_pair(config, shards, rng)
     n_sample = int(np.ceil(config.sample_fraction * config.n_clients))
     losses, skips, aborts = [], [], []
     for _ in range(config.rounds):

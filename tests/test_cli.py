@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from fedsg.cli import _load_eval_inputs, main
-from fedsg.data import NSL_KDD_COLUMNS, load_dataset
+from fedsg.data import DEFAULT_FEATURES, NSL_KDD_COLUMNS, load_dataset
 from fedsg.federation import load_checkpoint
 
-from oracles import round_robin_errors
+from oracles import parse_records, round_robin_errors, sorted_partition
 
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN, Infinity
 SYNTH = json.dumps({"d": 10, "width": 20, "n_clients": 4, "rank": 2,
                     "noise": 0.05, "anomaly_fraction": 0.1,
                     "anomaly_offset": 0.5, "n_test": 200, "seed": 3})
@@ -60,8 +61,17 @@ def test_train_requires_source(tmp_path):
      "no_such_key"),
     (["--data", "nope.csv", "--synthetic", SYNTH],
      "--data and --synthetic are mutually exclusive"),
+    (["--synthetic", SYNTH, "--eta", "nan"], "eta must be positive and finite"),
+    (["--synthetic", SYNTH, "--eta", "inf"], "eta must be positive and finite"),
+    (["--synthetic", json.dumps({"n_clients": 4, "anomaly_offset": NAN})],
+     "noise and anomaly_offset must be finite"),
+    (["--synthetic", json.dumps({"n_clients": 4, "anomaly_offset": INF})],
+     "noise and anomaly_offset must be finite"),
+    (["--synthetic", json.dumps({"n_clients": 4, "noise": NAN})],
+     "noise and anomaly_offset must be finite"),
 ], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
-        "unknown_synthetic_key", "data_and_synthetic"])
+        "unknown_synthetic_key", "data_and_synthetic", "nan_eta", "inf_eta",
+        "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise"])
 def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
     assert main(["train", *flags, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -185,8 +195,14 @@ def test_csv_train_eval_pipeline(tmp_path, capsys):
     def row(label, dst):
         return _csv_row(rng, label, dst)
 
+    # 42 benign records, out of dst_bytes order and with ties, between
+    # attack records that training leaves out: 4 shards of 10 and a
+    # remainder of 2. The constant count column has no spread.
+    train_rows = [_csv_row(rng, "normal", dst, count="3")
+                  for dst in rng.integers(0, 15, 42)]
+    train_rows[5:5] = [row("neptune", 7), row("guess_passwd", 7)]
     train = tmp_path / "train.csv"
-    train.write_text("\n".join(row("normal", i) for i in range(40)) + "\n")
+    train.write_text("\n".join(train_rows) + "\n")
     test = tmp_path / "test.csv"
     test_rows = [row("normal", i) for i in range(20)]
     test_rows += [row("neptune", 100 + i) for i in range(10)]
@@ -198,8 +214,19 @@ def test_csv_train_eval_pipeline(tmp_path, capsys):
                  "--clients", "4", "--rounds", "4", "--local-steps", "1",
                  "--sample-fraction", "1.0", "--rank", "2", "--eta", "0.001",
                  "--seed", "0"]) == 0
-    assert (out / "prep.npz").exists()
-    capsys.readouterr()
+    assert "dropped 2 remainder records" in capsys.readouterr().err
+
+    # prep.npz holds each client's own statistics, as numpy computes them
+    # on the per-record reference partition; a zero std is stored as 1.
+    values, labels, rows = parse_records(train)
+    shards = sorted_partition(values, labels, rows, 4,
+                              DEFAULT_FEATURES.index("dst_bytes"))
+    stds = np.array([x.std(axis=1) for x in shards])
+    with np.load(out / "prep.npz") as prep:
+        assert np.array_equal(prep["means"],
+                              [x.mean(axis=1) for x in shards])
+        assert np.array_equal(prep["stds"], np.where(stds < 1e-12, 1.0, stds))
+        assert (prep["stds"][:, DEFAULT_FEATURES.index("count")] == 1.0).all()
 
     assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
                  "--data", str(test), "--rho", "50"]) == 0
@@ -211,6 +238,14 @@ def test_csv_train_eval_pipeline(tmp_path, capsys):
                  "--slice", "r2l,u2r"]) == 0
     sliced = json.loads(capsys.readouterr().out)
     assert 0.0 <= sliced["auc"] <= 1.0
+
+    assert main(["sweep", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--data", str(test), "--rho-grid", "10,50"]) == 0
+    with open(out / "sweep.csv") as fh:
+        sweep = list(csv.DictReader(fh))
+    assert [float(r["rho"]) for r in sweep] == [10.0, 50.0]
+    assert [float(sweep[1][key]) for key in ("tpr", "fpr")] == [full["tpr"],
+                                                                full["fpr"]]
 
 
 def test_train_zero_rounds(tmp_path, capsys):
@@ -493,6 +528,44 @@ def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / name}: not an ")
     assert err.count("\n") == 1
+
+
+def test_prep_with_empty_feature_list_is_input_error(csv_run, tmp_path,
+                                                    capsys):
+    """An empty feature list must not score with the default features."""
+    with np.load(csv_run / "prep.npz") as prep:
+        stats = {key: prep[key] for key in ("means", "stds")}
+    np.savez(csv_run / "prep.npz", **stats,
+             features=np.array([], dtype="<U1"))
+    test = _attack_mix_csv(tmp_path / "t.csv", 12, 6)
+    assert main(["eval", "--checkpoint", str(csv_run / "checkpoint.bin"),
+                 "--data", str(test)]) == 2
+    assert capsys.readouterr().err == ("error: MissingFeature: empty "
+                                       "feature list\n")
+
+
+@pytest.mark.parametrize("source", ["csv", "synthetic"])
+def test_one_class_test_set_is_input_error(request, tmp_path, capsys,
+                                           source):
+    """ROC/PR need both classes; a test set with one is the input's fault."""
+    if source == "csv":
+        benign = tmp_path / "benign.csv"
+        rng = np.random.default_rng(7)
+        benign.write_text("\n".join(_csv_row(rng, "normal", i)
+                                    for i in range(40)) + "\n")
+        run = request.getfixturevalue("csv_run")
+        argv = ["--data", str(benign)]
+    else:
+        run = tmp_path / "run"
+        spec = json.dumps(dict(json.loads(SYNTH), anomaly_fraction=0))
+        assert main(["train", "--synthetic", spec, *TRAIN_ARGS[2:],
+                     "--out", str(run)]) == 0
+        argv = []
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                 *argv]) == 2
+    assert capsys.readouterr().err == ("error: AllOneClass: both classes "
+                                       "required for ROC/PR\n")
 
 
 def test_bench_data_times_the_stored_test_set(run_dir, capsys):

@@ -15,8 +15,8 @@ from fedsg.data import (DEFAULT_FEATURES, NSL_KDD_COLUMNS, SynthSpec,
                         load_dataset, partition_non_iid, read_feature_list,
                         zscore_fit_apply)
 from fedsg.detection import score_matrix
-from fedsg.errors import (FedsgError, MissingFeature, ParseError,
-                          ShapeMismatch, UnknownLabel)
+from fedsg.errors import (EmptyShard, FedsgError, MissingFeature,
+                          ParseError, ShapeMismatch, UnknownLabel)
 from fedsg.grassmann import GrassmannPoint
 
 from oracles import parse_records, sorted_partition
@@ -162,8 +162,8 @@ def test_load_dataset_and_partition_match_parser_oracle(tmp_path, variant,
     expect = sorted_partition(values, labels, rows, 5, fpos)
     assert dropped == 43 - 5 * 8
     for shard, mat in zip(shards, expect):
-        assert shard.features.tobytes() == mat.tobytes()
-        assert shard.features.flags["C_CONTIGUOUS"]
+        assert shard.tobytes() == mat.tobytes()
+        assert shard.flags["C_CONTIGUOUS"]
 
 
 @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
@@ -339,11 +339,11 @@ def test_partition_sorted_by_feature(toy_csv):
     data = load_dataset(toy_csv)
     shards, dropped = partition_non_iid(data, 3, "dst_bytes")
     assert dropped == 0
-    assert all(s.features.shape == (34, 10) for s in shards)
+    assert all(s.shape == (34, 10) for s in shards)
     # contiguous slices of the dst_bytes-sorted benign pool
     pos = DEFAULT_FEATURES.index("dst_bytes")
-    maxima = [s.features[pos].max() for s in shards]
-    minima = [s.features[pos].min() for s in shards]
+    maxima = [s[pos].max() for s in shards]
+    minima = [s[pos].min() for s in shards]
     assert maxima[0] <= minima[1] and maxima[1] <= minima[2]
 
 
@@ -351,7 +351,7 @@ def test_partition_drops_remainder(toy_csv):
     data = load_dataset(toy_csv)
     shards, dropped = partition_non_iid(data, 4, "dst_bytes")
     assert dropped == 30 - 4 * 7
-    assert all(s.features.shape[1] == 7 for s in shards)
+    assert all(s.shape[1] == 7 for s in shards)
 
 
 def test_partition_excludes_attacks(toy_csv):
@@ -360,7 +360,7 @@ def test_partition_excludes_attacks(toy_csv):
     assert dropped == 0
     # The shards' columns are exactly the 30 benign records' features.
     benign = data.values[:, data.labels == "normal"]
-    got = np.hstack([s.features for s in shards])
+    got = np.hstack(list(shards))
     assert sorted(map(tuple, got.T)) == sorted(map(tuple, benign.T))
 
 
@@ -376,17 +376,17 @@ def test_partition_constant_feature_stable(toy_csv):
     shards, _ = partition_non_iid(data, 3, "duration")
     # a stable sort keeps tied records in file order
     pos = DEFAULT_FEATURES.index("dst_bytes")
-    first = shards[0].features[pos]
+    first = shards[0][pos]
     assert np.array_equal(first, np.sort(first))
 
 
 def test_zscore_normalizes_training_rows(toy_csv):
     data = load_dataset(toy_csv)
     shards, _ = partition_non_iid(data, 2, "dst_bytes")
-    z = zscore_fit_apply(shards[0])
-    nondeg = z.std > 0
-    means = z.features[nondeg].mean(axis=1)
-    stds = z.features[nondeg].std(axis=1)
+    z, _, std = zscore_fit_apply(shards[:1])
+    nondeg = std[0] > 0
+    means = z[0][nondeg].mean(axis=1)
+    stds = z[0][nondeg].std(axis=1)
     assert np.all(np.abs(means) <= 1e-9)
     assert np.all(np.abs(stds - 1.0) <= 1e-9)
 
@@ -394,32 +394,55 @@ def test_zscore_normalizes_training_rows(toy_csv):
 def test_zscore_output_is_column_major(toy_csv):
     data = load_dataset(toy_csv)
     shards, _ = partition_non_iid(data, 2, "dst_bytes")
-    z = zscore_fit_apply(shards[0])
-    assert z.features.flags["F_CONTIGUOUS"]
-    x = shards[0].features
-    assert np.array_equal(z.features, (x - z.mean[:, None]) / z.std[:, None])
+    z, mean, std = zscore_fit_apply(shards[:1])
+    assert z[0].flags["F_CONTIGUOUS"]
+    x = shards[0]
+    assert np.array_equal(z[0], (x - mean[0][:, None]) / std[0][:, None])
+
+
+def test_zscore_stack_matches_per_shard_statistics(toy_csv):
+    """The stacked statistics round as one row-major reduction per shard
+    does, and every z-scored member is column-major."""
+    shards, _ = partition_non_iid(load_dataset(toy_csv), 3, "dst_bytes")
+    assert shards.shape == (3, 34, 10) and shards.flags["C_CONTIGUOUS"]
+    z, means, stds = zscore_fit_apply(shards)
+    for i, x in enumerate(shards):
+        x = np.array(x)  # a row-major copy of shard i alone
+        mean, std = x.mean(axis=1), x.std(axis=1)
+        flat = std < 1e-12
+        std[flat] = 1.0
+        want = (x - mean[:, None]) / std[:, None]
+        want[flat] = 0.0
+        assert np.array_equal(means[i], mean)
+        assert np.array_equal(stds[i], std)
+        assert np.array_equal(z[i], want) and z[i].flags["F_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("shape", [(0, 34, 10), (3, 34, 0), (34, 10)],
+                         ids=["no_clients", "no_samples", "one_matrix"])
+def test_zscore_rejects_empty_or_unstacked_shards(shape):
+    with pytest.raises(EmptyShard):
+        zscore_fit_apply(np.zeros(shape))
 
 
 def test_zscore_zeroes_constant_feature():
     shard_mat = np.vstack([np.full(10, 7.0), np.arange(10.0)])
-    from fedsg.data import ClientShard
-    z = zscore_fit_apply(ClientShard(client_id=0, features=shard_mat))
-    assert np.all(z.features[0] == 0.0)
-    assert z.std[0] == 1.0
+    z, _, std = zscore_fit_apply(shard_mat[None])
+    assert np.all(z[0][0] == 0.0)
+    assert std[0][0] == 1.0
 
 
 def test_apply_zscore_uses_train_stats():
     rng = np.random.default_rng(3)
-    from fedsg.data import ClientShard
     train = rng.standard_normal((4, 50))
-    z = zscore_fit_apply(ClientShard(client_id=0, features=train))
+    _, mean, std = zscore_fit_apply(train[None])
     test = rng.standard_normal((4, 20)) + 5.0  # shifted distribution
-    with_train_stats = apply_zscore(z.mean, z.std, test)
+    with_train_stats = apply_zscore(mean[0], std[0], test)
     self_normed = (test - test.mean(axis=1, keepdims=True)) / test.std(
         axis=1, keepdims=True)
     assert not np.allclose(with_train_stats, self_normed)
     assert np.allclose(with_train_stats,
-                       (test - z.mean[:, None]) / z.std[:, None])
+                       (test - mean[0][:, None]) / std[0][:, None])
 
 
 def test_apply_zscore_per_sample_stats_match_per_column_calls():
@@ -468,7 +491,7 @@ def test_partition_sorts_by_the_loaded_feature_order(toy_csv):
     data = load_dataset(toy_csv, feature_list=features)
     assert data.features == tuple(features)
     shards, _ = partition_non_iid(data, 3, "dst_bytes")
-    assert np.array_equal(np.hstack([s.features for s in shards])[0],
+    assert np.array_equal(np.hstack(list(shards))[0],
                           np.arange(30.0))
     with pytest.raises(MissingFeature):
         partition_non_iid(data, 3, "src_bytes")

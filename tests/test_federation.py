@@ -12,7 +12,7 @@ from fedsg.errors import InputError, NonFiniteShard, RankDeficient
 from fedsg.federation import (FedConfig, aggregate, load_checkpoint,
                               local_update, procrustes_rotation, run_fedsg,
                               save_checkpoint, write_trace_csv)
-from fedsg.grassmann import GrassmannPoint, retract
+from fedsg.grassmann import GrassmannPoint
 from fedsg.linalg import frobenius_norm
 from fedsg.objective import FactorPair, loss
 
@@ -170,8 +170,9 @@ def test_run_fedsg_records_skipped_and_aborted_rounds(monkeypatch):
     pair, traces = run_fedsg(cfg, [rank1])
     assert [t.aborted for t in traces] == [True, True]
     # every round kept the initial pair, the first draw of the seeded rng
-    initial = retract(np.random.default_rng(cfg.seed).standard_normal((6, 2)))
-    assert np.array_equal(pair.u.basis, initial.basis)
+    initial = federation.initial_pair(cfg, [rank1],
+                                      np.random.default_rng(cfg.seed))
+    assert np.array_equal(pair.u.basis, initial.u.basis)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
