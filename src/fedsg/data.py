@@ -3,9 +3,10 @@ feature selection, non-i.i.d. partitioning of the benign records by a
 sort feature into equal-width shards, per-client z-score normalization,
 and a seeded synthetic low-rank generator with planted anomalies.
 
-Feature matrices are d x B with columns as samples. The training shards
-hold only benign records, stacked as one (n_clients, d, B) array; their
-z-score statistics are (n_clients, d) arrays.
+Feature matrices are d x B with columns as samples. The training shards,
+synthetic or parsed, are one (n_clients, d, B) stack. Parsed shards hold
+only benign records, and their z-score statistics are (n_clients, d)
+arrays.
 """
 
 from dataclasses import dataclass, field
@@ -95,8 +96,10 @@ def read_feature_list(path):
 def load_dataset(path, feature_list=None, label_map=None,
                  columns=None, label_column=41) -> Dataset:
     """Parse an NSL-KDD style CSV into a columnar Dataset with the
-    configured feature subset (DEFAULT_FEATURES when feature_list is
-    None) and mapped labels.
+    configured feature subset and mapped labels. feature_list, label_map
+    and columns default to DEFAULT_FEATURES, DEFAULT_LABEL_MAP and
+    NSL_KDD_COLUMNS only when None: an empty map makes every label
+    unknown, and an empty column list misses every feature.
 
     Valid input takes no per-row Python. A pass over the file's bytes
     finds the data rows (blank lines and a header on line 0 are skipped)
@@ -115,8 +118,8 @@ def load_dataset(path, feature_list=None, label_map=None,
     features = list(DEFAULT_FEATURES if feature_list is None else feature_list)
     if not features:
         raise MissingFeature("empty feature list")
-    label_map = dict(label_map) if label_map else dict(DEFAULT_LABEL_MAP)
-    columns = list(columns) if columns else list(NSL_KDD_COLUMNS)
+    label_map = dict(DEFAULT_LABEL_MAP if label_map is None else label_map)
+    columns = list(NSL_KDD_COLUMNS if columns is None else columns)
     try:
         idx = [columns.index(f) for f in features]
     except ValueError as exc:
@@ -340,10 +343,13 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature):
     pool = pool[np.argsort(dataset.values[fpos, pool], kind="stable")]
     width = pool.size // n_clients
     chunks = pool[:width * n_clients].reshape(n_clients, width)
-    # One gather, with no intermediate copy, straight into the stack:
-    # shards[i, j, b] is feature j of client i's b-th record.
-    feature_rows = np.arange(dataset.values.shape[0])[:, None]
-    shards = dataset.values[feature_rows, chunks[:, None, :]]
+    # Each client gathers its whole records (contiguous rows of the
+    # parsed table) and copies them, transposed, into its slice of the
+    # stack: shards[i, j, b] is feature j of client i's b-th record.
+    records = dataset.values.T
+    shards = np.empty((n_clients, records.shape[1], width))
+    for shard, chunk in zip(shards, chunks):
+        shard[...] = records[chunk].T
     return shards, pool.size - width * n_clients
 
 
@@ -416,6 +422,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.d, self.width, self.n_clients, self.rank, self.n_test) < 1:
+            raise ValueError("d, width, n_clients, rank and n_test must be "
+                             "at least 1")
         if self.rank > min(self.d, self.width):
             raise ValueError("rank must be <= min(d, width)")
         if not 0.0 <= self.anomaly_fraction < 1.0:
@@ -433,8 +442,9 @@ def generate_synthetic(spec: SynthSpec):
     shifted by anomaly_offset along a direction orthogonal to the true
     subspace.
 
-    Returns (train shards: list of d x width arrays,
-             test matrix d x n_test, boolean labels, true basis d x r).
+    Each client is drawn straight into its slice of one preallocated
+    stack. Returns (train shards as one C-contiguous (n_clients, d, width)
+    stack, test matrix d x n_test, boolean labels, true basis d x r).
     """
     rng = np.random.default_rng(spec.seed)
     d, r = spec.d, spec.rank
@@ -443,14 +453,15 @@ def generate_synthetic(spec: SynthSpec):
     u_perp = basis[:, r:]
     scales = np.linspace(3.0, 1.0, r)
 
-    shards = []
-    for _ in range(spec.n_clients):
+    shards = np.empty((spec.n_clients, d, spec.width))
+    for x in shards:
         # Skewed per-client energy across the true directions.
         w = rng.dirichlet(np.full(r, 0.3))
         coeff = (scales * np.sqrt(r * w))[:, None] * rng.standard_normal(
             (r, spec.width))
-        x = u_true @ coeff + spec.noise * rng.standard_normal((d, spec.width))
-        shards.append(x)
+        rng.standard_normal(out=x)
+        x *= spec.noise
+        x += u_true @ coeff
 
     coeff = scales[:, None] * rng.standard_normal((r, spec.n_test))
     test = u_true @ coeff + spec.noise * rng.standard_normal((d, spec.n_test))

@@ -3,15 +3,15 @@ updates on every sampled client, server-side averaging with
 re-retraction, and broadcast, with deterministic client sampling and
 exact communication accounting.
 
-A round runs as one batched engine: the sampled clients' bases are
-stacked as (s, d, k) and (s, B, k) arrays, and the gradients, QR
-retractions, Procrustes alignments and the mean act on the whole stack.
-Only the shard products X V and X^T U are formed client by client, into
-one preallocated stack (objective.grad_u / grad_v), so the shards are
-never copied into a stack. The per-round global loss over all shards is
-their energy, summed once per run, minus objective.captured_energy at
-the new global pair, so a round does O(k(d+B)) work per shard and forms
-no d x B residual.
+The shards are one (n_clients, d, B) stack. A round runs as one
+batched engine: it copies its sampled clients' shards into one (s, d, B)
+buffer, allocated once per run, and stacks their bases as (s, d, k) and
+(s, B, k) arrays. The shard products X V and X^T U are one batched
+product each (objective.grad_u / grad_v), and the QR retractions,
+Procrustes alignments and the mean act on the whole stack. The per-round
+global loss over all shards is their energy, summed once per run, minus
+objective.captured_energy at the new global pair, so a round does
+O(k(d+B)) work per shard and forms no d x B residual.
 
 Message sizes follow the wire contract: each sampled client exchanges
 k*(d+B) float64 values per direction per round.
@@ -28,7 +28,8 @@ from .errors import (NonFiniteShard, ParseError, RankDeficient,
                      ShapeMismatch)
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .linalg import truncated_svd
-from .objective import FactorPair, captured_energy, grad_u, grad_v
+from .objective import (FactorPair, captured_energy, grad_u, grad_v,
+                        shard_stack)
 
 CHECKPOINT_MAGIC = b"FEDSGCK1"
 # magic + d, B, k, round as little-endian uint32.
@@ -73,8 +74,8 @@ def local_update(shards, u0, v0, c: int, eta: float):
     """c alternating steps on every client at once: move U along its
     manifold with V fixed, then V with the new U fixed.
 
-    shards holds the s clients' d x B matrices; u0 (s, d, k) and
-    v0 (s, B, k) stack their starting bases. Returns (u, v, skipped):
+    shards is the (s, d, B) stack of the s clients' shards; u0 (s, d, k)
+    and v0 (s, B, k) stack their starting bases. Returns (u, v, skipped):
     the stacked bases after the steps and, per client, the number of
     sub-steps skipped because the retraction was rank deficient (that
     client keeps its previous iterate for the sub-step).
@@ -135,29 +136,28 @@ def initial_pair(config: FedConfig, shards, rng) -> FactorPair:
 def run_fedsg(config: FedConfig, shards):
     """Run the full federated loop and return (final FactorPair, traces).
 
-    The start is initial_pair, drawn from the seeded generator that then
-    samples the clients. Each round samples ceil(sample_fraction * N)
-    clients without replacement, runs their local updates as one batch,
-    aggregates, and records the loss over ALL shards as
-    sum_i ||X_i||^2 - captured_energy, clamped at 0. At the orthonormal
-    global pair that is objective.loss up to rounding of about 1e-15 of
-    the total energy, which near a perfect fit could otherwise fall
-    below 0.
+    shards is the (n_clients, d, B) stack of the client shards, taken as
+    it is; a list of d x B shards is stacked once. The start is
+    initial_pair, drawn from the seeded generator that then samples the
+    clients. Each round samples ceil(sample_fraction * N) clients without
+    replacement, runs their local updates as one batch, aggregates, and
+    records the loss over ALL shards as sum_i ||X_i||^2 - captured_energy,
+    clamped at 0. At the orthonormal global pair that is objective.loss
+    up to rounding of about 1e-15 of the total energy, which near a
+    perfect fit could otherwise fall below 0.
     """
-    shards = [np.asarray(s, dtype=float) for s in shards]
-    if not shards:
-        raise ValueError("at least one client shard required")
-    d, width = shards[0].shape
-    for i, s in enumerate(shards):
-        if s.shape != (d, width):
-            raise ShapeMismatch(f"shard {i} has shape {s.shape}, expected {(d, width)}")
-        if not np.isfinite(s).all():
-            raise NonFiniteShard(f"shard {i} has non-finite values")
-    if len(shards) != config.n_clients:
-        raise ShapeMismatch(
-            f"{len(shards)} shards but config.n_clients={config.n_clients}"
-        )
+    shards = shard_stack(shards)
+    if shards.ndim != 3 or len(shards) != config.n_clients:
+        raise ShapeMismatch(f"shards of shape {shards.shape}, but an "
+                            f"(n_clients={config.n_clients}, d, B) stack "
+                            f"is needed")
+    # min and max propagate NaN and reach +-inf, so they are finite only
+    # when every value is, without a temporary the size of the stack.
+    if not np.isfinite([shards.min(), shards.max()]).all():
+        bad = next(i for i, s in enumerate(shards) if not np.isfinite(s).all())
+        raise NonFiniteShard(f"shard {bad} has non-finite values")
 
+    _, d, width = shards.shape
     energy = sum(float(np.vdot(s, s)) for s in shards)
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
@@ -166,11 +166,26 @@ def run_fedsg(config: FedConfig, shards):
     per_client_bytes = config.k * (d + width) * 8
     traces = []
 
+    # Each round copies its sampled shards into one buffer, allocated
+    # once, and keeps each member's memory order (BLAS rounds the
+    # products of row- and column-major shards differently): the copy
+    # runs on the view whose members are row-major. With mode="clip"
+    # np.take writes straight into the buffer. A round that samples
+    # every client reads the stack itself.
+    batch = shards
+    if n_sample < config.n_clients:
+        swap = shards.strides[1] < shards.strides[2]
+        source = np.swapaxes(shards, 1, 2) if swap else shards
+        buffer = np.empty((n_sample,) + source.shape[1:])
+        batch = np.swapaxes(buffer, 1, 2) if swap else buffer
+
     for rnd in range(config.rounds):
         t0 = time.perf_counter()
         sampled = np.sort(rng.choice(config.n_clients, size=n_sample, replace=False))
+        if batch is not shards:
+            np.take(source, sampled, axis=0, out=buffer, mode="clip")
         u, v, skipped = local_update(
-            [shards[cid] for cid in sampled],
+            batch,
             np.broadcast_to(pair.u.basis, (n_sample, d, config.k)),
             np.broadcast_to(pair.v.basis, (n_sample, width, config.k)),
             config.local_steps, config.eta)

@@ -14,9 +14,11 @@ X_i V; the federated engine records its per-round loss that way.
 Gradients are derived from this loss and hold for arbitrary (also
 non-orthonormal) U, V, so they agree with finite differences of loss in
 every direction. They are computed from the k-column shard products
-X_i V and X_i^T U and k x k cores, and take stacks of bases, one member
-per shard, so the federated engine gets every sampled client's gradient
-in one call.
+X_i V and X_i^T U and k x k cores. The shards are one (n, d, B) stack (a
+list is stacked), so the products of every shard are one batched
+np.matmul. The gradients also take stacks of bases, one member per
+shard, so the federated engine gets every sampled client's gradient in
+one call.
 """
 
 from dataclasses import dataclass
@@ -42,6 +44,21 @@ class FactorPair:
 
 def _basis(a):
     return a.basis if isinstance(a, GrassmannPoint) else np.asarray(a, dtype=float)
+
+
+def shard_stack(shards) -> np.ndarray:
+    """The shards as one float (n, d, B) stack: an array as it is, with
+    each member's memory order kept, and a list stacked once. Members of
+    a list whose shape differs from shard 0's are a ShapeMismatch that
+    names the first such shard."""
+    if isinstance(shards, np.ndarray):
+        return np.asarray(shards, dtype=float)
+    shards = [np.asarray(x, dtype=float) for x in shards]
+    for i, x in enumerate(shards):
+        if x.shape != shards[0].shape:
+            raise ShapeMismatch(f"shard {i} has shape {x.shape}, "
+                                f"expected {shards[0].shape}")
+    return np.array(shards)
 
 
 def _check_shard(u, v, x):
@@ -94,21 +111,19 @@ def captured_energy(u, v, shards) -> float:
 
 
 def _shard_products(ub, vb, shards, transpose):
-    """X_i V (or X_i^T U with transpose) for every shard, written into one
-    (n_shards, rows, k) stack. A single pair is shared by all shards;
-    stacked bases carry one member per shard."""
-    if ub.ndim == 3 and not len(shards) == len(ub) == len(vb):
-        raise ShapeMismatch(f"{len(shards)} shards for stacks of "
+    """X_i V (or X_i^T U with transpose) for every shard, as one batched
+    product into an (n_shards, rows, k) stack. A single pair is shared by
+    all shards; stacked bases carry one member per shard."""
+    x = shard_stack(shards)
+    if x.ndim != 3 or x.shape[1:] != (ub.shape[-2], vb.shape[-2]):
+        raise ShapeMismatch(f"shards of shape {x.shape} incompatible with "
+                            f"u {ub.shape}, v {vb.shape}")
+    if ub.ndim == 3 and not len(x) == len(ub) == len(vb):
+        raise ShapeMismatch(f"{len(x)} shards for stacks of "
                             f"{len(ub)} and {len(vb)} bases")
-    rows = (vb if transpose else ub).shape[-2]
-    out = np.empty((len(shards), rows, ub.shape[-1]))
-    for i, x in enumerate(shards):
-        x = np.asarray(x, dtype=float)
-        ui, vi = (ub[i], vb[i]) if ub.ndim == 3 else (ub, vb)
-        _check_shard(ui, vi, x)
-        np.matmul(x.T if transpose else x, ui if transpose else vi,
-                  out=out[i])
-    return out
+    if transpose:
+        return np.matmul(np.swapaxes(x, -1, -2), ub)
+    return np.matmul(x, vb)
 
 
 def _gradient(a, b, products):

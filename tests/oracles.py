@@ -13,6 +13,9 @@ csv_write_curve is the csv.writer row loop that detection.write_curve's
 single join replaced; round_robin_errors is the per-client loop that
 z-scored and scored the test set before fedsg eval did both in one
 broadcast call each.
+per_client_synthetic_shards is data.generate_synthetic's training draw
+with one fresh array per client, which drawing each client into its
+slice of one stack replaced.
 sequential_fedsg is the per-client federated loop that the
 batched engine in fedsg.federation replaced; it reuses the library's
 seeded start (federation.initial_pair), single-pair gradients, point
@@ -28,7 +31,8 @@ import numpy as np
 from fedsg.data import (DEFAULT_FEATURES, DEFAULT_LABEL_MAP, NSL_KDD_COLUMNS,
                         apply_zscore)
 from fedsg.detection import confusion_counts, score_matrix
-from fedsg.errors import ParseError, RankDeficient, UnknownLabel
+from fedsg.errors import (MissingFeature, ParseError, RankDeficient,
+                          UnknownLabel)
 from fedsg.federation import initial_pair
 from fedsg.grassmann import retract, riemannian_step
 from fedsg.objective import FactorPair, grad_u, grad_v, loss
@@ -121,9 +125,14 @@ def parse_records(path, feature_list=None, label_map=None, columns=None,
 
     Returns (d x m values, list of class names, list of row numbers) and
     raises the same errors, in file order, with the same messages."""
-    features = list(feature_list) if feature_list else list(DEFAULT_FEATURES)
-    label_map = dict(label_map) if label_map else dict(DEFAULT_LABEL_MAP)
-    columns = list(columns) if columns else list(NSL_KDD_COLUMNS)
+    features = list(DEFAULT_FEATURES if feature_list is None else feature_list)
+    if not features:
+        raise MissingFeature("empty feature list")
+    label_map = dict(DEFAULT_LABEL_MAP if label_map is None else label_map)
+    columns = list(NSL_KDD_COLUMNS if columns is None else columns)
+    missing = [f for f in features if f not in columns]
+    if missing:
+        raise MissingFeature(f"{missing[0]!r} is not in list")
     idx = [columns.index(f) for f in features]
     values, labels, rows = [], [], []
     with open(path) as fh:
@@ -167,6 +176,23 @@ def parse_records(path, feature_list=None, label_map=None, columns=None,
     return mat.T, labels, rows
 
 
+def per_client_synthetic_shards(spec):
+    """generate_synthetic's training shards as a list, one fresh d x width
+    array per client, from the same draws in the same order."""
+    rng = np.random.default_rng(spec.seed)
+    d, r = spec.d, spec.rank
+    u_true = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :r]
+    scales = np.linspace(3.0, 1.0, r)
+    shards = []
+    for _ in range(spec.n_clients):
+        w = rng.dirichlet(np.full(r, 0.3))
+        coeff = (scales * np.sqrt(r * w))[:, None] * rng.standard_normal(
+            (r, spec.width))
+        shards.append(u_true @ coeff
+                      + spec.noise * rng.standard_normal((d, spec.width)))
+    return shards
+
+
 def sorted_partition(values, labels, rows, n_clients, fpos):
     """partition_non_iid by a Python sort of the benign records on
     (sort-feature value, row number) and np.column_stack of each
@@ -207,6 +233,17 @@ def random_orthonormal(rng, n, k):
     """Orthonormal basis via LAPACK QR (independent of the package QR)."""
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.sign(np.diag(r))
+
+
+def shard_layouts(rng, n, d, width):
+    """The same random shards as a C-order (n, d, width) stack (the
+    synthetic path) and as a stack of column-major members (the CSV path,
+    zscore_fit_apply's layout). From about 34 x 80, BLAS rounds the
+    products of the two layouts differently."""
+    rows = rng.standard_normal((n, d, width))
+    cols = np.empty((n, width, d)).transpose(0, 2, 1)
+    cols[...] = rows
+    return rows, cols
 
 
 def _procrustes(a, b):

@@ -69,9 +69,17 @@ def test_train_requires_source(tmp_path):
      "noise and anomaly_offset must be finite"),
     (["--synthetic", json.dumps({"n_clients": 4, "noise": NAN})],
      "noise and anomaly_offset must be finite"),
+    *[(["--synthetic", json.dumps(dict({"n_clients": 10, "width": 10},
+                                       **{key: value}))],
+       "d, width, n_clients, rank and n_test must be at least 1")
+      for key, value in [("n_test", -1), ("n_test", 0), ("d", 0),
+                         ("width", 0), ("n_clients", 0), ("rank", 0),
+                         ("rank", -2)]],
 ], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
         "unknown_synthetic_key", "data_and_synthetic", "nan_eta", "inf_eta",
-        "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise"])
+        "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise",
+        "negative_n_test", "zero_n_test", "zero_d", "zero_width",
+        "zero_n_clients", "zero_rank", "negative_rank"])
 def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
     assert main(["train", *flags, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

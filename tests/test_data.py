@@ -19,7 +19,8 @@ from fedsg.errors import (EmptyShard, FedsgError, MissingFeature,
                           ParseError, ShapeMismatch, UnknownLabel)
 from fedsg.grassmann import GrassmannPoint
 
-from oracles import parse_records, sorted_partition
+from oracles import (parse_records, per_client_synthetic_shards,
+                     sorted_partition)
 
 
 def _make_row(rng, label, dst_bytes=None):
@@ -229,14 +230,21 @@ def _faulty_lines(fault):
     "short_row_before_nan", "nan_after_unknown_label",
     "nul_label_before_short_row", "short_row_before_unknown_label",
     "unknown_label_before_non_numeric", "no_label_column",
-    "header_then_faulty_first_row"])
+    "header_then_faulty_first_row", "empty_label_map", "empty_columns",
+    "empty_feature_list"])
 def test_load_dataset_errors_match_parser_oracle(tmp_path, fault):
+    """A faulty file, or a clean one read with an empty label map, column
+    list or feature list: those are used as given, never replaced by
+    the defaults."""
+    kwargs = {"empty_label_map": {"label_map": {}},
+              "empty_columns": {"columns": []},
+              "empty_feature_list": {"feature_list": []}}.get(fault, {})
     path = tmp_path / "bad.csv"
     _write_csv(path, _faulty_lines(fault))
     with pytest.raises(FedsgError) as want:
-        parse_records(path)
+        parse_records(path, **kwargs)
     with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-        load_dataset(path)
+        load_dataset(path, **kwargs)
 
 
 def test_load_dataset_non_numeric_names_row_and_column(tmp_path):
@@ -513,6 +521,17 @@ def test_synthetic_anomalies_score_higher():
     _, test, labels, u_true = generate_synthetic(spec)
     errs = score_matrix(GrassmannPoint(u_true), test)
     assert errs[labels].mean() > errs[~labels].mean()
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(seed=5), SynthSpec(d=34, width=600, n_clients=100, seed=41)],
+    ids=["criterion_7", "paper_scale"])
+def test_synthetic_stack_matches_per_client_draw(spec):
+    shards = generate_synthetic(spec)[0]
+    assert shards.shape == (spec.n_clients, spec.d, spec.width)
+    assert shards.flags["C_CONTIGUOUS"]
+    for x, y in zip(shards, per_client_synthetic_shards(spec)):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_synthetic_deterministic():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fedsg import federation
 from fedsg.data import SynthSpec, generate_synthetic
-from fedsg.errors import InputError, NonFiniteShard, RankDeficient
+from fedsg.errors import (InputError, NonFiniteShard, RankDeficient,
+                          ShapeMismatch)
 from fedsg.federation import (FedConfig, aggregate, load_checkpoint,
                               local_update, procrustes_rotation, run_fedsg,
                               save_checkpoint, write_trace_csv)
@@ -16,7 +17,8 @@ from fedsg.grassmann import GrassmannPoint
 from fedsg.linalg import frobenius_norm
 from fedsg.objective import FactorPair, loss
 
-from oracles import random_orthonormal, sequential_fedsg, svd_tail_energy
+from oracles import (random_orthonormal, sequential_fedsg, shard_layouts,
+                     svd_tail_energy)
 
 
 def _pair(rng, d, width, k):
@@ -27,6 +29,11 @@ def _pair(rng, d, width, k):
 def _stack(*points):
     return np.stack([p.basis if isinstance(p, GrassmannPoint) else p
                      for p in points])
+
+
+def _layouts(rng, n, d, width):
+    rows, cols = shard_layouts(rng, n, d, width)
+    return {"list": list(rows), "rows": rows, "cols": cols}
 
 
 def test_config_validation():
@@ -213,14 +220,64 @@ def test_trace_loss_is_never_negative_on_exact_rank_data(seed):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_run_fedsg_rejects_non_finite_shard(bad):
-    rng = np.random.default_rng(6)
-    shards = [rng.standard_normal((6, 8)) for _ in range(3)]
-    shards[1][2, 5] = bad
     config = FedConfig(n_clients=3, rounds=2, local_steps=1,
                        sample_fraction=1.0, k=2)
-    with pytest.raises(NonFiniteShard, match="shard 1") as err:
+    for shards in _layouts(np.random.default_rng(6), 3, 6, 8).values():
+        shards[1][2, 5] = bad
+        with pytest.raises(NonFiniteShard, match="shard 1") as err:
+            run_fedsg(config, shards)
+        assert isinstance(err.value, InputError)
+
+
+def test_run_fedsg_on_a_list_and_on_stacks():
+    """A list is stacked once in C order, so it trains bit for bit as the
+    C-order stack. The column-major stack keeps its layout, which BLAS
+    rounds differently at 34 x 80, so it agrees to rounding."""
+    shards = _layouts(np.random.default_rng(300), 20, 34, 80)
+    cfg = FedConfig(n_clients=20, rounds=4, local_steps=2,
+                    sample_fraction=0.5, k=3, seed=3)
+    runs = {name: run_fedsg(cfg, s) for name, s in shards.items()}
+    (a, a_traces), (b, b_traces) = runs["list"], runs["rows"]
+    assert a.u.basis.tobytes() == b.u.basis.tobytes()
+    assert a.v.basis.tobytes() == b.v.basis.tobytes()
+    assert ([t.global_loss for t in a_traces]
+            == [t.global_loss for t in b_traces])
+    for a, b in zip(runs["rows"][1], runs["cols"][1]):
+        assert a.global_loss == pytest.approx(b.global_loss, rel=1e-12)
+    assert np.allclose(runs["rows"][0].u.basis, runs["cols"][0].u.basis,
+                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 1.0])
+@pytest.mark.parametrize("layout", ["rows", "cols"])
+def test_run_fedsg_rounds_see_their_shards_in_their_memory_order(
+        monkeypatch, layout, fraction):
+    """Each round's batch holds the sampled shards' values with each
+    member's strides, so its products round as the member's own do
+    (test_shard_products_match_per_shard_products)."""
+    shards = _layouts(np.random.default_rng(301), 6, 34, 80)[layout]
+    batches = []
+
+    def spy(batch, *args):
+        batches.append((np.array(batch), batch.strides))
+        return local_update(batch, *args)
+    monkeypatch.setattr(federation, "local_update", spy)
+    cfg = FedConfig(n_clients=6, rounds=3, local_steps=1,
+                    sample_fraction=fraction, k=3, seed=4)
+    _, traces = run_fedsg(cfg, shards)
+    for (values, strides), t in zip(batches, traces):
+        np.testing.assert_array_equal(values, shards[list(t.sampled)])
+        assert strides[1:] == shards.strides[1:]
+
+
+def test_run_fedsg_ragged_list_names_the_shard():
+    rng = np.random.default_rng(302)
+    shards = [rng.standard_normal((6, 8)) for _ in range(3)]
+    shards[2] = shards[2][:, :7]
+    config = FedConfig(n_clients=3, rounds=1, local_steps=1,
+                       sample_fraction=1.0, k=2)
+    with pytest.raises(ShapeMismatch, match="shard 2 has shape"):
         run_fedsg(config, shards)
-    assert isinstance(err.value, InputError)
 
 
 def test_run_fedsg_exact_rank_data_converges():

@@ -7,7 +7,8 @@ from fedsg.linalg import frobenius_norm, truncated_svd
 from fedsg.objective import (FactorPair, _shard_products, captured_energy,
                              grad_u, grad_v, loss, optimal_sigma, reconstruct)
 
-from oracles import finite_difference_grad, random_orthonormal, svd_tail_energy
+from oracles import (finite_difference_grad, random_orthonormal, shard_layouts,
+                     svd_tail_energy)
 
 
 def _uv(rng, d, width, k):
@@ -165,20 +166,6 @@ def test_gradients_match_finite_differences_off_the_manifold():
         assert np.max(np.abs(grad_v(u, v, shards) - fv)) <= 1e-5 * np.max(np.abs(fv))
 
 
-def test_stacked_gradients_are_per_member():
-    rng = np.random.default_rng(13)
-    pairs = [_uv(rng, 6, 5, 2) for _ in range(3)]
-    shards = [rng.standard_normal((6, 5)) for _ in range(3)]
-    us = np.stack([u.basis for u, _ in pairs])
-    vs = np.stack([v.basis for _, v in pairs])
-    gu, gv = grad_u(us, vs, shards), grad_v(us, vs, shards)
-    for i, ((u, v), x) in enumerate(zip(pairs, shards)):
-        assert np.allclose(gu[i], grad_u(u, v, [x]), rtol=0.0, atol=1e-12)
-        assert np.allclose(gv[i], grad_v(u, v, [x]), rtol=0.0, atol=1e-12)
-    with pytest.raises(ShapeMismatch):
-        grad_u(us, vs, shards[:2])
-
-
 def test_captured_energy_is_energy_minus_loss():
     rng = np.random.default_rng(14)
     u, v = _uv(rng, 6, 5, 2)
@@ -190,12 +177,12 @@ def test_captured_energy_is_energy_minus_loss():
 
 @pytest.mark.parametrize("transpose", [False, True])
 def test_shard_products_match_per_shard_products(transpose):
-    """Row-major shards (the synthetic path) and column-major ones (the
-    CSV path), for one pair and for a stack with one pair per shard."""
+    """One batched product over a stack of either layout equals the
+    product of each member on its own, bit for bit, for one pair and for
+    a stack with one pair per shard. A list is stacked in C order."""
     rng = np.random.default_rng(15)
-    shards = [rng.standard_normal((6, 5)) for _ in range(2)]
-    shards += [np.asfortranarray(x) for x in shards]
-    pairs = [_uv(rng, 6, 5, 2) for _ in shards]
+    rows, cols = shard_layouts(rng, 4, 34, 80)
+    pairs = [_uv(rng, 34, 80, 3) for _ in rows]
     us = np.stack([u.basis for u, _ in pairs])
     vs = np.stack([v.basis for _, v in pairs])
 
@@ -203,12 +190,46 @@ def test_shard_products_match_per_shard_products(transpose):
         return x.T @ u if transpose else x @ v
 
     u, v = pairs[0]
-    np.testing.assert_array_equal(
-        _shard_products(u.basis, v.basis, shards, transpose),
-        [product(x, u.basis, v.basis) for x in shards])
-    np.testing.assert_array_equal(
-        _shard_products(us, vs, shards, transpose),
-        [product(x, u, v) for x, u, v in zip(shards, us, vs)])
+    for shards in (rows, cols, list(rows)):
+        np.testing.assert_array_equal(
+            _shard_products(u.basis, v.basis, shards, transpose),
+            [product(x, u.basis, v.basis) for x in shards])
+        np.testing.assert_array_equal(
+            _shard_products(us, vs, shards, transpose),
+            [product(x, u, v) for x, u, v in zip(shards, us, vs)])
+
+
+def test_stacked_gradients_are_per_member():
+    """Over a stack of either layout, each member's gradient equals its
+    gradient on its own, and the gradient of one pair equals the sum of
+    the per-shard gradients, bit for bit."""
+    rng = np.random.default_rng(13)
+    for shards in shard_layouts(rng, 3, 34, 80):
+        pairs = [_uv(rng, 34, 80, 3) for _ in shards]
+        us = np.stack([u.basis for u, _ in pairs])
+        vs = np.stack([v.basis for _, v in pairs])
+        u, v = pairs[0]
+        for grad in (grad_u, grad_v):
+            g = grad(us, vs, shards)
+            for i in range(len(shards)):
+                one = slice(i, i + 1)
+                np.testing.assert_array_equal(
+                    g[i], grad(us[one], vs[one], shards[one])[0])
+            total = grad(u, v, shards[:1])
+            for i in range(1, len(shards)):
+                total = total + grad(u, v, shards[i:i + 1])
+            np.testing.assert_array_equal(grad(u, v, shards), total)
+        with pytest.raises(ShapeMismatch):
+            grad_u(us, vs, shards[:2])
+
+
+def test_ragged_shards_name_the_shard():
+    rng = np.random.default_rng(18)
+    u, v = _uv(rng, 6, 5, 2)
+    shards = [rng.standard_normal((6, 5)), rng.standard_normal((6, 4))]
+    for f in (grad_u, grad_v, captured_energy):
+        with pytest.raises(ShapeMismatch, match="shard 1 has shape"):
+            f(u, v, shards)
 
 
 def test_loss_shape_mismatch():
