@@ -299,8 +299,11 @@ def _parse_grid(text):
         part = part.strip()
         try:
             if ":" in part:
-                lo, hi = part.split(":")
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.split(":"))
+                if lo > hi:
+                    raise UsageError(f"--rho-grid entry {part!r} is a "
+                                     f"reversed range: {lo} > {hi}")
+                out.extend(range(lo, hi + 1))
             elif part:
                 out.append(float(part))
         except ValueError:

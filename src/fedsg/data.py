@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (EmptyShard, MissingFeature, ParseError, ShapeMismatch,
-                     UnknownLabel)
+                     UnknownLabel, check_integers)
 
 # NSL-KDD column order (41 features, then label, then optional difficulty).
 NSL_KDD_COLUMNS = [
@@ -422,9 +422,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, ("d", "width", "n_clients", "rank", "n_test",
+                              "seed"))
         if min(self.d, self.width, self.n_clients, self.rank, self.n_test) < 1:
             raise ValueError("d, width, n_clients, rank and n_test must be "
                              "at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.rank > min(self.d, self.width):
             raise ValueError("rank must be <= min(d, width)")
         if not 0.0 <= self.anomaly_fraction < 1.0:

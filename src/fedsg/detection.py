@@ -52,14 +52,16 @@ def score_matrix(u: GrassmannPoint, x):
 
 def fit_threshold(training_errors, rho: float) -> float:
     """rho-th percentile of the sorted training errors by the nearest-rank
-    method: index ceil(rho/100 * n), clamped to [1, n]."""
-    errs = np.sort(np.asarray(training_errors, dtype=float))
+    method: index ceil(rho/100 * n), clamped to [1, n]. One partition
+    finds that order statistic without sorting the rest (NaN sorts last
+    in both)."""
+    errs = np.asarray(training_errors, dtype=float)
     n = errs.shape[0]
     if n == 0:
         raise EmptyInput("no training errors")
     idx = int(np.ceil(rho / 100.0 * n))
     idx = min(max(idx, 1), n)
-    return float(errs[idx - 1])
+    return float(np.partition(errs, idx - 1)[idx - 1])
 
 
 def confusion_counts(errors, labels, tau):

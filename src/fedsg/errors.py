@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check
+that the config dataclasses share."""
+
+import numbers
+
+
+def check_integers(obj, names):
+    """Raise ValueError unless every named field of obj is an integer.
+    A bool, or a float even when integral (20.0), is refused."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class FedsgError(Exception):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NonFiniteShard, ParseError, RankDeficient,
-                     ShapeMismatch)
+                     ShapeMismatch, check_integers)
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .linalg import truncated_svd
 from .objective import (FactorPair, captured_energy, grad_u, grad_v,
@@ -48,8 +48,15 @@ class FedConfig:
     align_before_average: bool = True
 
     def __post_init__(self):
+        check_integers(self, ("n_clients", "rounds", "local_steps", "k",
+                              "seed"))
+        if not isinstance(self.align_before_average, bool):
+            raise ValueError(f"align_before_average must be true or false, "
+                             f"got {self.align_before_average!r}")
         if min(self.n_clients, self.rounds + 1, self.local_steps + 1, self.k) <= 0:
             raise ValueError("counts must be positive (rounds/local_steps >= 0)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
         if self.sample_fraction * self.n_clients < 1.0:

@@ -1,6 +1,10 @@
 """Grassmann-manifold geometry: points are n-by-k orthonormal bases
 identified up to right rotation; updates use tangent projection followed
-by QR retraction. Tangent projection and the Riemannian step also take
+by QR retraction. The retraction's QR is linalg.batched_qr: CholeskyQR on
+each k x k Gram matrix, with LAPACK Householder for ill-conditioned
+members; either way it is the positive-diagonal thin QR, so the
+retraction is the same map. Every retracted basis is checked for
+orthonormality. Tangent projection and the Riemannian step also take
 (s, n, k) stacks of bases, one per client, and step them all at once."""
 
 from dataclasses import dataclass, field
@@ -16,12 +20,18 @@ ORTHO_TOL = 1e-8
 
 def check_orthonormal(b):
     """Raise ValueError unless every n x k basis in b (one matrix or an
-    (..., n, k) stack) is finite with ||B^T B - I||_F <= ORTHO_TOL."""
-    if not np.all(np.isfinite(b)):
-        raise ValueError("basis has non-finite entries")
-    off = gram(b) - np.eye(b.shape[-1])
-    err = np.max(np.sqrt(np.sum(off * off, axis=(-2, -1))), initial=0.0)
-    if err > ORTHO_TOL:
+    (..., n, k) stack) is finite with ||B^T B - I||_F <= ORTHO_TOL.
+
+    A non-finite basis always fails the norm test, so only a failing b is
+    scanned for non-finite entries."""
+    # A non-finite or huge b fails the test below, without a numpy warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        off = gram(b)
+        np.einsum("...ii->...i", off)[...] -= 1.0
+        err = np.sqrt(np.max(np.sum(off * off, axis=(-2, -1)), initial=0.0))
+    if not err <= ORTHO_TOL:
+        if not np.all(np.isfinite(b)):
+            raise ValueError("basis has non-finite entries")
         raise ValueError(f"basis not orthonormal: ||B^T B - I||_F = {err:.3e}")
 
 

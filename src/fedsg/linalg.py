@@ -1,7 +1,9 @@
 """Dense linear-algebra kernel: Frobenius norm, Gram matrix, a thin QR
-with a positive-diagonal R, and a truncated SVD, both on LAPACK through
-numpy. The Gram matrix, the QR and the SVD also take stacks of matrices,
-so a round's sampled clients factor in one call.
+with a positive-diagonal R, and a truncated SVD on LAPACK through numpy.
+The QR is CholeskyQR on each matrix's k x k Gram matrix (Fukaya et al.,
+2014), with LAPACK Householder kept for members that are ill-conditioned
+or not positive definite. The Gram matrix, the QR and the SVD also take
+stacks of matrices, so a round's sampled clients factor in one call.
 
 Matrices are numpy float64 arrays, column-major semantics (columns are
 samples throughout the package). All tolerances are module constants.
@@ -16,6 +18,10 @@ from .errors import ConvergenceFailure, RankDeficient, ShapeMismatch
 # Relative threshold on R's diagonal below which QR input is treated as
 # rank deficient.
 RANK_TOL = 1e-12
+# Largest ||R||_F^2 ||R^-1||_F^2 (>= cond(M)^2) for which batched_qr keeps
+# a member's CholeskyQR factors; its loss of orthogonality is then about
+# eps * 1e4, far below grassmann.ORTHO_TOL.
+CHOLQR_MAX_COND2 = 1e4
 
 
 def frobenius_norm(m) -> float:
@@ -37,13 +43,50 @@ def gram(m) -> np.ndarray:
 def batched_qr(m):
     """thin_qr of every n x k matrix in an (..., n, k) stack, without
     raising: returns (q, r, deficient), where deficient (shape ...) marks
-    the matrices that thin_qr rejects as rank deficient."""
+    the matrices that thin_qr rejects as rank deficient.
+
+    Each member is factored through its k x k Gram matrix (CholeskyQR:
+    R = chol(M^T M)^T, Q = M R^-1), which has the same positive-diagonal
+    R. CholeskyQR loses orthogonality in proportion to eps * cond(M)^2,
+    so a member whose Cholesky fails or whose ||R||_F^2 ||R^-1||_F^2 (a
+    bound on cond(M)^2) exceeds CHOLQR_MAX_COND2 takes LAPACK Householder
+    instead. The choice is made per member, from that member alone.
+    """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2:
         raise ShapeMismatch("QR expects a matrix or a stack of matrices")
     n, k = a.shape[-2:]
     if n < k:
         raise ShapeMismatch(f"thin QR needs n >= k, got {n}x{k}")
+    failed = np.zeros(a.shape[:-2], dtype=bool)
+    # A non-finite or overflowing member fails the bound and is redone.
+    with np.errstate(invalid="ignore", over="ignore"):
+        g = gram(a)
+        try:
+            lower = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            # numpy fails the whole stack when one member is not positive
+            # definite; factor the members one at a time.
+            lower = np.empty_like(g)
+            for i in np.ndindex(failed.shape):
+                try:
+                    lower[i] = np.linalg.cholesky(g[i])
+                except np.linalg.LinAlgError:
+                    lower[i], failed[i] = np.eye(k), True
+        r = np.swapaxes(lower, -1, -2)
+        r_inv = np.linalg.inv(r)
+        q = a @ r_inv
+        cond2 = (np.einsum("...ii->...", g)
+                 * np.einsum("...ij,...ij->...", r_inv, r_inv))
+    redo = failed | ~(cond2 <= CHOLQR_MAX_COND2)  # NaN fails too
+    deficient = np.zeros(redo.shape, dtype=bool)
+    if redo.any():
+        q[redo], r[redo], deficient[redo] = _householder_qr(a[redo])
+    return q, r, deficient
+
+
+def _householder_qr(a):
+    """batched_qr on LAPACK Householder, with the sign fix and rank test."""
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     norms = np.sqrt(np.sum(r * r, axis=(-2, -1)))  # ||m||_F = ||r||_F
@@ -56,7 +99,8 @@ def batched_qr(m):
 
 
 def thin_qr(m):
-    """Thin QR factorization (LAPACK Householder).
+    """Thin QR factorization (CholeskyQR on the Gram matrix, or LAPACK
+    Householder when m is ill-conditioned; see batched_qr).
 
     Returns (q, r) with m = q @ r, q n-by-k orthonormal, r k-by-k upper
     triangular with strictly positive diagonal. The positive-diagonal

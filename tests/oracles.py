@@ -12,7 +12,8 @@ data.load_dataset's columnar ingest and partition_non_iid replaced;
 csv_write_curve is the csv.writer row loop that detection.write_curve's
 single join replaced; round_robin_errors is the per-client loop that
 z-scored and scored the test set before fedsg eval did both in one
-broadcast call each.
+broadcast call each; householder_qr is the LAPACK QR that
+linalg.batched_qr keeps only for ill-conditioned members.
 per_client_synthetic_shards is data.generate_synthetic's training draw
 with one fresh array per client, which drawing each client into its
 slice of one stack replaced.
@@ -233,6 +234,15 @@ def random_orthonormal(rng, n, k):
     """Orthonormal basis via LAPACK QR (independent of the package QR)."""
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.sign(np.diag(r))
+
+
+def householder_qr(m):
+    """Positive-diagonal thin QR of a matrix or stack from LAPACK
+    Householder alone: the factorization linalg.batched_qr replaced with
+    CholeskyQR for well-conditioned members."""
+    q, r = np.linalg.qr(m)
+    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    return q * signs[..., None, :], r * signs[..., :, None]
 
 
 def shard_layouts(rng, n, d, width):

@@ -75,12 +75,37 @@ def test_train_requires_source(tmp_path):
       for key, value in [("n_test", -1), ("n_test", 0), ("d", 0),
                          ("width", 0), ("n_clients", 0), ("rank", 0),
                          ("rank", -2)]],
+    *[(["--synthetic", SYNTH, "--config", json.dumps({key: value})],
+       f"invalid FedConfig: {key} must be an integer, got {value!r}")
+      for key, value in [("rounds", 2.5), ("local_steps", 1.5), ("k", 2.0),
+                         ("seed", "abc"), ("n_clients", 20.0),
+                         ("rounds", True)]],
+    (["--synthetic", SYNTH, "--config",
+      json.dumps({"align_before_average": "no"})],
+     "invalid FedConfig: align_before_average must be true or false, "
+     "got 'no'"),
+    *[(["--synthetic", json.dumps({key: value})],
+       f"invalid SynthSpec: {key} must be an integer, got {value!r}")
+      for key, value in [("width", 20.5), ("d", 10.0), ("n_test", 100.5),
+                         ("seed", 1.5)]],
+    (["--synthetic", SYNTH, "--seed", "-1"],
+     "invalid FedConfig: seed must be non-negative, got -1"),
+    (["--synthetic", json.dumps({"n_clients": 4, "seed": -2})],
+     "invalid SynthSpec: seed must be non-negative, got -2"),
 ], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
         "unknown_synthetic_key", "data_and_synthetic", "nan_eta", "inf_eta",
         "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise",
         "negative_n_test", "zero_n_test", "zero_d", "zero_width",
-        "zero_n_clients", "zero_rank", "negative_rank"])
+        "zero_n_clients", "zero_rank", "negative_rank", "float_rounds",
+        "float_local_steps", "float_k", "string_seed", "integral_float_clients",
+        "bool_rounds", "string_align", "float_width", "float_d",
+        "float_n_test", "float_synthetic_seed", "negative_seed",
+        "negative_synthetic_seed"])
 def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
+    if "--config" in flags:  # given as JSON text, passed as a file
+        i = flags.index("--config") + 1
+        (tmp_path / "c.json").write_text(flags[i])
+        flags = [*flags[:i], str(tmp_path / "c.json"), *flags[i + 1:]]
     assert main(["train", *flags, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -596,6 +621,9 @@ def test_slice_without_data_is_usage_error(run_dir, capsys, command):
 @pytest.mark.parametrize("argv,message", [
     (["sweep", "--rho-grid", "1:x"], "--rho-grid entry '1:x'"),
     (["sweep", "--rho-grid", "1:2:3"], "--rho-grid entry '1:2:3'"),
+    (["sweep", "--rho-grid", "30:1,5"], "--rho-grid entry '30:1' is a "
+                                        "reversed range: 30 > 1"),
+    (["sweep", "--rho-grid", "30:1"], "--rho-grid entry '30:1'"),
     (["sweep", "--rho-grid", "abc"], "--rho-grid entry 'abc'"),
     (["sweep", "--rho-grid", "95:101"], "rho must be in [0, 100], got 101.0"),
     (["eval", "--rho", "nan"], "rho must be in [0, 100], got nan"),
@@ -603,7 +631,9 @@ def test_slice_without_data_is_usage_error(run_dir, capsys, command):
     (["eval", "--rho", "-5"], "rho must be in [0, 100], got -5.0"),
     (["bench", "--iters", "0"], "--iters must be at least 1, got 0"),
     (["bench", "--iters", "-3"], "--iters must be at least 1, got -3"),
-], ids=["grid_range_not_int", "grid_three_part_range", "grid_not_number",
+], ids=["grid_range_not_int", "grid_three_part_range",
+        "grid_reversed_range_and_number", "grid_reversed_range",
+        "grid_not_number",
         "grid_above_100", "rho_nan", "rho_above_100", "rho_negative",
         "iters_zero", "iters_negative"])
 def test_bad_number_is_usage_error(run_dir, capsys, argv, message):

@@ -69,13 +69,21 @@ def test_fit_threshold_uniform_grid():
 
 
 def test_fit_threshold_matches_sort_oracle():
+    """The nearest-rank element of the sorted errors, bit for bit, also
+    with ties and with NaNs (which sort last)."""
     rng = np.random.default_rng(5)
-    for _ in range(20):
+    for _ in range(60):
         errs = rng.standard_normal(int(rng.integers(1, 50)))
+        kind = rng.integers(3)
+        if kind == 1:
+            errs = np.round(errs, 1)
+        elif kind == 2:
+            errs[rng.random(errs.shape) < 0.3] = np.nan
         rho = float(rng.uniform(0, 100))
         srt = np.sort(errs)
         idx = min(max(int(np.ceil(rho / 100 * len(errs))), 1), len(errs))
-        assert fit_threshold(errs, rho) == srt[idx - 1]
+        assert np.float64(fit_threshold(errs, rho)).tobytes() == \
+            srt[idx - 1].tobytes()
 
 
 def test_fit_threshold_empty():

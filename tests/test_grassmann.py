@@ -18,6 +18,17 @@ def test_construction_rejects_non_orthonormal():
         GrassmannPoint(np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_construction_rejects_non_finite_or_huge_basis(bad):
+    """A clear ValueError and no floating-point warning (pytest makes
+    warnings errors) from the orthonormality check's Gram matrix."""
+    b = np.eye(4)[:, :2].copy()
+    b[1, 0] = bad
+    message = "non-finite" if bad != 1e200 else "not orthonormal"
+    with pytest.raises(ValueError, match=message):
+        GrassmannPoint(b)
+
+
 def test_project_tangent_of_basis_is_zero():
     a = _point(np.random.default_rng(0), 8, 3)
     assert np.allclose(project_tangent(a, a.basis), 0.0, atol=1e-12)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fedsg.errors import ConvergenceFailure, RankDeficient, ShapeMismatch
-from fedsg.linalg import frobenius_norm, thin_qr, truncated_svd
+from fedsg.grassmann import riemannian_step
+from fedsg.linalg import batched_qr, frobenius_norm, thin_qr, truncated_svd
 
-from oracles import svd_tail_energy
+from oracles import householder_qr, random_orthonormal, svd_tail_energy
 
 
 def test_frobenius_identity():
@@ -64,6 +65,74 @@ def test_thin_qr_rank_deficient():
 def test_thin_qr_rejects_wide():
     with pytest.raises(ShapeMismatch):
         thin_qr(np.ones((2, 3)))
+
+
+def _conditioned(rng, n, k, cond):
+    """A random n x k matrix with singular values spread over [1, cond]."""
+    sigma = np.geomspace(1.0, cond, k)
+    return (random_orthonormal(rng, n, k) * sigma) @ random_orthonormal(rng, k, k).T
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_qr_matches_householder_on_well_conditioned_input(k, order):
+    rng = np.random.default_rng(10 + k)
+    for n in (k, k + 1, 34, 80):
+        stack = np.stack([_conditioned(rng, n, k, 3.0) * 10.0 ** e
+                          for e in (-3, 0, 3)])
+        if order == "F":  # column-major members, as the CSV shards are
+            stack = np.swapaxes(np.swapaxes(stack, 1, 2).copy(), 1, 2)
+        q_ref, r_ref = householder_qr(stack)
+        q, r, deficient = batched_qr(stack)
+        assert not deficient.any()
+        assert np.allclose(q, q_ref, rtol=0.0, atol=1e-13)
+        assert np.allclose(r, r_ref, rtol=1e-13, atol=0.0)
+        assert np.all(np.diagonal(r, axis1=1, axis2=2) > 0.0)
+        for m, qm, rm in zip(stack, q_ref, r_ref):
+            q1, r1 = thin_qr(m)
+            assert np.allclose(q1, qm, rtol=0.0, atol=1e-13)
+            assert np.allclose(r1, rm, rtol=1e-13, atol=0.0)
+
+
+def test_qr_members_do_not_depend_on_each_other():
+    """Each member of a stack factors exactly as it does alone, whichever
+    path its neighbours take."""
+    rng = np.random.default_rng(20)
+    good = _conditioned(rng, 34, 3, 2.0)
+    ill = _conditioned(rng, 34, 3, 1e7)
+    rank2 = good.copy()
+    rank2[:, 2] = 2.0 * rank2[:, 0]
+    stack = np.stack([good, ill, rank2, np.zeros((34, 3))])
+    q, r, deficient = batched_qr(stack)
+    assert deficient.tolist() == [False, False, True, True]
+    for i, m in enumerate(stack):
+        q1, r1, d1 = batched_qr(m)
+        assert np.array_equal(q[i], q1) and np.array_equal(r[i], r1)
+        assert d1 == deficient[i]
+    assert frobenius_norm(q[1].T @ q[1] - np.eye(3)) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qr_non_finite_member_takes_householder(bad):
+    """No floating-point warning (pytest makes warnings errors), and the
+    member factors as LAPACK Householder alone factors it."""
+    rng = np.random.default_rng(22)
+    stack = np.stack([_conditioned(rng, 8, 2, 2.0) for _ in range(2)])
+    stack[1, 3, 0] = bad
+    q, r, deficient = batched_qr(stack)
+    q_ref, r_ref = householder_qr(stack[1])
+    assert np.array_equal(q[1], q_ref, equal_nan=True)
+    assert np.array_equal(r[1], r_ref, equal_nan=True)
+    assert np.array_equal(q[0], batched_qr(stack[0])[0])
+
+
+def test_riemannian_step_nan_gradient_member_fails_loudly():
+    rng = np.random.default_rng(21)
+    bases = np.stack([random_orthonormal(rng, 8, 2) for _ in range(3)])
+    grads = rng.standard_normal(bases.shape)
+    grads[1, 4, 0] = np.nan
+    with pytest.raises(ValueError, match="basis has non-finite entries"):
+        riemannian_step(bases, grads, 0.1)
 
 
 def test_truncated_svd_diagonal():
