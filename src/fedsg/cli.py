@@ -17,12 +17,14 @@ that numpy cannot read or that lacks an array, a malformed, non-finite,
 empty or undecodable CSV, an unknown label, --slice class or feature, an
 empty feature list in prep.npz, a test set with one class, a --slice
 without --data, a rho outside [0, 100] or a malformed --rho-grid, a
-corrupt checkpoint, data whose dimensions disagree with it, a non-finite
-training shard, an out-of-range, non-finite or unknown training or
---synthetic value, a --clients or config n_clients that disagrees with
---synthetic, a --config or --synthetic file that is not a JSON object, a
-bench --iters below 1, or a bench --data file that is not an .npz
-archive with a 'test' array).
+corrupt checkpoint (a k = 0 header included), data whose dimensions
+disagree with it, a non-finite training shard, an out-of-range,
+non-finite or unknown training or --synthetic value, a rank above the
+training shards' d or B, more clients than benign training records, a
+--clients or config n_clients that disagrees with --synthetic, a
+--config or --synthetic file that is not a JSON object, an --out that
+cannot be a directory, a bench --iters below 1, or a bench --data file
+that is not an .npz archive with a 'test' array).
 """
 
 import argparse
@@ -69,6 +71,17 @@ def _input_file(path, what):
     """path, if it names a file; else a usage error."""
     if not os.path.isfile(path):
         raise UsageError(f"{what} not found: {path}")
+    return path
+
+
+def _output_dir(path):
+    """path, created with its parents if missing; a path that cannot be
+    a directory (an existing file, or no permission) is a usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use {path} as output directory: "
+                         f"{exc.strerror}") from None
     return path
 
 
@@ -163,7 +176,7 @@ def cmd_train(args):
         raise UsageError("--data and --synthetic are mutually exclusive")
     values = _fed_config_values(args)
     config = _build(FedConfig, values)
-    os.makedirs(args.out, exist_ok=True)
+    _output_dir(args.out)
     manifest = {"command": "train",
                 "out_dir": os.path.abspath(args.out)}
 
@@ -282,8 +295,8 @@ def cmd_eval(args):
     tau = fit_threshold(_train_errors(args), args.rho)
     roc, pr, auc = roc_and_pr(errors, labels)
     report = dataclasses.replace(evaluate(errors, labels, tau), auc=auc)
-    out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(args.out
+                      or os.path.dirname(os.path.abspath(args.checkpoint)))
     write_metrics(report, os.path.join(out, "metrics.json"),
                   os.path.join(out, "metrics.csv"))
     write_curve(*roc, os.path.join(out, "roc.csv"), ["fpr", "tpr"])
@@ -318,8 +331,8 @@ def cmd_sweep(args):
     grid = _parse_grid(args.rho_grid)
     pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     errors, labels = _load_eval_inputs(args, pair)
-    out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(args.out
+                      or os.path.dirname(os.path.abspath(args.checkpoint)))
     train_errors = _train_errors(args)
     rows = []
     for rho in grid:
@@ -366,8 +379,8 @@ def cmd_bench(args):
         "header_bytes": CHECKPOINT_HEADER_BYTES,
         "payload_matches": size == payload + CHECKPOINT_HEADER_BYTES,
     }
-    out = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(args.out
+                      or os.path.dirname(os.path.abspath(args.checkpoint)))
     with open(os.path.join(out, "bench.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

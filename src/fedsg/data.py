@@ -331,7 +331,7 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature):
     out, so shards are pure training material.
 
     Returns (shards as one C-contiguous (n_clients, d, width) stack,
-    n_dropped).
+    n_dropped). More clients than benign records is an EmptyShard.
     """
     try:
         fpos = dataset.features.index(sort_feature)
@@ -339,7 +339,8 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature):
         raise MissingFeature(f"sort feature {sort_feature!r} not in feature list")
     pool = np.flatnonzero(dataset.labels == "normal")
     if n_clients > pool.size:
-        raise ShapeMismatch(f"{n_clients} clients but only {pool.size} records")
+        raise EmptyShard(f"{n_clients} clients but only {pool.size} benign "
+                         f"records")
     pool = pool[np.argsort(dataset.values[fpos, pool], kind="stable")]
     width = pool.size // n_clients
     chunks = pool[:width * n_clients].reshape(n_clients, width)
@@ -361,20 +362,16 @@ def zscore_fit_apply(shards):
     shards is an (n_clients, d, B) stack; returns (z, means, stds) with
     means and stds (n_clients, d). The statistics are summed along
     contiguous rows, which rounds as a per-shard row-major reduction
-    does. Each z[i] is column-major, one contiguous column per sample:
-    the layout CSV-trained models have always been fitted on (BLAS rounds
-    the shard products differently in the other one)."""
+    does."""
     x = np.ascontiguousarray(shards, dtype=float)
     if x.ndim != 3 or x.size == 0:
         raise EmptyShard(f"expected a non-empty (n_clients, d, B) stack of "
                          f"shards, got shape {x.shape}")
-    n_clients, d, width = x.shape
     means = x.mean(axis=2)
     stds = x.std(axis=2)
     degenerate = stds < 1e-12
     stds[degenerate] = 1.0
-    z = np.empty((n_clients, width, d)).transpose(0, 2, 1)
-    np.subtract(x, means[..., None], out=z)
+    z = x - means[..., None]
     z /= stds[..., None]
     z[degenerate] = 0.0
     return z, means, stds

@@ -60,7 +60,8 @@ class MissingFeature(InputError):
 
 
 class EmptyShard(InputError):
-    """A stack of client shards is empty or not (n_clients, d, B)."""
+    """A stack of client shards is empty or not (n_clients, d, B), or
+    the records are too few to give every client a shard."""
 
 
 class NonFiniteShard(InputError):
@@ -68,4 +69,5 @@ class NonFiniteShard(InputError):
 
 
 class DimensionMismatch(InputError):
-    """Checkpoint and data dimensions disagree."""
+    """Checkpoint and data dimensions disagree, or a training config asks
+    for more than the training shards hold (a rank above min(d, B))."""

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonFiniteShard, ParseError, RankDeficient,
-                     ShapeMismatch, check_integers)
+from .errors import (DimensionMismatch, NonFiniteShard, ParseError,
+                     RankDeficient, ShapeMismatch, check_integers)
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .linalg import truncated_svd
 from .objective import (FactorPair, captured_energy, grad_u, grad_v,
@@ -152,6 +152,9 @@ def run_fedsg(config: FedConfig, shards):
     clamped at 0. At the orthonormal global pair that is objective.loss
     up to rounding of about 1e-15 of the total energy, which near a
     perfect fit could otherwise fall below 0.
+
+    Raises DimensionMismatch if config.k exceeds min(d, B), and
+    NonFiniteShard for a shard with a NaN or infinite value.
     """
     shards = shard_stack(shards)
     if shards.ndim != 3 or len(shards) != config.n_clients:
@@ -165,6 +168,10 @@ def run_fedsg(config: FedConfig, shards):
         raise NonFiniteShard(f"shard {bad} has non-finite values")
 
     _, d, width = shards.shape
+    if config.k > min(d, width):
+        raise DimensionMismatch(f"rank k={config.k} exceeds min(d, B) = "
+                                f"{min(d, width)} of the {d} x {width} "
+                                f"training shards")
     energy = sum(float(np.vdot(s, s)) for s in shards)
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
@@ -174,23 +181,16 @@ def run_fedsg(config: FedConfig, shards):
     traces = []
 
     # Each round copies its sampled shards into one buffer, allocated
-    # once, and keeps each member's memory order (BLAS rounds the
-    # products of row- and column-major shards differently): the copy
-    # runs on the view whose members are row-major. With mode="clip"
-    # np.take writes straight into the buffer. A round that samples
-    # every client reads the stack itself.
-    batch = shards
-    if n_sample < config.n_clients:
-        swap = shards.strides[1] < shards.strides[2]
-        source = np.swapaxes(shards, 1, 2) if swap else shards
-        buffer = np.empty((n_sample,) + source.shape[1:])
-        batch = np.swapaxes(buffer, 1, 2) if swap else buffer
+    # once; with mode="clip" np.take writes straight into it. A round
+    # that samples every client reads the stack itself.
+    batch = (shards if n_sample == config.n_clients
+             else np.empty((n_sample, d, width)))
 
     for rnd in range(config.rounds):
         t0 = time.perf_counter()
         sampled = np.sort(rng.choice(config.n_clients, size=n_sample, replace=False))
         if batch is not shards:
-            np.take(source, sampled, axis=0, out=buffer, mode="clip")
+            np.take(shards, sampled, axis=0, out=batch, mode="clip")
         u, v, skipped = local_update(
             batch,
             np.broadcast_to(pair.u.basis, (n_sample, d, config.k)),

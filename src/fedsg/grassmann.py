@@ -47,8 +47,9 @@ class GrassmannPoint:
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] < b.shape[1]:
-            raise ShapeMismatch(f"basis must be n x k with n >= k, got {b.shape}")
+        if b.ndim != 2 or not b.shape[0] >= b.shape[1] >= 1:
+            raise ShapeMismatch(f"basis must be n x k with n >= k >= 1, "
+                                f"got {b.shape}")
         check_orthonormal(b)
         b = b.copy()
         b.setflags(write=False)

@@ -47,10 +47,9 @@ def _basis(a):
 
 
 def shard_stack(shards) -> np.ndarray:
-    """The shards as one float (n, d, B) stack: an array as it is, with
-    each member's memory order kept, and a list stacked once. Members of
-    a list whose shape differs from shard 0's are a ShapeMismatch that
-    names the first such shard."""
+    """The shards as one float (n, d, B) stack: an array as it is, and a
+    list stacked once. Members of a list whose shape differs from shard
+    0's are a ShapeMismatch that names the first such shard."""
     if isinstance(shards, np.ndarray):
         return np.asarray(shards, dtype=float)
     shards = [np.asarray(x, dtype=float) for x in shards]

@@ -247,9 +247,9 @@ def householder_qr(m):
 
 def shard_layouts(rng, n, d, width):
     """The same random shards as a C-order (n, d, width) stack (the
-    synthetic path) and as a stack of column-major members (the CSV path,
-    zscore_fit_apply's layout). From about 34 x 80, BLAS rounds the
-    products of the two layouts differently."""
+    layout the program trains on) and as a stack of column-major members
+    (one a caller may pass). From about 34 x 80, BLAS rounds the products
+    of the two layouts differently."""
     rows = rng.standard_normal((n, d, width))
     cols = np.empty((n, width, d)).transpose(0, 2, 1)
     cols[...] = rows

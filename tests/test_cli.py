@@ -92,6 +92,9 @@ def test_train_requires_source(tmp_path):
      "invalid FedConfig: seed must be non-negative, got -1"),
     (["--synthetic", json.dumps({"n_clients": 4, "seed": -2})],
      "invalid SynthSpec: seed must be non-negative, got -2"),
+    (["--synthetic", "default", "--rank", "40"],
+     "DimensionMismatch: rank k=40 exceeds min(d, B) = 34 of the 34 x 80 "
+     "training shards"),
 ], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
         "unknown_synthetic_key", "data_and_synthetic", "nan_eta", "inf_eta",
         "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise",
@@ -100,7 +103,7 @@ def test_train_requires_source(tmp_path):
         "float_local_steps", "float_k", "string_seed", "integral_float_clients",
         "bool_rounds", "string_align", "float_width", "float_d",
         "float_n_test", "float_synthetic_seed", "negative_seed",
-        "negative_synthetic_seed"])
+        "negative_synthetic_seed", "rank_above_d"])
 def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
     if "--config" in flags:  # given as JSON text, passed as a file
         i = flags.index("--config") + 1
@@ -301,7 +304,9 @@ def test_train_zero_rounds(tmp_path, capsys):
     lambda b: b[:-8],                                 # payload cut short
     lambda b: b + b"\0" * 8,                          # trailing junk
     lambda b: b[:24] + struct.pack("<d", 2.0) + b[32:],  # not orthonormal
-], ids=["magic", "short-header", "short-payload", "trailing", "payload"])
+    lambda b: b[:16] + struct.pack("<2I", 0, 8),      # k=0, empty payload
+], ids=["magic", "short-header", "short-payload", "trailing", "payload",
+        "k0"])
 def test_eval_rejects_corrupt_checkpoint(run_dir, capsys, corrupt):
     ckpt = run_dir / "checkpoint.bin"
     ckpt.write_bytes(corrupt(ckpt.read_bytes()))
@@ -331,6 +336,37 @@ def csv_run(tmp_path):
     assert main(["train", "--data", str(train), "--out", str(out),
                  *CSV_TRAIN_ARGS]) == 0
     return out
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--rank", "11"], "DimensionMismatch: rank k=11 exceeds min(d, B) = 10 "
+                       "of the 34 x 10 training shards"),
+    (["--clients", "41"], "EmptyShard: 41 clients but only 40 benign "
+                          "records"),
+], ids=["rank_above_width", "clients_above_records"])
+def test_train_csv_config_beyond_the_data_is_input_error(csv_run, tmp_path,
+                                                         capsys, flags,
+                                                         message):
+    """csv_run's 40 benign records give 4 shards of 10 at --clients 4."""
+    capsys.readouterr()
+    argv = ["train", "--data", str(tmp_path / "train.csv"),
+            "--out", str(tmp_path / "o"), *CSV_TRAIN_ARGS, *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "bench"])
+def test_out_naming_a_file_is_usage_error(run_dir, tmp_path, capsys,
+                                          command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    args = (TRAIN_ARGS if command == "train"
+            else ["--checkpoint", str(run_dir / "checkpoint.bin")])
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot use {taken} as output directory: ")
+    assert taken.read_text() == ""
 
 
 def test_train_unknown_label_is_input_error(tmp_path, capsys):

@@ -399,21 +399,13 @@ def test_zscore_normalizes_training_rows(toy_csv):
     assert np.all(np.abs(stds - 1.0) <= 1e-9)
 
 
-def test_zscore_output_is_column_major(toy_csv):
-    data = load_dataset(toy_csv)
-    shards, _ = partition_non_iid(data, 2, "dst_bytes")
-    z, mean, std = zscore_fit_apply(shards[:1])
-    assert z[0].flags["F_CONTIGUOUS"]
-    x = shards[0]
-    assert np.array_equal(z[0], (x - mean[0][:, None]) / std[0][:, None])
-
-
 def test_zscore_stack_matches_per_shard_statistics(toy_csv):
     """The stacked statistics round as one row-major reduction per shard
-    does, and every z-scored member is column-major."""
+    does, and the z-scored stack is C-order, as the training stacks are."""
     shards, _ = partition_non_iid(load_dataset(toy_csv), 3, "dst_bytes")
     assert shards.shape == (3, 34, 10) and shards.flags["C_CONTIGUOUS"]
     z, means, stds = zscore_fit_apply(shards)
+    assert z.flags["C_CONTIGUOUS"]
     for i, x in enumerate(shards):
         x = np.array(x)  # a row-major copy of shard i alone
         mean, std = x.mean(axis=1), x.std(axis=1)
@@ -423,7 +415,7 @@ def test_zscore_stack_matches_per_shard_statistics(toy_csv):
         want[flat] = 0.0
         assert np.array_equal(means[i], mean)
         assert np.array_equal(stds[i], std)
-        assert np.array_equal(z[i], want) and z[i].flags["F_CONTIGUOUS"]
+        assert np.array_equal(z[i], want)
 
 
 @pytest.mark.parametrize("shape", [(0, 34, 10), (3, 34, 0), (34, 10)],

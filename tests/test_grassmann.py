@@ -18,6 +18,15 @@ def test_construction_rejects_non_orthonormal():
         GrassmannPoint(np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("shape", [(4, 0), (0, 0), (2, 3), (4,)],
+                         ids=["k0", "empty", "n_below_k", "vector"])
+def test_construction_rejects_shapes_outside_n_ge_k_ge_1(shape):
+    """An n x 0 basis is orthonormal by an empty Gram test, but spans
+    nothing: a model that scores every record by its full norm."""
+    with pytest.raises(ShapeMismatch, match="n >= k >= 1"):
+        GrassmannPoint(np.zeros(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_construction_rejects_non_finite_or_huge_basis(bad):
     """A clear ValueError and no floating-point warning (pytest makes

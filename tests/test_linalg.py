@@ -80,7 +80,7 @@ def test_qr_matches_householder_on_well_conditioned_input(k, order):
     for n in (k, k + 1, 34, 80):
         stack = np.stack([_conditioned(rng, n, k, 3.0) * 10.0 ** e
                           for e in (-3, 0, 3)])
-        if order == "F":  # column-major members, as the CSV shards are
+        if order == "F":  # column-major members
             stack = np.swapaxes(np.swapaxes(stack, 1, 2).copy(), 1, 2)
         q_ref, r_ref = householder_qr(stack)
         q, r, deficient = batched_qr(stack)
