@@ -192,8 +192,8 @@ def cmd_train(args):
         shards, test, labels, _ = generate_synthetic(spec)
         manifest["dataset"] = {"kind": "synthetic",
                                "spec": dataclasses.asdict(spec)}
-        np.savez(os.path.join(args.out, "synth_test.npz"),
-                 test=test, labels=labels)
+        inputs_file, inputs = "synth_test.npz", {"test": test,
+                                                 "labels": labels}
     elif args.data:
         _input_file(args.data, "data path")
         features = list(DEFAULT_FEATURES)
@@ -215,18 +215,21 @@ def cmd_train(args):
                                "dropped_records": dropped,
                                "sort_feature": args.sort_feature}
         manifest["feature_list_sha256"] = _sha256_text("\n".join(features))
-        np.savez(os.path.join(args.out, "prep.npz"),
-                 means=means, stds=stds, features=np.array(features))
+        inputs_file, inputs = "prep.npz", {"means": means, "stds": stds,
+                                           "features": np.array(features)}
     else:
         raise UsageError("either --data or --synthetic is required")
 
     manifest["config"] = dataclasses.asdict(config)
     pair, traces = run_fedsg(config, shards)
+    train_errors = np.concatenate([score_matrix(pair.u, s) for s in shards])
+
+    # Nothing is written before training succeeds, so a train that fails
+    # leaves an earlier run in --out as it was.
+    np.savez(os.path.join(args.out, inputs_file), **inputs)
     save_checkpoint(pair, config.rounds,
                     os.path.join(args.out, "checkpoint.bin"))
     write_trace_csv(traces, os.path.join(args.out, "trace.csv"))
-
-    train_errors = np.concatenate([score_matrix(pair.u, s) for s in shards])
     np.save(os.path.join(args.out, "train_errors.npy"), train_errors)
     _write_manifest(args.out, manifest)
     final = f"; final loss {traces[-1].global_loss:.6g}" if traces else ""

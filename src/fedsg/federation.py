@@ -207,7 +207,7 @@ def run_fedsg(config: FedConfig, shards):
             round=rnd,
             global_loss=max(energy - captured_energy(pair.u, pair.v, shards),
                             0.0),
-            sampled=tuple(int(c) for c in sampled),
+            sampled=tuple(sampled.tolist()),
             skipped_steps=int(skipped.sum()),
             aborted=aborted,
             elapsed_ms=(time.perf_counter() - t0) * 1e3,

@@ -27,12 +27,16 @@ def check_orthonormal(b):
     # A non-finite or huge b fails the test below, without a numpy warning.
     with np.errstate(invalid="ignore", over="ignore"):
         off = gram(b)
-        np.einsum("...ii->...i", off)[...] -= 1.0
-        err = np.sqrt(np.max(np.sum(off * off, axis=(-2, -1)), initial=0.0))
-    if not err <= ORTHO_TOL:
+        k = off.shape[-1]
+        # One row of the k*k entries of B^T B - I per basis.
+        off = off.reshape(-1, k * k)
+        off[:, ::k + 1] -= 1.0
+        worst = np.square(off, out=off).sum(axis=1).max(initial=0.0)
+    if not worst <= ORTHO_TOL * ORTHO_TOL:
         if not np.all(np.isfinite(b)):
             raise ValueError("basis has non-finite entries")
-        raise ValueError(f"basis not orthonormal: ||B^T B - I||_F = {err:.3e}")
+        raise ValueError(f"basis not orthonormal: ||B^T B - I||_F = "
+                         f"{np.sqrt(worst):.3e}")
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,20 @@ class GrassmannPoint:
         return self.basis.shape[1]
 
 
-def project_tangent(a, g) -> np.ndarray:
-    """Project g onto the tangent space at a: (I - A A^T) g. a is a
-    GrassmannPoint or an (s, n, k) stack of bases, g has its shape."""
+def _basis_and_gradient(a, g):
+    """a's basis (a GrassmannPoint or an (s, n, k) stack) and g, both as
+    float arrays; g must have the basis's shape."""
     b = a.basis if isinstance(a, GrassmannPoint) else np.asarray(a, dtype=float)
     g = np.asarray(g, dtype=float)
     if g.shape != b.shape:
         raise ShapeMismatch(f"gradient shape {g.shape} != basis shape {b.shape}")
+    return b, g
+
+
+def project_tangent(a, g) -> np.ndarray:
+    """Project g onto the tangent space at a: (I - A A^T) g. a is a
+    GrassmannPoint or an (s, n, k) stack of bases, g has its shape."""
+    b, g = _basis_and_gradient(a, g)
     return g - b @ (np.swapaxes(b, -1, -2) @ g)
 
 
@@ -85,6 +96,16 @@ def retract(m) -> GrassmannPoint:
     return GrassmannPoint(q)
 
 
+def _tangent_step(bases, g, eta):
+    """A - eta (I - A A^T) G, the matrix that riemannian_step retracts,
+    as A (A^T (eta G)) + A - eta G."""
+    step = eta * g
+    m = bases @ (bases.swapaxes(-1, -2) @ step)
+    m += bases
+    m -= step
+    return m
+
+
 def riemannian_step(a, euclidean_grad, eta: float):
     """One gradient step along the manifold: retract(A - eta * tangent).
 
@@ -92,14 +113,18 @@ def riemannian_step(a, euclidean_grad, eta: float):
     A point steps to a point, and a rank-deficient retraction raises
     RankDeficient. A stack steps to (bases, full_rank): each member is
     retracted on its own, and a member whose retraction is rank
-    deficient keeps its basis from a and has full_rank False.
+    deficient keeps its basis from a and has full_rank False. Both take
+    the same products, so a stack's members step to the same bits as
+    the points they hold.
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
+    bases, g = _basis_and_gradient(a, euclidean_grad)
     if isinstance(a, GrassmannPoint):
-        return retract(a.basis - eta * project_tangent(a, euclidean_grad))
-    bases = np.asarray(a, dtype=float)
-    q, _, deficient = batched_qr(bases - eta * project_tangent(bases, euclidean_grad))
+        return retract(_tangent_step(bases, g, eta))
+    # The stepped stack is a temporary, freed when the QR returns, so it
+    # is not live through check_orthonormal.
+    q, _, deficient = batched_qr(_tangent_step(bases, g, eta))
     if deficient.any():
         q = np.where(deficient[:, None, None], bases, q)
     check_orthonormal(q)

@@ -37,7 +37,7 @@ def gram(m) -> np.ndarray:
     the copy and a gemm on (20, 600, 3) stacks (numpy 2.4, OpenBLAS, one
     thread)."""
     a = np.asarray(m, dtype=float)
-    return np.swapaxes(a, -1, -2) @ a.copy()
+    return a.swapaxes(-1, -2) @ a.copy()
 
 
 def batched_qr(m):
@@ -58,30 +58,32 @@ def batched_qr(m):
     n, k = a.shape[-2:]
     if n < k:
         raise ShapeMismatch(f"thin QR needs n >= k, got {n}x{k}")
-    failed = np.zeros(a.shape[:-2], dtype=bool)
     # A non-finite or overflowing member fails the bound and is redone.
     with np.errstate(invalid="ignore", over="ignore"):
         g = gram(a)
         try:
-            lower = np.linalg.cholesky(g)
+            lower, failed = np.linalg.cholesky(g), False
         except np.linalg.LinAlgError:
             # numpy fails the whole stack when one member is not positive
             # definite; factor the members one at a time.
             lower = np.empty_like(g)
+            failed = np.zeros(g.shape[:-2], dtype=bool)
             for i in np.ndindex(failed.shape):
                 try:
                     lower[i] = np.linalg.cholesky(g[i])
                 except np.linalg.LinAlgError:
                     lower[i], failed[i] = np.eye(k), True
-        r = np.swapaxes(lower, -1, -2)
+        r = lower.swapaxes(-1, -2)
         r_inv = np.linalg.inv(r)
         q = a @ r_inv
-        cond2 = (np.einsum("...ii->...", g)
-                 * np.einsum("...ij,...ij->...", r_inv, r_inv))
+        # ||R||_F^2 is the trace of M^T M.
+        cond2 = (g.trace(axis1=-2, axis2=-1)
+                 * np.square(r_inv).sum(axis=(-2, -1)))
     redo = failed | ~(cond2 <= CHOLQR_MAX_COND2)  # NaN fails too
-    deficient = np.zeros(redo.shape, dtype=bool)
-    if redo.any():
-        q[redo], r[redo], deficient[redo] = _householder_qr(a[redo])
+    if not redo.any():
+        return q, r, redo  # all False: no member is rank deficient
+    deficient = np.zeros_like(redo)
+    q[redo], r[redo], deficient[redo] = _householder_qr(a[redo])
     return q, r, deficient
 
 

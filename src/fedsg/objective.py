@@ -130,18 +130,24 @@ def _gradient(a, b, products):
     from the products P_i = Y_i B. With C = A^T P, G_a = A^T A and
     G_b = B^T B it is
         -2 (P (2 C^T - G_b C^T G_a) - A (C G_b C^T)),
-    exact at any A, B. Past C and the Gram matrices, only P and A are
-    multiplied at full height, each by one k x k core, so it costs
-    O(n m k) per shard and never forms an n x m matrix. At orthonormal
-    A, B it is already tangent at A: -2 (I - A A^T) Y B C^T (Edelman,
-    Arias & Smith 1998).
+    exact at any A, B. It is formed from W = C G_b: G_b is symmetric, so
+    G_b C^T = W^T, and the gradient is P K1 + A K2 with the k x k cores
+    K1 = 2 W^T G_a - 4 C^T and K2 = 2 W C^T. The factor 2 is taken into
+    W and the 4 into C^T, so no full-height array is scaled. Past C and
+    the Gram matrices, only P and A are multiplied at full height, each
+    by one core, so it costs O(n m k) per shard and never forms an n x m
+    matrix. At orthonormal A, B it is already tangent at A:
+    -2 (I - A A^T) Y B C^T (Edelman, Arias & Smith 1998).
     """
-    at = np.swapaxes(a, -1, -2)
-    core = at @ products
-    ct = np.swapaxes(core, -1, -2)
-    g_b = gram(b)
-    return -2.0 * (products @ (2.0 * ct - g_b @ ct @ gram(a))
-                   - a @ (core @ g_b @ ct))
+    c = a.swapaxes(-1, -2) @ products
+    ct = c.swapaxes(-1, -2)
+    w = c @ gram(b)
+    w *= 2.0
+    k1 = w.swapaxes(-1, -2) @ gram(a)
+    k1 -= 4.0 * ct
+    g = products @ k1
+    g += a @ (w @ ct)
+    return g
 
 
 def grad_u(u, v, shards) -> np.ndarray:

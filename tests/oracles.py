@@ -11,9 +11,9 @@ per-row, per-cell float() CSV parser and the per-record sort that
 data.load_dataset's columnar ingest and partition_non_iid replaced;
 csv_write_curve is the csv.writer row loop that detection.write_curve's
 single join replaced; round_robin_errors is the per-client loop that
-z-scored and scored the test set before fedsg eval did both in one
-broadcast call each; householder_qr is the LAPACK QR that
-linalg.batched_qr keeps only for ill-conditioned members.
+z-scored the test set before fedsg eval did it in one broadcast call;
+householder_qr is the LAPACK QR that linalg.batched_qr keeps only for
+ill-conditioned members.
 per_client_synthetic_shards is data.generate_synthetic's training draw
 with one fresh array per client, which drawing each client into its
 slice of one stack replaced.
@@ -216,18 +216,18 @@ def csv_write_curve(points, path, header):
 
 def round_robin_errors(u, means, stds, values):
     """Residual norms of the d x m test records, record i z-scored with
-    client i % n_clients's statistics: one apply_zscore and one
-    score_matrix call per client on the columns assigned to it."""
+    client i % n_clients's statistics: one apply_zscore call per client
+    on the columns assigned to it, into one d x m matrix that one
+    score_matrix call scores, as eval does."""
     n_clients = means.shape[0]
-    errors = np.empty(values.shape[1])
+    z = np.empty(values.shape)
     assign = np.arange(values.shape[1]) % n_clients
     for cid in range(n_clients):
         cols = np.where(assign == cid)[0]
         if cols.size == 0:
             continue
-        z = apply_zscore(means[cid], stds[cid], values[:, cols])
-        errors[cols] = score_matrix(u, z)
-    return errors
+        z[:, cols] = apply_zscore(means[cid], stds[cid], values[:, cols])
+    return score_matrix(u, z)
 
 
 def random_orthonormal(rng, n, k):

@@ -115,6 +115,31 @@ def test_riemannian_step_feasibility():
         assert frobenius_norm(out.basis.T @ out.basis - np.eye(3)) <= 1e-8
 
 
+@pytest.mark.parametrize("eta", [1e-3, 0.05])
+@pytest.mark.parametrize("n", [34, 80, 600])
+def test_riemannian_step_stack_members_match_point_steps(n, eta):
+    """The stacked and the point step take the same products, so every
+    member of a stacked step has the bits of the point step on it."""
+    rng = np.random.default_rng(n)
+    bases = np.stack([random_orthonormal(rng, n, 3) for _ in range(4)])
+    grads = rng.standard_normal(bases.shape) * 10.0
+    q, full_rank = riemannian_step(bases, grads, eta)
+    assert full_rank.all()
+    for b, g, qm in zip(bases, grads, q):
+        assert np.array_equal(riemannian_step(GrassmannPoint(b), g, eta).basis,
+                              qm)
+
+
+def test_riemannian_step_shape_mismatch():
+    rng = np.random.default_rng(11)
+    a = _point(rng, 8, 3)
+    with pytest.raises(ShapeMismatch, match="gradient shape"):
+        riemannian_step(a, np.ones((8, 2)), 0.01)
+    with pytest.raises(ShapeMismatch, match="gradient shape"):
+        riemannian_step(np.stack([a.basis, a.basis]), np.ones((2, 8, 2)),
+                        0.01)
+
+
 def test_descent_for_small_steps():
     # unit-normalized data, eta <= 1e-4: one step never increases the loss
     rng = np.random.default_rng(10)
