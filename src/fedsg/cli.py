@@ -15,16 +15,16 @@ Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
 --data and --synthetic, a synth_test.npz, prep.npz or train_errors.npy
 that numpy cannot read or that lacks an array, a malformed, non-finite,
 empty or undecodable CSV, an unknown label, --slice class or feature, an
-empty feature list in prep.npz, a test set with one class, a --slice
-without --data, a rho outside [0, 100] or a malformed --rho-grid, a
-corrupt checkpoint (a k = 0 header included), data whose dimensions
-disagree with it, a non-finite training shard, an out-of-range,
-non-finite or unknown training or --synthetic value, a rank above the
-training shards' d or B, more clients than benign training records, a
---clients or config n_clients that disagrees with --synthetic, a
---config or --synthetic file that is not a JSON object, an --out that
-cannot be a directory, a bench --iters below 1, or a bench --data file
-that is not an .npz archive with a 'test' array).
+empty feature list in prep.npz, a test set with one class, a --slice or
+a train --features or --sort-feature without --data, a rho outside
+[0, 100] or a malformed --rho-grid, a corrupt checkpoint (a k = 0 header
+included), data whose dimensions disagree with it, a non-finite training
+shard, an out-of-range, non-finite or unknown training or --synthetic
+value, a rank above the training shards' d or B, more clients than
+benign training records, a --clients or config n_clients that disagrees
+with --synthetic, a --config or --synthetic file that is not a JSON
+object, an --out that cannot be a directory, a bench --iters below 1, or
+a bench --data file that is not an .npz archive with a 'test' array).
 """
 
 import argparse
@@ -49,6 +49,11 @@ from .detection import (evaluate, fit_threshold, roc_and_pr, score,
 from .errors import DimensionMismatch, FedsgError, InputError
 from .federation import (CHECKPOINT_HEADER_BYTES, FedConfig, load_checkpoint,
                          run_fedsg, save_checkpoint, write_trace_csv)
+
+
+# The feature a CSV train partitions its benign records by when
+# --sort-feature is not given.
+DEFAULT_SORT_FEATURE = "dst_bytes"
 
 
 class UsageError(Exception):
@@ -174,6 +179,12 @@ def _write_manifest(out_dir, payload):
 def cmd_train(args):
     if args.synthetic and args.data:
         raise UsageError("--data and --synthetic are mutually exclusive")
+    if not args.data:
+        for flag, val in (("--features", args.features),
+                          ("--sort-feature", args.sort_feature)):
+            if val is not None:
+                raise UsageError(f"{flag} needs --data: synthetic records "
+                                 f"have no named features")
     values = _fed_config_values(args)
     config = _build(FedConfig, values)
     _output_dir(args.out)
@@ -196,15 +207,17 @@ def cmd_train(args):
                                                  "labels": labels}
     elif args.data:
         _input_file(args.data, "data path")
+        sort_feature = (DEFAULT_SORT_FEATURE if args.sort_feature is None
+                        else args.sort_feature)
         features = list(DEFAULT_FEATURES)
-        if args.features:
+        if args.features is not None:
             features = read_feature_list(_input_file(args.features,
                                                      "feature list"))
         # The parsed records are freed once partitioned, and the raw
         # stack once z-scored, before training allocates.
         shards, dropped = partition_non_iid(
             load_dataset(args.data, feature_list=features),
-            config.n_clients, args.sort_feature)
+            config.n_clients, sort_feature)
         shards, means, stds = zscore_fit_apply(shards)
         if dropped:
             print(f"note: dropped {dropped} remainder records in partition",
@@ -213,7 +226,7 @@ def cmd_train(args):
                                "path": os.path.abspath(args.data),
                                "sha256": _sha256_file(args.data),
                                "dropped_records": dropped,
-                               "sort_feature": args.sort_feature}
+                               "sort_feature": sort_feature}
         manifest["feature_list_sha256"] = _sha256_text("\n".join(features))
         inputs_file, inputs = "prep.npz", {"means": means, "stds": stds,
                                            "features": np.array(features)}
@@ -404,7 +417,9 @@ def build_parser():
                     help="'default', JSON file, or inline JSON generator spec")
     tr.add_argument("--out", required=True, help="output directory")
     tr.add_argument("--features", help="plain-text feature list file")
-    tr.add_argument("--sort-feature", default="dst_bytes")
+    tr.add_argument("--sort-feature",
+                    help=f"feature the CSV partition sorts the benign "
+                         f"records by (default {DEFAULT_SORT_FEATURE})")
     tr.add_argument("--seed", type=int)
     tr.add_argument("--clients", type=int)
     tr.add_argument("--rounds", type=int)

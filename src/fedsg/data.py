@@ -430,6 +430,10 @@ class SynthSpec:
             raise ValueError("rank must be <= min(d, width)")
         if not 0.0 <= self.anomaly_fraction < 1.0:
             raise ValueError("anomaly_fraction must be in [0, 1)")
+        if self.anomaly_fraction > 0.0 and self.rank == self.d:
+            raise ValueError("anomaly_fraction must be 0 when rank == d: "
+                             "anomalies are shifted off the rank-r "
+                             "subspace, and rank == d leaves no direction")
         if not np.isfinite([self.noise, self.anomaly_offset]).all():
             raise ValueError("noise and anomaly_offset must be finite")
 
@@ -471,8 +475,7 @@ def generate_synthetic(spec: SynthSpec):
     if n_anom:
         which = rng.choice(spec.n_test, size=n_anom, replace=False)
         labels[which] = True
-        if d > r:
-            dirs = u_perp @ rng.standard_normal((d - r, n_anom))
-            dirs /= np.linalg.norm(dirs, axis=0)
-            test[:, which] += spec.anomaly_offset * dirs
+        dirs = u_perp @ rng.standard_normal((d - r, n_anom))
+        dirs /= np.linalg.norm(dirs, axis=0)
+        test[:, which] += spec.anomaly_offset * dirs
     return shards, test, labels, u_true

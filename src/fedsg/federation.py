@@ -7,11 +7,14 @@ The shards are one (n_clients, d, B) stack. A round runs as one
 batched engine: it copies its sampled clients' shards into one (s, d, B)
 buffer, allocated once per run, and stacks their bases as (s, d, k) and
 (s, B, k) arrays. The shard products X V and X^T U are one batched
-product each (objective.grad_u / grad_v), and the QR retractions,
-Procrustes alignments and the mean act on the whole stack. The per-round
-global loss over all shards is their energy, summed once per run, minus
-objective.captured_energy at the new global pair, so a round does
-O(k(d+B)) work per shard and forms no d x B residual.
+product each (objective.grad_u / grad_v). Every basis the gradients see
+is orthonormal (the local steps start from the global pair, and
+riemannian_step checks each retracted stack), so they take their closed
+form there. The QR retractions, Procrustes alignments and the mean act
+on the whole stack. The per-round global loss over all shards is their
+energy, summed once per run, minus objective.captured_energy at the new
+global pair, so a round does O(k(d+B)) work per shard and forms no
+d x B residual.
 
 Message sizes follow the wire contract: each sampled client exchanges
 k*(d+B) float64 values per direction per round.
@@ -82,10 +85,10 @@ def local_update(shards, u0, v0, c: int, eta: float):
     manifold with V fixed, then V with the new U fixed.
 
     shards is the (s, d, B) stack of the s clients' shards; u0 (s, d, k)
-    and v0 (s, B, k) stack their starting bases. Returns (u, v, skipped):
-    the stacked bases after the steps and, per client, the number of
-    sub-steps skipped because the retraction was rank deficient (that
-    client keeps its previous iterate for the sub-step).
+    and v0 (s, B, k) stack their orthonormal starting bases. Returns
+    (u, v, skipped): the stacked bases after the steps and, per client,
+    the number of sub-steps skipped because the retraction was rank
+    deficient (that client keeps its previous iterate for the sub-step).
     """
     u, v = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
     if u.ndim != 3 or v.ndim != 3:

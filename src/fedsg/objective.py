@@ -11,14 +11,16 @@ the reconstruction, so the loss is also sum_i ||X_i||_F^2 minus
 captured_energy, sum_i ||U^T X_i V||_F^2, which needs only the products
 X_i V; the federated engine records its per-round loss that way.
 
-Gradients are derived from this loss and hold for arbitrary (also
-non-orthonormal) U, V, so they agree with finite differences of loss in
-every direction. They are computed from the k-column shard products
-X_i V and X_i^T U and k x k cores. The shards are one (n, d, B) stack (a
-list is stacked), so the products of every shard are one batched
-np.matmul. The gradients also take stacks of bases, one member per
-shard, so the federated engine gets every sampled client's gradient in
-one call.
+Gradients are defined at orthonormal U, V, the only points the
+federated engine evaluates them at (riemannian_step requires them too).
+There the Euclidean gradient is already tangent and has a closed form
+in the k-column shard products X_i V and X_i^T U and the k x k cores,
+so it forms no Gram matrix; at such points it agrees with finite
+differences of loss in every direction. The shards are one (n, d, B)
+stack (a list is stacked), so the products of every shard are one
+batched np.matmul. The gradients also take stacks of bases, one member
+per shard, so the federated engine gets every sampled client's gradient
+in one call.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,6 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .grassmann import GrassmannPoint
-from .linalg import gram
 
 
 @dataclass(frozen=True)
@@ -125,46 +126,40 @@ def _shard_products(ub, vb, shards, transpose):
     return np.matmul(x, vb)
 
 
-def _gradient(a, b, products):
+def _gradient(a, products):
     """Gradient with respect to A of sum_i ||Y_i - A A^T Y_i B B^T||_F^2
-    from the products P_i = Y_i B. With C = A^T P, G_a = A^T A and
-    G_b = B^T B it is
-        -2 (P (2 C^T - G_b C^T G_a) - A (C G_b C^T)),
-    exact at any A, B. It is formed from W = C G_b: G_b is symmetric, so
-    G_b C^T = W^T, and the gradient is P K1 + A K2 with the k x k cores
-    K1 = 2 W^T G_a - 4 C^T and K2 = 2 W C^T. The factor 2 is taken into
-    W and the 4 into C^T, so no full-height array is scaled. Past C and
-    the Gram matrices, only P and A are multiplied at full height, each
-    by one core, so it costs O(n m k) per shard and never forms an n x m
-    matrix. At orthonormal A, B it is already tangent at A:
-    -2 (I - A A^T) Y B C^T (Edelman, Arias & Smith 1998).
+    at orthonormal A and B, from the products P_i = Y_i B. With the core
+    C = A^T P it is
+        2 (A C - P) C^T = -2 (I - A A^T) Y B C^T,
+    already tangent at A (Edelman, Arias & Smith 1998). Past C, only A
+    and the residual A C - P are multiplied at full height, each by one
+    k x k matrix, so it costs O(n m k) per shard and never forms an
+    n x m matrix. The factor 2 is taken into C^T, so no full-height
+    array is scaled.
     """
     c = a.swapaxes(-1, -2) @ products
-    ct = c.swapaxes(-1, -2)
-    w = c @ gram(b)
-    w *= 2.0
-    k1 = w.swapaxes(-1, -2) @ gram(a)
-    k1 -= 4.0 * ct
-    g = products @ k1
-    g += a @ (w @ ct)
-    return g
+    g = a @ c
+    g -= products
+    return g @ (2.0 * c).swapaxes(-1, -2)
 
 
 def grad_u(u, v, shards) -> np.ndarray:
-    """Euclidean gradient of loss with respect to U, exact at any U, V.
+    """Euclidean gradient of loss with respect to U, at orthonormal U, V
+    (the points riemannian_step takes).
 
     u and v are one pair (gradient of the loss summed over shards), or
     (s, d, k) and (s, B, k) stacks with s shards, which gives the
     (s, d, k) stack of each member's gradient of its own shard's loss.
     """
     ub, vb = _basis(u), _basis(v)
-    g = _gradient(ub, vb, _shard_products(ub, vb, shards, transpose=False))
+    g = _gradient(ub, _shard_products(ub, vb, shards, transpose=False))
     return g if ub.ndim == 3 else g.sum(axis=0)
 
 
 def grad_v(u, v, shards) -> np.ndarray:
-    """Euclidean gradient of loss with respect to V; as grad_u, with the
-    roles of U and V swapped (the loss of X_i^T under (V, U))."""
+    """Euclidean gradient of loss with respect to V, at orthonormal U, V;
+    as grad_u, with the roles of U and V swapped (the loss of X_i^T under
+    (V, U))."""
     ub, vb = _basis(u), _basis(v)
-    g = _gradient(vb, ub, _shard_products(ub, vb, shards, transpose=True))
+    g = _gradient(vb, _shard_products(ub, vb, shards, transpose=True))
     return g if vb.ndim == 3 else g.sum(axis=0)

@@ -13,15 +13,18 @@ csv_write_curve is the csv.writer row loop that detection.write_curve's
 single join replaced; round_robin_errors is the per-client loop that
 z-scored the test set before fedsg eval did it in one broadcast call;
 householder_qr is the LAPACK QR that linalg.batched_qr keeps only for
-ill-conditioned members.
+ill-conditioned members. reference_grad_u and reference_grad_v are the
+Euclidean gradients exact at any U, V, with two Gram matrices per shard,
+that objective's closed form at orthonormal U, V replaced.
 per_client_synthetic_shards is data.generate_synthetic's training draw
 with one fresh array per client, which drawing each client into its
 slice of one stack replaced.
 sequential_fedsg is the per-client federated loop that the
 batched engine in fedsg.federation replaced; it reuses the library's
-seeded start (federation.initial_pair), single-pair gradients, point
-Riemannian step and retraction (each checked on its own elsewhere) and
-checks the batching, the per-client skip, the alignment and the mean
+seeded start (federation.initial_pair), point Riemannian step and
+retraction (each checked on its own elsewhere), takes its gradients from
+reference_grad_u and reference_grad_v, and checks the batching, the
+gradient's closed form, the per-client skip, the alignment and the mean
 around them.
 """
 
@@ -36,7 +39,7 @@ from fedsg.errors import (MissingFeature, ParseError, RankDeficient,
                           UnknownLabel)
 from fedsg.federation import initial_pair
 from fedsg.grassmann import retract, riemannian_step
-from fedsg.objective import FactorPair, grad_u, grad_v, loss
+from fedsg.objective import FactorPair, loss
 
 
 def svd_tail_energy(m, k):
@@ -230,6 +233,36 @@ def round_robin_errors(u, means, stds, values):
     return score_matrix(u, z)
 
 
+def _reference_gradient(a, b, y):
+    """Gradient with respect to A of ||Y - A A^T Y B B^T||_F^2, exact at
+    any A, B: with P = Y B, C = A^T P, G_a = A^T A and G_b = B^T B it is
+    -2 (P (2 C^T - G_b C^T G_a) - A C G_b C^T)."""
+    p = y @ b
+    c = a.T @ p
+    g_a, g_b = a.T @ a, b.T @ b
+    return -2.0 * (p @ (2.0 * c.T - g_b @ c.T @ g_a) - a @ c @ g_b @ c.T)
+
+
+def _bases(u, v):
+    return tuple(getattr(m, "basis", m) for m in (u, v))
+
+
+def reference_grad_u(u, v, shards):
+    """Euclidean gradient of objective.loss with respect to U, summed
+    shard by shard; exact at any (also non-orthonormal) U, V."""
+    a, b = _bases(u, v)
+    return sum(_reference_gradient(a, b, np.asarray(x, dtype=float))
+               for x in shards)
+
+
+def reference_grad_v(u, v, shards):
+    """As reference_grad_u, with respect to V: the loss of X_i^T under
+    (V, U)."""
+    a, b = _bases(u, v)
+    return sum(_reference_gradient(b, a, np.asarray(x, dtype=float).T)
+               for x in shards)
+
+
 def random_orthonormal(rng, n, k):
     """Orthonormal basis via LAPACK QR (independent of the package QR)."""
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
@@ -263,13 +296,13 @@ def _procrustes(a, b):
 
 
 def sequential_fedsg(config, shards):
-    """run_fedsg one client at a time: Euclidean gradients, a
-    Riemannian step per sub-step (a rank-deficient retraction keeps the
-    iterate), per-client Procrustes alignment, the mean in ascending
-    client order and a re-retraction (a rank-deficient mean keeps the
-    previous pair). Starts from federation.initial_pair on a generator
-    seeded with config.seed, then samples the clients from that generator
-    in run_fedsg's order.
+    """run_fedsg one client at a time: the reference Euclidean gradients
+    (exact at any U, V), a Riemannian step per sub-step (a rank-deficient
+    retraction keeps the iterate), per-client Procrustes alignment, the
+    mean in ascending client order and a re-retraction (a rank-deficient
+    mean keeps the previous pair). Starts from federation.initial_pair on
+    a generator seeded with config.seed, then samples the clients from
+    that generator in run_fedsg's order.
 
     Returns (final FactorPair, per-round global losses, per-round
     skipped sub-steps, per-round aborted flags).
@@ -290,11 +323,13 @@ def sequential_fedsg(config, shards):
             u, v = pair.u, pair.v
             for _ in range(config.local_steps):
                 try:
-                    u = riemannian_step(u, grad_u(u, v, [x]), config.eta)
+                    u = riemannian_step(u, reference_grad_u(u, v, [x]),
+                                        config.eta)
                 except RankDeficient:
                     skipped += 1
                 try:
-                    v = riemannian_step(v, grad_v(u, v, [x]), config.eta)
+                    v = riemannian_step(v, reference_grad_v(u, v, [x]),
+                                        config.eta)
                 except RankDeficient:
                     skipped += 1
             bu, bv = u.basis, v.basis

@@ -95,6 +95,9 @@ def test_train_requires_source(tmp_path):
     (["--synthetic", "default", "--rank", "40"],
      "DimensionMismatch: rank k=40 exceeds min(d, B) = 34 of the 34 x 80 "
      "training shards"),
+    (["--synthetic", json.dumps({"d": 3, "rank": 3, "width": 10,
+                                 "n_clients": 5}), "--rank", "3"],
+     "invalid SynthSpec: anomaly_fraction must be 0 when rank == d"),
 ], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
         "unknown_synthetic_key", "data_and_synthetic", "nan_eta", "inf_eta",
         "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise",
@@ -103,7 +106,8 @@ def test_train_requires_source(tmp_path):
         "float_local_steps", "float_k", "string_seed", "integral_float_clients",
         "bool_rounds", "string_align", "float_width", "float_d",
         "float_n_test", "float_synthetic_seed", "negative_seed",
-        "negative_synthetic_seed", "rank_above_d"])
+        "negative_synthetic_seed", "rank_above_d",
+        "anomalies_without_an_orthogonal_direction"])
 def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
     if "--config" in flags:  # given as JSON text, passed as a file
         i = flags.index("--config") + 1
@@ -339,6 +343,31 @@ def csv_run(tmp_path):
     return out
 
 
+@pytest.mark.parametrize("flag,value", [("--features", "/nonexistent.txt"),
+                                        ("--sort-feature", "nope")])
+def test_train_csv_flag_without_data_is_usage_error(tmp_path, capsys, flag,
+                                                    value):
+    """Synthetic records have no named features, so the flags that pick
+    CSV columns must not be dropped there."""
+    out = tmp_path / "o"
+    assert main(["train", *TRAIN_ARGS, flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {flag} needs --data: "
+                                       f"synthetic records have no named "
+                                       f"features\n")
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("flags,sort_feature", [
+    ([], "dst_bytes"), (["--sort-feature", "src_bytes"], "src_bytes")])
+def test_csv_manifest_records_the_sort_feature(csv_run, tmp_path, flags,
+                                               sort_feature):
+    out = tmp_path / "sorted"
+    assert main(["train", "--data", str(tmp_path / "train.csv"),
+                 "--out", str(out), *CSV_TRAIN_ARGS, *flags]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dataset"]["sort_feature"] == sort_feature
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--rank", "11"], "DimensionMismatch: rank k=11 exceeds min(d, B) = 10 "
                        "of the 34 x 10 training shards"),
@@ -448,14 +477,16 @@ def test_non_finite_csv_value_is_input_error(csv_run, tmp_path, capsys,
       "--out", "TMP/o"], "config file not found: TMP/nope.json"),
     (["train", "--data", "TMP/train.csv", "--features", "TMP/nope.txt",
       "--out", "TMP/o"], "feature list not found: TMP/nope.txt"),
+    (["train", "--data", "TMP/train.csv", "--features", "",
+      "--out", "TMP/o"], "feature list not found: "),
     (["eval", "--checkpoint", "TMP/nope.bin"],
      "checkpoint not found: TMP/nope.bin"),
     (["sweep", "--checkpoint", "TMP/nope.bin"],
      "checkpoint not found: TMP/nope.bin"),
     (["bench", "--checkpoint", "TMP/nope.bin", "--iters", "10"],
      "checkpoint not found: TMP/nope.bin"),
-], ids=["config", "features", "eval_checkpoint", "sweep_checkpoint",
-        "bench_checkpoint"])
+], ids=["config", "features", "empty_features", "eval_checkpoint",
+        "sweep_checkpoint", "bench_checkpoint"])
 def test_missing_input_file_is_usage_error(csv_run, tmp_path, capsys, argv,
                                            message):
     """csv_run writes TMP/train.csv, a valid training file."""

@@ -506,6 +506,16 @@ def test_synthetic_noiseless_benign_on_subspace():
     assert not labels.any()
 
 
+def test_synthetic_anomalies_need_a_direction_off_the_subspace():
+    # rank == d leaves no direction to shift anomalies along, so their
+    # labels would mean nothing; without anomalies the spec is valid
+    with pytest.raises(ValueError, match="anomaly_fraction must be 0"):
+        SynthSpec(d=3, width=10, n_clients=5, rank=3)
+    spec = SynthSpec(d=3, width=10, n_clients=5, rank=3, anomaly_fraction=0.0,
+                     n_test=50)
+    assert not generate_synthetic(spec)[2].any()
+
+
 def test_synthetic_anomalies_score_higher():
     spec = SynthSpec(d=10, width=20, n_clients=3, rank=2, noise=0.05,
                      anomaly_fraction=0.2, anomaly_offset=0.5, n_test=400,

@@ -153,6 +153,19 @@ def test_run_fedsg_matches_sequential_reference(seed, align):
     cfg = FedConfig(n_clients=6, rounds=8, local_steps=3,
                     sample_fraction=0.5, k=2, eta=0.05, seed=seed,
                     align_before_average=align)
+    _assert_matches_sequential_reference(cfg, shards)
+
+
+def test_run_fedsg_matches_sequential_reference_at_criterion_7_shapes():
+    shards, *_ = generate_synthetic(SynthSpec(n_clients=6, seed=7))
+    cfg = FedConfig(n_clients=6, rounds=5, local_steps=3,
+                    sample_fraction=0.5, k=3, eta=0.001, seed=7)
+    _assert_matches_sequential_reference(cfg, shards)
+
+
+def _assert_matches_sequential_reference(cfg, shards):
+    """The batched engine, with the closed-form gradient, against the
+    per-client loop on the gradient that is exact at any point."""
     pair, traces = run_fedsg(cfg, shards)
     ref, losses, skips, aborts = sequential_fedsg(cfg, shards)
     assert frobenius_norm(pair.u.basis - ref.u.basis) <= 1e-10

@@ -7,7 +7,8 @@ from fedsg.linalg import frobenius_norm, truncated_svd
 from fedsg.objective import (FactorPair, _shard_products, captured_energy,
                              grad_u, grad_v, loss, optimal_sigma, reconstruct)
 
-from oracles import (finite_difference_grad, random_orthonormal, shard_layouts,
+from oracles import (finite_difference_grad, random_orthonormal,
+                     reference_grad_u, reference_grad_v, shard_layouts,
                      svd_tail_energy)
 
 
@@ -153,8 +154,8 @@ def test_gradients_match_finite_differences():
         assert np.max(np.abs(gv - fv)) / scale_v <= 1e-5
 
 
-def test_gradients_match_finite_differences_off_the_manifold():
-    # the gradients are exact at any U, V, not only orthonormal ones
+def test_reference_gradients_match_finite_differences_off_the_manifold():
+    # the oracle the closed form is checked against is exact at any U, V
     for seed in range(20):
         rng = np.random.default_rng(200 + seed)
         u = rng.standard_normal((6, 2))
@@ -162,8 +163,41 @@ def test_gradients_match_finite_differences_off_the_manifold():
         shards = [rng.standard_normal((6, 5)) for _ in range(2)]
         fu = finite_difference_grad(lambda w: loss(w, v, shards), u)
         fv = finite_difference_grad(lambda w: loss(u, w, shards), v)
-        assert np.max(np.abs(grad_u(u, v, shards) - fu)) <= 1e-5 * np.max(np.abs(fu))
-        assert np.max(np.abs(grad_v(u, v, shards) - fv)) <= 1e-5 * np.max(np.abs(fv))
+        assert (np.max(np.abs(reference_grad_u(u, v, shards) - fu))
+                <= 1e-5 * np.max(np.abs(fu)))
+        assert (np.max(np.abs(reference_grad_v(u, v, shards) - fv))
+                <= 1e-5 * np.max(np.abs(fv)))
+
+
+def _assert_close_and_tangent(g, ref, basis):
+    """g equals ref to 1e-12 relative and is tangent at basis:
+    ||A^T g|| <= 1e-12 ||g||."""
+    assert frobenius_norm(g - ref) <= 1e-12 * frobenius_norm(ref)
+    assert frobenius_norm(basis.T @ g) <= 1e-12 * frobenius_norm(g)
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+@pytest.mark.parametrize("width", [80, 600])
+def test_gradients_match_reference_at_orthonormal_points(width, n_shards):
+    """At orthonormal U, V the closed form equals the gradient that is
+    exact at any point, for one pair over every shard and for a stack
+    with one pair per shard, and it is already tangent."""
+    rng = np.random.default_rng(width + n_shards)
+    shards = rng.standard_normal((n_shards, 34, width))
+    pairs = [_uv(rng, 34, width, 3) for _ in shards]
+    us = np.stack([u.basis for u, _ in pairs])
+    vs = np.stack([v.basis for _, v in pairs])
+    u, v = pairs[0]
+    _assert_close_and_tangent(grad_u(u, v, shards),
+                              reference_grad_u(u, v, shards), u.basis)
+    _assert_close_and_tangent(grad_v(u, v, shards),
+                              reference_grad_v(u, v, shards), v.basis)
+    gu, gv = grad_u(us, vs, shards), grad_v(us, vs, shards)
+    for i, x in enumerate(shards):
+        _assert_close_and_tangent(gu[i], reference_grad_u(us[i], vs[i], [x]),
+                                  us[i])
+        _assert_close_and_tangent(gv[i], reference_grad_v(us[i], vs[i], [x]),
+                                  vs[i])
 
 
 def test_captured_energy_is_energy_minus_loss():
