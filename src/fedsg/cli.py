@@ -13,18 +13,22 @@ sweep.csv, bench.json.
 Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
 (a missing input file, a --features file without names, train with both
 --data and --synthetic, a synth_test.npz, prep.npz or train_errors.npy
-that numpy cannot read or that lacks an array, a malformed, non-finite,
-empty or undecodable CSV, an unknown label, --slice class or feature, an
-empty feature list in prep.npz, a test set with one class, a --slice or
-a train --features or --sort-feature without --data, a rho outside
-[0, 100] or a malformed --rho-grid, a corrupt checkpoint (a k = 0 header
-included), data whose dimensions disagree with it, a non-finite training
-shard, an out-of-range, non-finite or unknown training or --synthetic
-value, a rank above the training shards' d or B, more clients than
-benign training records, a --clients or config n_clients that disagrees
-with --synthetic, a --config or --synthetic file that is not a JSON
-object, an --out that cannot be a directory, a bench --iters below 1, or
-a bench --data file that is not an .npz archive with a 'test' array).
+beside the checkpoint that is missing, that numpy cannot read, that
+lacks an array, or whose array has the wrong shape or dtype, a
+non-finite value or a std that is not positive, a malformed,
+non-finite, empty or undecodable CSV, an unknown label, --slice class
+or feature, an empty feature list in prep.npz, a test set with one
+class, a --slice or a train --features or --sort-feature without
+--data, a rho outside [0, 100] or a malformed --rho-grid, a corrupt
+checkpoint (a k = 0 header included), data whose dimensions disagree
+with it, a non-finite training shard, an out-of-range, non-finite or
+unknown training or --synthetic value, a rank above the training
+shards' d or B, more clients than benign training records, a --clients
+or config n_clients that disagrees with --synthetic, a --config or
+--synthetic file that is not a JSON object, an --out that cannot be a
+directory, a bench --iters below 1, or a bench --data file that is not
+an .npz archive with a 'test' array of finite floats, d rows and at
+least one column).
 """
 
 import argparse
@@ -250,17 +254,57 @@ def cmd_train(args):
     return 0
 
 
+def _check(path, what, x, kind, shape):
+    """x, if its dtype kind is `kind` (any, for None) and its shape is
+    `shape`, where a letter stands for any length. A float array must
+    also be non-empty and finite. Else a usage error naming path."""
+    fits = x.ndim == len(shape) and all(isinstance(n, str) or n == m
+                                        for n, m in zip(shape, x.shape))
+    empty = kind == "f" and not x.size
+    if not fits or kind not in (None, x.dtype.kind) or empty:
+        want = {"f": "a non-empty float array", "U": "a string array",
+                None: "an array"}[kind]
+        pattern = str(tuple(shape)).replace("'", "")  # (n, 34), not ('n', 34)
+        raise UsageError(f"{path}: {what} must be {want} of shape {pattern}, "
+                         f"got dtype {x.dtype} and shape {x.shape}")
+    if kind == "f" and not np.isfinite(x).all():
+        raise UsageError(f"{path}: a non-finite value in {what}")
+    return x
+
+
+def _stored(checkpoint, name, d=None):
+    """The checked arrays of the file `name` that train wrote beside the
+    checkpoint file, for a checkpoint of dimension d: the errors of
+    train_errors.npy, the records (one per column) and labels of
+    synth_test.npz, or the per-client means and stds and the feature
+    names of prep.npz. A missing file, an array of the wrong dtype or
+    shape, a non-finite value or a std that is not positive is a usage
+    error."""
+    path = os.path.join(os.path.dirname(checkpoint), name)
+    if not os.path.isfile(path):
+        raise UsageError(f"no {name} next to the checkpoint: {path}")
+    if name == "train_errors.npy":
+        return _check(path, "the training errors", _load_arrays(path), "f",
+                      ("n",))
+    if name == "synth_test.npz":
+        test, labels = _load_arrays(path, "test", "labels")
+        _check(path, "'test'", test, "f", (d, "m"))
+        _check(path, "'labels'", labels, None, test.shape[1:])
+        return test, labels.astype(bool)
+    means, stds, features = _load_arrays(path, "means", "stds", "features")
+    _check(path, "'means'", means, "f", ("n", d))
+    _check(path, "'stds'", stds, "f", means.shape)
+    if not (stds > 0).all():
+        raise UsageError(f"{path}: a zero or negative value in 'stds'")
+    return means, stds, _check(path, "'features'", features, "U", ("n",))
+
+
 def _load_eval_inputs(args, pair):
     """Returns (errors over test set, boolean attack labels)."""
-    ckpt_dir = os.path.dirname(os.path.abspath(args.checkpoint))
     d = pair.u.n
     if args.data:
         _input_file(args.data, "data path")
-        prep_path = os.path.join(ckpt_dir, "prep.npz")
-        if not os.path.exists(prep_path):
-            raise UsageError(f"no prep.npz next to checkpoint: {prep_path}")
-        means, stds, features = _load_arrays(prep_path, "means", "stds",
-                                             "features")
+        means, stds, features = _stored(args.checkpoint, "prep.npz", d)
         data = load_dataset(args.data, feature_list=[str(f) for f in features])
         if data.values.shape[0] != d:
             raise DimensionMismatch(
@@ -278,23 +322,8 @@ def _load_eval_inputs(args, pair):
     if args.slice:
         raise UsageError("--slice needs --data: the stored synthetic test "
                          "set has no attack classes")
-    synth_path = os.path.join(ckpt_dir, "synth_test.npz")
-    if not os.path.exists(synth_path):
-        raise UsageError("no --data given and no synth_test.npz next to "
-                         "the checkpoint")
-    test, labels = _load_arrays(synth_path, "test", "labels")
-    if test.shape[0] != d:
-        raise DimensionMismatch(f"checkpoint d={d}, test has {test.shape[0]}")
-    return score_matrix(pair.u, test), labels.astype(bool)
-
-
-def _train_errors(args):
-    """The benign training errors stored next to the checkpoint."""
-    ckpt_dir = os.path.dirname(os.path.abspath(args.checkpoint))
-    err_path = os.path.join(ckpt_dir, "train_errors.npy")
-    if not os.path.exists(err_path):
-        raise UsageError(f"no stored training errors: {err_path}")
-    return _load_arrays(err_path)
+    test, labels = _stored(args.checkpoint, "synth_test.npz", d)
+    return score_matrix(pair.u, test), labels
 
 
 def _check_rho(rho):
@@ -308,7 +337,8 @@ def cmd_eval(args):
     _check_rho(args.rho)
     pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     errors, labels = _load_eval_inputs(args, pair)
-    tau = fit_threshold(_train_errors(args), args.rho)
+    tau = fit_threshold(_stored(args.checkpoint, "train_errors.npy"),
+                        args.rho)
     roc, pr, auc = roc_and_pr(errors, labels)
     report = dataclasses.replace(evaluate(errors, labels, tau), auc=auc)
     out = _output_dir(args.out
@@ -347,9 +377,9 @@ def cmd_sweep(args):
     grid = _parse_grid(args.rho_grid)
     pair, _ = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))
     errors, labels = _load_eval_inputs(args, pair)
+    train_errors = _stored(args.checkpoint, "train_errors.npy")
     out = _output_dir(args.out
                       or os.path.dirname(os.path.abspath(args.checkpoint)))
-    train_errors = _train_errors(args)
     rows = []
     for rho in grid:
         tau = fit_threshold(train_errors, rho)
@@ -372,9 +402,7 @@ def cmd_bench(args):
     width = pair.v.basis.shape[0]
     if args.data:
         samples, = _load_arrays(_input_file(args.data, "data path"), "test")
-        if samples.ndim != 2 or samples.shape[0] != d or not samples.size:
-            raise DimensionMismatch(f"checkpoint d={d}, --data test array "
-                                    f"has shape {samples.shape}")
+        _check(args.data, "'test'", samples, "f", (d, "m"))
     else:
         samples = np.random.default_rng(0).standard_normal((d, args.iters))
     score(pair.u, samples[:, 0])  # warm-up, discarded

@@ -614,7 +614,16 @@ def test_unknown_slice_class_is_usage_error(csv_run, tmp_path, capsys,
      "not an .npz file with a 'test' array"),
     ("empty.npz", lambda p: p.write_bytes(b""),
      "not an .npz file with a 'test' array"),
-], ids=["missing", "csv", "npz_without_test", "empty"])
+    ("rows.npz", lambda p: np.savez(p, test=np.zeros((3, 5))),
+     "'test' must be a non-empty float array of shape (10, m), got dtype "
+     "float64 and shape (3, 5)"),
+    ("ints.npz", lambda p: np.savez(p, test=np.zeros((10, 5), np.int64)),
+     "'test' must be a non-empty float array of shape (10, m), got dtype "
+     "int64 and shape (10, 5)"),
+    ("nan.npz", lambda p: np.savez(p, test=np.full((10, 5), NAN)),
+     "a non-finite value in 'test'"),
+], ids=["missing", "csv", "npz_without_test", "empty", "wrong_rows",
+        "integers", "non_finite"])
 def test_bench_bad_data_is_usage_error(run_dir, tmp_path, capsys, name,
                                        write, message):
     path = tmp_path / name
@@ -627,22 +636,99 @@ def test_bench_bad_data_is_usage_error(run_dir, tmp_path, capsys, name,
     assert not (run_dir / "bench.json").exists()
 
 
-@pytest.mark.parametrize("run,name,write,command", [
-    ("run_dir", "synth_test.npz", lambda p: p.write_text("junk\n"), "eval"),
+def _resave(**change):
+    """A writer that replaces arrays of a stored .npz file: each value of
+    change maps the stored array to the one to write."""
+    def write(path):
+        with np.load(path) as blob:
+            arrays = {key: blob[key] for key in blob.files}
+        for key, f in change.items():
+            arrays[key] = f(arrays[key])
+        np.savez(path, **arrays)
+    return write
+
+
+def _with(value, at):
+    """A copy of an array with the entry at index `at` set to value."""
+    def put(x):
+        x = x.copy()
+        x[at] = value
+        return x
+    return put
+
+
+NOT_NPY = "PATH: not an .npy file"
+SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
+
+
+@pytest.mark.parametrize("run,name,write,command,message", [
+    ("run_dir", "synth_test.npz", lambda p: p.write_text("junk\n"), "eval",
+     "PATH: not an .npz file with a 'test' and a 'labels' array"),
     ("run_dir", "synth_test.npz",
-     lambda p: np.savez(p, labels=np.zeros(3, bool)), "eval"),
-    ("run_dir", "train_errors.npy", lambda p: p.write_bytes(b""), "sweep"),
+     lambda p: np.savez(p, labels=np.zeros(3, bool)), "eval",
+     "PATH: not an .npz file with a 'test' and a 'labels' array"),
+    ("run_dir", "train_errors.npy", lambda p: p.write_bytes(b""), "sweep",
+     NOT_NPY),
     ("run_dir", "train_errors.npy",
      lambda p: p.write_bytes((p.parent / "synth_test.npz").read_bytes()),
-     "eval"),
-    ("csv_run", "prep.npz", lambda p: p.write_text("junk\n"), "eval"),
+     "eval", NOT_NPY),
+    ("csv_run", "prep.npz", lambda p: p.write_text("junk\n"), "eval",
+     "PATH: not an .npz file with a 'means' and a 'stds' and a 'features' "
+     "array"),
     ("csv_run", "prep.npz",
      lambda p: np.savez(p, means=np.zeros((4, 34)), stds=np.ones((4, 34))),
-     "sweep"),
+     "sweep", "PATH: not an .npz file with a 'means' and a 'stds' and a "
+              "'features' array"),
+    ("run_dir", "train_errors.npy", lambda p: np.save(p, np.zeros((3, 3))),
+     "eval", SHAPE.format("the training errors", "a non-empty float array",
+                          "(n,)", "float64", "(3, 3)")),
+    ("run_dir", "train_errors.npy", lambda p: np.save(p, np.array(["a", "b"])),
+     "sweep", SHAPE.format("the training errors", "a non-empty float array",
+                           "(n,)", "<U1", "(2,)")),
+    ("run_dir", "train_errors.npy",
+     lambda p: np.save(p, _with(NAN, 5)(np.load(p))), "eval",
+     "PATH: a non-finite value in the training errors"),
+    ("run_dir", "train_errors.npy", lambda p: np.save(p, np.zeros(0)),
+     "sweep", SHAPE.format("the training errors", "a non-empty float array",
+                           "(n,)", "float64", "(0,)")),
+    ("run_dir", "train_errors.npy", lambda p: p.unlink(), "eval",
+     "no train_errors.npy next to the checkpoint: PATH"),
+    ("run_dir", "synth_test.npz", _resave(test=lambda t: t[:, 0]), "eval",
+     SHAPE.format("'test'", "a non-empty float array", "(10, m)", "float64",
+                  "(10,)")),
+    ("run_dir", "synth_test.npz", _resave(test=_with(NAN, (3, 7))), "sweep",
+     "PATH: a non-finite value in 'test'"),
+    ("run_dir", "synth_test.npz", _resave(labels=lambda y: y[:3]), "eval",
+     SHAPE.format("'labels'", "an array", "(200,)", "bool", "(3,)")),
+    ("run_dir", "synth_test.npz", lambda p: p.unlink(), "sweep",
+     "no synth_test.npz next to the checkpoint: PATH"),
+    ("csv_run", "prep.npz", _resave(means=_with(NAN, (1, 0))), "eval",
+     "PATH: a non-finite value in 'means'"),
+    ("csv_run", "prep.npz", _resave(stds=_with(0.0, (2, 3))), "eval",
+     "PATH: a zero or negative value in 'stds'"),
+    ("csv_run", "prep.npz", _resave(means=lambda m: m[:, :5]), "sweep",
+     SHAPE.format("'means'", "a non-empty float array", "(n, 34)",
+                  "float64", "(4, 5)")),
+    ("csv_run", "prep.npz", _resave(stds=lambda s: s[:3]), "eval",
+     SHAPE.format("'stds'", "a non-empty float array", "(4, 34)",
+                  "float64", "(3, 34)")),
+    ("csv_run", "prep.npz", _resave(features=lambda f: np.array("count")),
+     "eval", SHAPE.format("'features'", "a string array", "(n,)", "<U5",
+                          "()")),
+    ("csv_run", "prep.npz", lambda p: p.unlink(), "sweep",
+     "no prep.npz next to the checkpoint: PATH"),
 ], ids=["synth_test_junk", "synth_test_without_test", "train_errors_empty",
-        "train_errors_npz", "prep_junk", "prep_without_features"])
+        "train_errors_npz", "prep_junk", "prep_without_features",
+        "train_errors_2d", "train_errors_strings", "train_errors_nan",
+        "train_errors_no_entries", "train_errors_missing", "synth_test_1d",
+        "synth_test_nan", "synth_test_short_labels", "synth_test_missing",
+        "prep_nan_mean", "prep_zero_std", "prep_narrow_means",
+        "prep_stds_of_another_shape", "prep_0d_features", "prep_missing"])
 def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
-                                            name, write, command):
+                                            name, write, command, message):
+    """A stored run file that is missing, unreadable, of the wrong shape or
+    dtype, or holds a non-finite value or a zero std exits 2 with one
+    line naming it, and writes no metrics, curve or sweep file."""
     out = request.getfixturevalue(run)
     write(out / name)
     argv = [command, "--checkpoint", str(out / "checkpoint.bin")]
@@ -650,9 +736,10 @@ def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
         argv += ["--data", str(_attack_mix_csv(tmp_path / "t.csv", 12, 6))]
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / name}: not an ")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == ("error: " + message.replace(
+        "PATH", str(out / name)) + "\n")
+    assert not {"metrics.json", "metrics.csv", "roc.csv", "pr.csv",
+                "sweep.csv"} & {p.name for p in out.iterdir()}
 
 
 def test_prep_with_empty_feature_list_is_input_error(csv_run, tmp_path,
