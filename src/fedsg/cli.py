@@ -10,25 +10,8 @@ train_errors.npy, prep.npz (normalization stats) or synth_test.npz,
 and from evaluation: metrics.json, metrics.csv, roc.csv, pr.csv,
 sweep.csv, bench.json.
 
-Exit codes: 0 success, 1 internal numerical failure, 2 usage/input error
-(a missing input file, a --features file without names, train with both
---data and --synthetic, a synth_test.npz, prep.npz or train_errors.npy
-beside the checkpoint that is missing, that numpy cannot read, that
-lacks an array, or whose array has the wrong shape or dtype, a
-non-finite value or a std that is not positive, a malformed,
-non-finite, empty or undecodable CSV, an unknown label, --slice class
-or feature, an empty feature list in prep.npz, a test set with one
-class, a --slice or a train --features or --sort-feature without
---data, a rho outside [0, 100] or a malformed --rho-grid, a corrupt
-checkpoint (a k = 0 header included), data whose dimensions disagree
-with it, a non-finite training shard, an out-of-range, non-finite or
-unknown training or --synthetic value, a rank above the training
-shards' d or B, more clients than benign training records, a --clients
-or config n_clients that disagrees with --synthetic, a --config or
---synthetic file that is not a JSON object, an --out that cannot be a
-directory, a bench --iters below 1, or a bench --data file that is not
-an .npz archive with a 'test' array of finite floats, d rows and at
-least one column).
+Exit codes: 0 success, 1 internal numerical failure, 2 usage or input
+error; README's "Exit codes" paragraph lists the input errors.
 """
 
 import argparse
@@ -222,7 +205,13 @@ def cmd_train(args):
         shards, dropped = partition_non_iid(
             load_dataset(args.data, feature_list=features),
             config.n_clients, sort_feature)
-        shards, means, stds = zscore_fit_apply(shards)
+        # A finite value can still overflow the squares a std sums; the
+        # std is then inf or NaN (as it is when a mean overflows).
+        with np.errstate(over="ignore", invalid="ignore"):
+            shards, means, stds = zscore_fit_apply(shards)
+        if not np.isfinite(stds).all():
+            raise UsageError(f"{args.data}: a value too large to z-score: "
+                             f"a client's feature std overflows")
         if dropped:
             print(f"note: dropped {dropped} remainder records in partition",
                   file=sys.stderr)
@@ -278,8 +267,7 @@ def _stored(checkpoint, name, d=None):
     train_errors.npy, the records (one per column) and labels of
     synth_test.npz, or the per-client means and stds and the feature
     names of prep.npz. A missing file, an array of the wrong dtype or
-    shape, a non-finite value or a std that is not positive is a usage
-    error."""
+    shape, a non-finite value or a std below 1e-12 is a usage error."""
     path = os.path.join(os.path.dirname(checkpoint), name)
     if not os.path.isfile(path):
         raise UsageError(f"no {name} next to the checkpoint: {path}")
@@ -294,8 +282,10 @@ def _stored(checkpoint, name, d=None):
     means, stds, features = _load_arrays(path, "means", "stds", "features")
     _check(path, "'means'", means, "f", ("n", d))
     _check(path, "'stds'", stds, "f", means.shape)
-    if not (stds > 0).all():
-        raise UsageError(f"{path}: a zero or negative value in 'stds'")
+    # Train records a std below 1e-12 as 1 (data.zscore_fit_apply); a
+    # smaller one would overflow the z-scores.
+    if not (stds >= 1e-12).all():
+        raise UsageError(f"{path}: a value below 1e-12 in 'stds'")
     return means, stds, _check(path, "'features'", features, "U", ("n",))
 
 
@@ -313,8 +303,13 @@ def _load_eval_inputs(args, pair):
         # Round-robin test assignment: record i is normalised with the
         # statistics of client i % n_clients.
         client = np.arange(len(data)) % means.shape[0]
-        z = apply_zscore(means[client].T, stds[client].T, data.values)
-        errors = score_matrix(pair.u, z)
+        # A finite value can still overflow its z-score or squared residual.
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = score_matrix(pair.u, apply_zscore(
+                means[client].T, stds[client].T, data.values))
+        if not np.isfinite(errors).all():
+            raise UsageError(f"{args.data}: a record too large to score: "
+                             f"its z-score or squared residual overflows")
         if args.slice:
             return filter_slice(errors, data.labels, args.slice.split(","))
         return errors, data.labels != "normal"

@@ -4,15 +4,15 @@ by QR retraction. The retraction's QR is linalg.batched_qr: CholeskyQR on
 each k x k Gram matrix, with LAPACK Householder for ill-conditioned
 members; either way it is the positive-diagonal thin QR, so the
 retraction is the same map. Every retracted basis is checked for
-orthonormality. Tangent projection and the Riemannian step also take
-(s, n, k) stacks of bases, one per client, and step them all at once."""
+orthonormality. The Riemannian step takes an (s, n, k) stack of bases,
+one per client, and steps them all at once."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
-from .linalg import batched_qr, gram, thin_qr
+from .errors import RankDeficient, ShapeMismatch
+from .linalg import RANK_TOL, batched_qr, gram
 
 # Orthonormality tolerance checked on construction and after retraction.
 ORTHO_TOL = 1e-8
@@ -68,31 +68,25 @@ class GrassmannPoint:
         return self.basis.shape[1]
 
 
-def _basis_and_gradient(a, g):
-    """a's basis (a GrassmannPoint or an (s, n, k) stack) and g, both as
-    float arrays; g must have the basis's shape."""
-    b = a.basis if isinstance(a, GrassmannPoint) else np.asarray(a, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if g.shape != b.shape:
-        raise ShapeMismatch(f"gradient shape {g.shape} != basis shape {b.shape}")
-    return b, g
-
-
-def project_tangent(a, g) -> np.ndarray:
-    """Project g onto the tangent space at a: (I - A A^T) g. a is a
-    GrassmannPoint or an (s, n, k) stack of bases, g has its shape."""
-    b, g = _basis_and_gradient(a, g)
-    return g - b @ (np.swapaxes(b, -1, -2) @ g)
-
-
 def retract(m) -> GrassmannPoint:
     """Map a full-rank n-by-k matrix back onto the manifold as the Q
-    factor of its thin QR; spans are preserved.
+    factor of its positive-diagonal thin QR (linalg.batched_qr); spans
+    are preserved.
 
-    Propagates RankDeficient from thin_qr; callers treat the update as
-    failed and keep the previous point.
+    Raises RankDeficient when a diagonal entry of R falls below
+    RANK_TOL * ||m||_F; callers treat the update as failed and keep the
+    previous point.
     """
-    q, _ = thin_qr(m)
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise ShapeMismatch("retract expects a 2-d matrix")
+    q, r, deficient = batched_qr(a)
+    if deficient:
+        diag = np.diag(r)
+        j = int(np.argmin(diag))
+        raise RankDeficient(
+            f"column {j}: |r_jj|={diag[j]:.3e} below {RANK_TOL:.0e}*||m||_F"
+        )
     return GrassmannPoint(q)
 
 
@@ -106,22 +100,24 @@ def _tangent_step(bases, g, eta):
     return m
 
 
-def riemannian_step(a, euclidean_grad, eta: float):
-    """One gradient step along the manifold: retract(A - eta * tangent).
+def riemannian_step(bases, euclidean_grad, eta: float):
+    """One gradient step along the manifold for every member of an
+    (s, n, k) stack of orthonormal bases: retract(A - eta (I - A A^T) G).
 
-    a is a GrassmannPoint or an (s, n, k) stack of orthonormal bases.
-    A point steps to a point, and a rank-deficient retraction raises
-    RankDeficient. A stack steps to (bases, full_rank): each member is
-    retracted on its own, and a member whose retraction is rank
-    deficient keeps its basis from a and has full_rank False. Both take
-    the same products, so a stack's members step to the same bits as
-    the points they hold.
+    Returns (bases, full_rank): each member is retracted on its own, and
+    a member whose retraction is rank deficient keeps its basis and has
+    full_rank False. The gradient stack has the bases' shape.
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    bases, g = _basis_and_gradient(a, euclidean_grad)
-    if isinstance(a, GrassmannPoint):
-        return retract(_tangent_step(bases, g, eta))
+    bases = np.asarray(bases, dtype=float)
+    g = np.asarray(euclidean_grad, dtype=float)
+    if bases.ndim != 3:
+        raise ShapeMismatch(f"riemannian_step takes an (s, n, k) stack of "
+                            f"bases, got shape {bases.shape}")
+    if g.shape != bases.shape:
+        raise ShapeMismatch(f"gradient shape {g.shape} != basis shape "
+                            f"{bases.shape}")
     # The stepped stack is a temporary, freed when the QR returns, so it
     # is not live through check_orthonormal.
     q, _, deficient = batched_qr(_tangent_step(bases, g, eta))

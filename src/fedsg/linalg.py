@@ -1,9 +1,10 @@
-"""Dense linear-algebra kernel: Frobenius norm, Gram matrix, a thin QR
-with a positive-diagonal R, and a truncated SVD on LAPACK through numpy.
-The QR is CholeskyQR on each matrix's k x k Gram matrix (Fukaya et al.,
-2014), with LAPACK Householder kept for members that are ill-conditioned
-or not positive definite. The Gram matrix, the QR and the SVD also take
-stacks of matrices, so a round's sampled clients factor in one call.
+"""Dense linear-algebra kernel: Frobenius norm, Gram matrix, a batched
+thin QR with a positive-diagonal R that flags rank-deficient members
+instead of raising, and a truncated SVD on LAPACK through numpy. The QR
+is CholeskyQR on each matrix's k x k Gram matrix (Fukaya et al., 2014),
+with LAPACK Householder kept for members that are ill-conditioned or not
+positive definite. The Gram matrix, the QR and the SVD take stacks of
+matrices, so a round's sampled clients factor in one call.
 
 Matrices are numpy float64 arrays, column-major semantics (columns are
 samples throughout the package). All tolerances are module constants.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, RankDeficient, ShapeMismatch
+from .errors import ConvergenceFailure, ShapeMismatch
 
 # Relative threshold on R's diagonal below which QR input is treated as
 # rank deficient.
@@ -41,9 +42,13 @@ def gram(m) -> np.ndarray:
 
 
 def batched_qr(m):
-    """thin_qr of every n x k matrix in an (..., n, k) stack, without
-    raising: returns (q, r, deficient), where deficient (shape ...) marks
-    the matrices that thin_qr rejects as rank deficient.
+    """Thin QR of every n x k matrix m in an (..., n, k) stack, without
+    raising: returns (q, r, deficient). deficient (shape ...) marks the
+    rank-deficient members, those with a diagonal entry of r below
+    RANK_TOL * ||m||_F. Every other member has m = q @ r with q n-by-k
+    orthonormal and r k-by-k upper triangular with a strictly positive
+    diagonal; that convention makes the factorization unique, so
+    identical inputs give identical outputs.
 
     Each member is factored through its k x k Gram matrix (CholeskyQR:
     R = chol(M^T M)^T, Q = M R^-1), which has the same positive-diagonal
@@ -98,31 +103,6 @@ def _householder_qr(a):
     # Flip signs so every diagonal entry of r is positive.
     signs = np.where(diag < 0.0, -1.0, 1.0)
     return q * signs[..., None, :], r * signs[..., :, None], deficient
-
-
-def thin_qr(m):
-    """Thin QR factorization (CholeskyQR on the Gram matrix, or LAPACK
-    Householder when m is ill-conditioned; see batched_qr).
-
-    Returns (q, r) with m = q @ r, q n-by-k orthonormal, r k-by-k upper
-    triangular with strictly positive diagonal. The positive-diagonal
-    convention makes the factorization unique, so identical inputs give
-    identical outputs.
-
-    Raises RankDeficient when any diagonal of r falls below
-    RANK_TOL * ||m||_F.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ShapeMismatch("thin_qr expects a 2-d matrix")
-    q, r, deficient = batched_qr(a)
-    if deficient:
-        diag = np.diag(r)
-        j = int(np.argmin(diag))
-        raise RankDeficient(
-            f"column {j}: |r_jj|={diag[j]:.3e} below {RANK_TOL:.0e}*||m||_F"
-        )
-    return q, r
 
 
 @dataclass(frozen=True)

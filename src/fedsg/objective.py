@@ -76,14 +76,6 @@ def optimal_sigma(u, x, v) -> np.ndarray:
     return ub.T @ x @ vb
 
 
-def reconstruct(u, x, v) -> np.ndarray:
-    """Project X onto the learned column and row subspaces: U U^T X V V^T."""
-    ub, vb = _basis(u), _basis(v)
-    x = np.asarray(x, dtype=float)
-    _check_shard(ub, vb, x)
-    return ub @ (ub.T @ x @ vb) @ vb.T
-
-
 def loss(u, v, shards) -> float:
     """Sum over shards of the squared Frobenius residual, accumulated in
     shard-index order for determinism."""

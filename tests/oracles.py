@@ -21,11 +21,12 @@ with one fresh array per client, which drawing each client into its
 slice of one stack replaced.
 sequential_fedsg is the per-client federated loop that the
 batched engine in fedsg.federation replaced; it reuses the library's
-seeded start (federation.initial_pair), point Riemannian step and
-retraction (each checked on its own elsewhere), takes its gradients from
-reference_grad_u and reference_grad_v, and checks the batching, the
-gradient's closed form, the per-client skip, the alignment and the mean
-around them.
+seeded start (federation.initial_pair) and retraction (each checked on
+its own elsewhere), forms each Riemannian step retract(A - eta (I - A
+A^T) G) itself, skipping a rank-deficient one where retract raises,
+takes its gradients from reference_grad_u and reference_grad_v, and
+checks the batching, the gradient's closed form, the per-client skip,
+the alignment and the mean around them.
 """
 
 import csv
@@ -38,7 +39,7 @@ from fedsg.detection import confusion_counts, score_matrix
 from fedsg.errors import (MissingFeature, ParseError, RankDeficient,
                           UnknownLabel)
 from fedsg.federation import initial_pair
-from fedsg.grassmann import retract, riemannian_step
+from fedsg.grassmann import retract
 from fedsg.objective import FactorPair, loss
 
 
@@ -295,6 +296,12 @@ def _procrustes(a, b):
     return w @ zt
 
 
+def _riemannian_step(point, g, eta):
+    """retract(A - eta (I - A A^T) G) at the point with basis A."""
+    a = point.basis
+    return retract(a - eta * (g - a @ (a.T @ g)))
+
+
 def sequential_fedsg(config, shards):
     """run_fedsg one client at a time: the reference Euclidean gradients
     (exact at any U, V), a Riemannian step per sub-step (a rank-deficient
@@ -323,13 +330,13 @@ def sequential_fedsg(config, shards):
             u, v = pair.u, pair.v
             for _ in range(config.local_steps):
                 try:
-                    u = riemannian_step(u, reference_grad_u(u, v, [x]),
-                                        config.eta)
+                    u = _riemannian_step(u, reference_grad_u(u, v, [x]),
+                                         config.eta)
                 except RankDeficient:
                     skipped += 1
                 try:
-                    v = riemannian_step(v, reference_grad_v(u, v, [x]),
-                                        config.eta)
+                    v = _riemannian_step(v, reference_grad_v(u, v, [x]),
+                                         config.eta)
                 except RankDeficient:
                     skipped += 1
             bu, bv = u.basis, v.basis

@@ -472,6 +472,36 @@ def test_non_finite_csv_value_is_input_error(csv_run, tmp_path, capsys,
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_csv_value_whose_square_overflows_is_input_error(csv_run, tmp_path,
+                                                         capsys, command):
+    """A finite value of 1e300 overflows a training std, or a test
+    record's squared residual: exit 2 with one line naming the CSV, no
+    floating-point warning (pytest makes warnings errors), and no file
+    written."""
+    rng = np.random.default_rng(3)
+    bad = tmp_path / "bad.csv"
+    rows = [_csv_row(rng, "normal", i) for i in range(40)]
+    rows[7] = _csv_row(rng, "normal", 7, count="1e300")
+    rows[30:] = [_csv_row(rng, "neptune", i) for i in range(30, 40)]
+    bad.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    if command == "train":
+        argv = ["train", "--data", str(bad), "--out", str(out),
+                *CSV_TRAIN_ARGS]
+        message = "a value too large to z-score"
+    else:
+        argv = [command, "--checkpoint", str(csv_run / "checkpoint.bin"),
+                "--data", str(bad), "--out", str(out)]
+        message = "a record too large to score"
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("argv,message", [
     (["train", "--config", "TMP/nope.json", "--synthetic", SYNTH,
       "--out", "TMP/o"], "config file not found: TMP/nope.json"),
@@ -705,7 +735,9 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
     ("csv_run", "prep.npz", _resave(means=_with(NAN, (1, 0))), "eval",
      "PATH: a non-finite value in 'means'"),
     ("csv_run", "prep.npz", _resave(stds=_with(0.0, (2, 3))), "eval",
-     "PATH: a zero or negative value in 'stds'"),
+     "PATH: a value below 1e-12 in 'stds'"),
+    ("csv_run", "prep.npz", _resave(stds=_with(1e-300, (2, 3))), "sweep",
+     "PATH: a value below 1e-12 in 'stds'"),
     ("csv_run", "prep.npz", _resave(means=lambda m: m[:, :5]), "sweep",
      SHAPE.format("'means'", "a non-empty float array", "(n, 34)",
                   "float64", "(4, 5)")),
@@ -722,13 +754,14 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
         "train_errors_2d", "train_errors_strings", "train_errors_nan",
         "train_errors_no_entries", "train_errors_missing", "synth_test_1d",
         "synth_test_nan", "synth_test_short_labels", "synth_test_missing",
-        "prep_nan_mean", "prep_zero_std", "prep_narrow_means",
+        "prep_nan_mean", "prep_zero_std", "prep_tiny_std", "prep_narrow_means",
         "prep_stds_of_another_shape", "prep_0d_features", "prep_missing"])
 def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
                                             name, write, command, message):
     """A stored run file that is missing, unreadable, of the wrong shape or
-    dtype, or holds a non-finite value or a zero std exits 2 with one
-    line naming it, and writes no metrics, curve or sweep file."""
+    dtype, or holds a non-finite value or a std below train's 1e-12 floor
+    exits 2 with one line naming it, and writes no metrics, curve or
+    sweep file."""
     out = request.getfixturevalue(run)
     write(out / name)
     argv = [command, "--checkpoint", str(out / "checkpoint.bin")]

@@ -1,5 +1,6 @@
 """Each narrative script in demos/ runs to completion against this
-checkout's package."""
+checkout's package, with every warning an error as in the rest of the
+suite."""
 
 import os
 import subprocess
@@ -19,7 +20,8 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               PYTHONWARNINGS="error")
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           timeout=300)

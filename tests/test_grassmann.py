@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fedsg.errors import RankDeficient, ShapeMismatch
-from fedsg.grassmann import GrassmannPoint, project_tangent, retract, riemannian_step
-from fedsg.linalg import frobenius_norm
-from fedsg.objective import loss
+from fedsg.grassmann import GrassmannPoint, retract, riemannian_step
+from fedsg.linalg import CHOLQR_MAX_COND2, batched_qr, frobenius_norm
+from fedsg.objective import grad_u, loss
 
 from oracles import random_orthonormal
 
@@ -38,34 +38,6 @@ def test_construction_rejects_non_finite_or_huge_basis(bad):
         GrassmannPoint(b)
 
 
-def test_project_tangent_of_basis_is_zero():
-    a = _point(np.random.default_rng(0), 8, 3)
-    assert np.allclose(project_tangent(a, a.basis), 0.0, atol=1e-12)
-
-
-def test_project_tangent_leaves_orthogonal_directions():
-    rng = np.random.default_rng(1)
-    q = random_orthonormal(rng, 8, 6)
-    a = GrassmannPoint(q[:, :3])
-    g = q[:, 3:]  # columns orthogonal to span(A)
-    assert np.allclose(project_tangent(a, g), g, atol=1e-12)
-
-
-def test_project_tangent_annihilated_by_basis():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a = _point(rng, 8, 3)
-        g = rng.standard_normal((8, 3))
-        t = project_tangent(a, g)
-        assert frobenius_norm(a.basis.T @ t) <= 1e-9
-
-
-def test_project_tangent_shape_mismatch():
-    a = _point(np.random.default_rng(3), 8, 3)
-    with pytest.raises(ShapeMismatch):
-        project_tangent(a, np.ones((8, 2)))
-
-
 def test_retract_orthonormal_is_identity():
     rng = np.random.default_rng(4)
     q = random_orthonormal(rng, 9, 3)
@@ -95,54 +67,82 @@ def test_retract_propagates_rank_deficiency():
         retract(np.ones((5, 2)))
 
 
+def _step_one(a, g, eta):
+    """riemannian_step on the 1-member stack of basis a and gradient g."""
+    q, full_rank = riemannian_step(a[None], g[None], eta)
+    assert full_rank.tolist() == [True]
+    return q[0]
+
+
 def test_riemannian_step_zero_gradient_is_identity():
     a = _point(np.random.default_rng(7), 8, 3)
-    out = riemannian_step(a, np.zeros((8, 3)), 0.01)
-    assert np.allclose(out.basis, a.basis, atol=1e-12)
+    out = _step_one(a.basis, np.zeros((8, 3)), 0.01)
+    assert np.allclose(out, a.basis, atol=1e-12)
 
 
 def test_riemannian_step_normal_component_is_killed():
     a = _point(np.random.default_rng(8), 8, 3)
-    out = riemannian_step(a, a.basis.copy(), 0.5)
-    assert np.allclose(out.basis, a.basis, atol=1e-9)
+    out = _step_one(a.basis, a.basis.copy(), 0.5)
+    assert np.allclose(out, a.basis, atol=1e-9)
 
 
 def test_riemannian_step_feasibility():
     rng = np.random.default_rng(9)
     for _ in range(20):
         a = _point(rng, 10, 3)
-        out = riemannian_step(a, rng.standard_normal((10, 3)), 0.05)
-        assert frobenius_norm(out.basis.T @ out.basis - np.eye(3)) <= 1e-8
+        out = _step_one(a.basis, rng.standard_normal((10, 3)), 0.05)
+        assert frobenius_norm(out.T @ out - np.eye(3)) <= 1e-8
 
 
 @pytest.mark.parametrize("eta", [1e-3, 0.05])
 @pytest.mark.parametrize("n", [34, 80, 600])
-def test_riemannian_step_stack_members_match_point_steps(n, eta):
-    """The stacked and the point step take the same products, so every
-    member of a stacked step has the bits of the point step on it."""
+def test_riemannian_step_members_step_as_they_do_alone(n, eta):
+    """Each member of a stack steps to the bits it steps to in a stack of
+    its own, whichever QR path its neighbours take: a rank-deficient
+    member keeps its basis, and an ill-conditioned one takes LAPACK
+    Householder."""
     rng = np.random.default_rng(n)
     bases = np.stack([random_orthonormal(rng, n, 3) for _ in range(4)])
     grads = rng.standard_normal(bases.shape) * 10.0
+    # Member 1: A - eta (I - A A^T) G is A plus a huge multiple of one
+    # direction w outside span(A) in every column, numerically rank 1.
+    w = rng.standard_normal(n)
+    w -= bases[1] @ (bases[1].T @ w)
+    grads[1] = -np.outer(w, np.ones(3)) * (1e16 / eta)
+    # Member 2: a large step along one column only, so cond(M)^2 is far
+    # above CholeskyQR's bound.
+    grads[2] = 0.0
+    grads[2][:, 0] = -w * (1e4 / eta)
+    stepped = bases - eta * (grads - bases @ (np.swapaxes(bases, 1, 2)
+                                              @ grads))
+    assert batched_qr(stepped[1])[2]
+    r = batched_qr(stepped[2])[1]
+    assert (np.trace(r.T @ r) * np.square(np.linalg.inv(r)).sum()
+            > CHOLQR_MAX_COND2)
     q, full_rank = riemannian_step(bases, grads, eta)
-    assert full_rank.all()
-    for b, g, qm in zip(bases, grads, q):
-        assert np.array_equal(riemannian_step(GrassmannPoint(b), g, eta).basis,
-                              qm)
+    assert full_rank.tolist() == [True, False, True, True]
+    assert np.array_equal(q[1], bases[1])
+    for i in range(len(bases)):
+        one = slice(i, i + 1)
+        q1, full1 = riemannian_step(bases[one], grads[one], eta)
+        assert np.array_equal(q1[0], q[i])
+        assert full1[0] == full_rank[i]
 
 
 def test_riemannian_step_shape_mismatch():
     rng = np.random.default_rng(11)
     a = _point(rng, 8, 3)
     with pytest.raises(ShapeMismatch, match="gradient shape"):
-        riemannian_step(a, np.ones((8, 2)), 0.01)
+        riemannian_step(a.basis[None], np.ones((1, 8, 2)), 0.01)
     with pytest.raises(ShapeMismatch, match="gradient shape"):
         riemannian_step(np.stack([a.basis, a.basis]), np.ones((2, 8, 2)),
                         0.01)
+    with pytest.raises(ShapeMismatch, match=r"\(s, n, k\) stack"):
+        riemannian_step(a.basis, np.ones((8, 3)), 0.01)
 
 
 def test_descent_for_small_steps():
     # unit-normalized data, eta <= 1e-4: one step never increases the loss
-    rng = np.random.default_rng(10)
     for seed in range(100):
         r = np.random.default_rng(seed)
         d, width, k = 6, 5, 2
@@ -151,6 +151,5 @@ def test_descent_for_small_steps():
         u = _point(r, d, k)
         v = _point(r, width, k)
         before = loss(u, v, [x])
-        from fedsg.objective import grad_u
-        u2 = riemannian_step(u, grad_u(u, v, [x]), 1e-4)
+        u2 = _step_one(u.basis, grad_u(u, v, [x]), 1e-4)
         assert loss(u2, v, [x]) <= before + 1e-12

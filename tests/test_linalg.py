@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fedsg.errors import ConvergenceFailure, RankDeficient, ShapeMismatch
-from fedsg.grassmann import riemannian_step
-from fedsg.linalg import batched_qr, frobenius_norm, thin_qr, truncated_svd
+from fedsg.grassmann import retract, riemannian_step
+from fedsg.linalg import batched_qr, frobenius_norm, truncated_svd
 
 from oracles import householder_qr, random_orthonormal, svd_tail_energy
 
@@ -20,10 +20,17 @@ def test_frobenius_3_4_5():
     assert frobenius_norm([[3, 0], [0, 4]]) == pytest.approx(5.0, abs=1e-12)
 
 
+def _qr(m):
+    """batched_qr of one full-rank matrix, as (q, r)."""
+    q, r, deficient = batched_qr(m)
+    assert not deficient
+    return q, r
+
+
 def test_thin_qr_orthonormal_input_is_fixed_point():
     rng = np.random.default_rng(0)
     a, _ = np.linalg.qr(rng.standard_normal((7, 3)))
-    q, r = thin_qr(a)
+    q, r = _qr(a)
     # positive-diagonal convention: signs resolved toward r = I
     assert np.allclose(q @ r, a, atol=1e-12)
     assert np.allclose(np.abs(np.diag(r)), 1.0, atol=1e-12)
@@ -32,7 +39,7 @@ def test_thin_qr_orthonormal_input_is_fixed_point():
 
 def test_thin_qr_scaled_orthogonal_columns():
     m = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
-    q, r = thin_qr(m)
+    q, r = _qr(m)
     assert np.allclose(q, [[1, 0], [0, 0], [0, 1]], atol=1e-12)
     assert np.allclose(r, np.diag([2.0, 3.0]), atol=1e-12)
 
@@ -41,30 +48,33 @@ def test_thin_qr_reconstruction_property():
     rng = np.random.default_rng(1)
     for _ in range(20):
         m = rng.standard_normal((6, 3))
-        q, r = thin_qr(m)
+        q, r = _qr(m)
         assert frobenius_norm(q @ r - m) <= 1e-10 * frobenius_norm(m)
         assert frobenius_norm(q.T @ q - np.eye(3)) <= 1e-10
         assert np.allclose(np.tril(r, -1), 0.0)
         assert np.all(np.diag(r) > 0)
+        assert np.array_equal(retract(m).basis, q)
 
 
 def test_thin_qr_determinism():
     m = np.random.default_rng(2).standard_normal((8, 4))
-    q1, r1 = thin_qr(m)
-    q2, r2 = thin_qr(m.copy())
+    q1, r1 = _qr(m)
+    q2, r2 = _qr(m.copy())
     assert q1.tobytes() == q2.tobytes()
     assert r1.tobytes() == r2.tobytes()
 
 
 def test_thin_qr_rank_deficient():
     m = np.ones((5, 2))  # second column dependent on first
-    with pytest.raises(RankDeficient):
-        thin_qr(m)
+    assert batched_qr(m)[2]
+    with pytest.raises(RankDeficient, match="column 1"):
+        retract(m)
 
 
 def test_thin_qr_rejects_wide():
-    with pytest.raises(ShapeMismatch):
-        thin_qr(np.ones((2, 3)))
+    for qr in (batched_qr, retract):
+        with pytest.raises(ShapeMismatch):
+            qr(np.ones((2, 3)))
 
 
 def _conditioned(rng, n, k, cond):
@@ -89,7 +99,7 @@ def test_qr_matches_householder_on_well_conditioned_input(k, order):
         assert np.allclose(r, r_ref, rtol=1e-13, atol=0.0)
         assert np.all(np.diagonal(r, axis1=1, axis2=2) > 0.0)
         for m, qm, rm in zip(stack, q_ref, r_ref):
-            q1, r1 = thin_qr(m)
+            q1, r1 = _qr(m)
             assert np.allclose(q1, qm, rtol=0.0, atol=1e-13)
             assert np.allclose(r1, rm, rtol=1e-13, atol=0.0)
 
