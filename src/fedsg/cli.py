@@ -289,6 +289,17 @@ def _stored(checkpoint, name, d=None):
     return means, stds, _check(path, "'features'", features, "U", ("n",))
 
 
+def _scorable(errors, source):
+    """The test errors, if all are finite; else a usage error naming the
+    file whose record is too large to score. Finite values can still
+    overflow a z-score or squared residual, so callers score under
+    np.errstate(over="ignore", invalid="ignore")."""
+    if not np.isfinite(errors).all():
+        raise UsageError(f"{source}: a record too large to score: "
+                         f"its residual overflows")
+    return errors
+
+
 def _load_eval_inputs(args, pair):
     """Returns (errors over test set, boolean attack labels)."""
     d = pair.u.n
@@ -303,13 +314,9 @@ def _load_eval_inputs(args, pair):
         # Round-robin test assignment: record i is normalised with the
         # statistics of client i % n_clients.
         client = np.arange(len(data)) % means.shape[0]
-        # A finite value can still overflow its z-score or squared residual.
         with np.errstate(over="ignore", invalid="ignore"):
-            errors = score_matrix(pair.u, apply_zscore(
-                means[client].T, stds[client].T, data.values))
-        if not np.isfinite(errors).all():
-            raise UsageError(f"{args.data}: a record too large to score: "
-                             f"its z-score or squared residual overflows")
+            errors = _scorable(score_matrix(pair.u, apply_zscore(
+                means[client].T, stds[client].T, data.values)), args.data)
         if args.slice:
             return filter_slice(errors, data.labels, args.slice.split(","))
         return errors, data.labels != "normal"
@@ -318,7 +325,10 @@ def _load_eval_inputs(args, pair):
         raise UsageError("--slice needs --data: the stored synthetic test "
                          "set has no attack classes")
     test, labels = _stored(args.checkpoint, "synth_test.npz", d)
-    return score_matrix(pair.u, test), labels
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = _scorable(score_matrix(pair.u, test), os.path.join(
+            os.path.dirname(args.checkpoint), "synth_test.npz"))
+    return errors, labels
 
 
 def _check_rho(rho):

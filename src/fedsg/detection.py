@@ -1,6 +1,7 @@
 """Reconstruction-error anomaly scoring, percentile thresholding,
 point metrics, ROC/PR curves, and the per-client self-trained SVD
-baseline. The curves stay numpy column arrays from the sweep until
+baseline. The curves are the vertices of the swept polylines (the AUC
+comes from the full sweep) and stay numpy column arrays until
 write_curve turns them into text.
 
 A single sample x is scored against the learned column subspace only:
@@ -113,7 +114,14 @@ def roc_and_pr(errors, labels):
 
     One stable sort by descending error and a cumulative count give the
     confusion counts at every threshold in O(n log n) (Fawcett 2006,
-    "An introduction to ROC analysis").
+    "An introduction to ROC analysis"). The AUC is summed over that full
+    sweep; each curve then keeps its first and last point and drops
+    interior points of straight runs. An ROC point goes when the count
+    steps into and out of it are parallel (exact in integers);
+    a PR point goes when both neighbours have its true-positive count, a
+    run at constant recall. No other PR run is thinned: interpolation
+    between different counts is not linear in PR space (Davis &
+    Goadrich 2006). Every swept point lies on the returned polyline.
     """
     errs = np.asarray(errors, dtype=float)
     labs = np.asarray(labels, dtype=bool)
@@ -136,16 +144,25 @@ def roc_and_pr(errors, labels):
     tp = np.r_[0, 0, np.cumsum(labs)[last]]
     fp = np.r_[0, 0, np.cumsum(~labs)[last]]
     fpr, tpr = fp / n_neg, tp / n_pos
-    # -inf flags every record, so at least one point has a precision.
-    flagged = tp + fp > 0
-    recall, precision = tpr[flagged], tp[flagged] / (tp + fp)[flagged]
-    # precision at recall 0: first attained point.
-    if recall[0] > 0.0:
-        recall, precision = np.r_[0.0, recall], np.r_[precision[0], precision]
     # cumsum adds the trapezoids left to right (np.sum adds pairwise), so
     # the AUC keeps a running sum's rounding.
     auc = np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
-    return (fpr, tpr), (recall, precision), float(auc)
+    # Both steps lie in the closed positive quadrant, so parallel means
+    # one straight run (the leading zero step is parallel to anything).
+    dtp, dfp = np.diff(tp), np.diff(fp)
+    vertex = np.ones(tp.shape[0], dtype=bool)
+    vertex[1:-1] = dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:]
+    # -inf flags every record, so at least one point has a precision.
+    flagged = tp + fp > 0
+    tp, fp = tp[flagged], fp[flagged]
+    pr_vertex = np.ones(tp.shape[0], dtype=bool)
+    pr_vertex[1:-1] = (tp[1:-1] != tp[:-2]) | (tp[1:-1] != tp[2:])
+    tp, fp = tp[pr_vertex], fp[pr_vertex]
+    recall, precision = tp / n_pos, tp / (tp + fp)
+    # precision at recall 0: first attained point.
+    if recall[0] > 0.0:
+        recall, precision = np.r_[0.0, recall], np.r_[precision[0], precision]
+    return (fpr[vertex], tpr[vertex]), (recall, precision), float(auc)
 
 
 def self_svd_baseline(train_shards, test_sets, k: int, rho: float):

@@ -5,10 +5,13 @@ uses the symmetric eigensolver on a Gram matrix, not the SVD driver the
 library calls; gradients come from central finite differences, AUC
 from explicit pair counting, and confusion metrics from a per-sample
 loop. sweep_roc_and_pr is the per-threshold ROC/PR sweep (one full
-confusion count per distinct score) that detection.roc_and_pr's sorted
-cumulative sweep replaced; parse_records and sorted_partition are the
-per-row, per-cell float() CSV parser and the per-record sort that
-data.load_dataset's columnar ingest and partition_non_iid replaced;
+confusion count per distinct score, every point kept) that
+detection.roc_and_pr's sorted cumulative sweep replaced, and
+thinned_sweep drops from it, in exact Fractions, each point that lies
+on the segment between its neighbours; parse_records and
+sorted_partition are the per-row, per-cell float() CSV parser and the
+per-record sort that data.load_dataset's columnar ingest and
+partition_non_iid replaced;
 csv_write_curve is the csv.writer row loop that detection.write_curve's
 single join replaced; round_robin_errors is the per-client loop that
 z-scored the test set before fedsg eval did it in one broadcast call;
@@ -30,6 +33,7 @@ the alignment and the mean around them.
 """
 
 import csv
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,10 +103,11 @@ def brute_force_metrics(errors, labels, tau):
     return acc, pre, tpr, fpr, f1
 
 
-def sweep_roc_and_pr(errors, labels):
-    """roc_and_pr by one confusion count per threshold: +inf, every
-    distinct error in descending order, -inf. Assumes both classes are
-    present."""
+def exact_sweep(errors, labels):
+    """The ROC points (fpr, tpr) and PR points (recall, precision) as
+    exact Fractions, one per threshold: +inf, every distinct error in
+    descending order, -inf (a PR point only where something is flagged).
+    Assumes both classes are present."""
     errs = np.asarray(errors, dtype=float)
     labs = np.asarray(labels, dtype=bool)
     n_pos = int(np.sum(labs))
@@ -112,16 +117,65 @@ def sweep_roc_and_pr(errors, labels):
     pr = []
     for tau in thresholds:
         tp, fp, fn, tn = confusion_counts(errs, labs, tau)
-        roc.append((fp / n_neg, tp / n_pos))
+        roc.append((Fraction(fp, n_neg), Fraction(tp, n_pos)))
         if tp + fp > 0:
-            pr.append((tp / n_pos, tp / (tp + fp)))
+            pr.append((Fraction(tp, n_pos), Fraction(tp, tp + fp)))
+    return roc, pr
+
+
+def _as_floats(points):
+    """Exact points rounded to floats."""
+    return [(float(x), float(y)) for x, y in points]
+
+
+def _with_recall_zero(pr):
+    """The PR points, with a recall-0 point at the precision of the first
+    in front when they start above recall 0."""
     if pr and pr[0][0] > 0.0:
         pr.insert(0, (0.0, pr[0][1]))
-    roc.sort()
+    return tuple(pr)
+
+
+def sweep_roc_and_pr(errors, labels):
+    """roc_and_pr by one confusion count per threshold, every swept point
+    kept: +inf, every distinct error in descending order, -inf. Assumes
+    both classes are present."""
+    roc, pr = exact_sweep(errors, labels)
+    roc = sorted(_as_floats(roc))
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(roc[:-1], roc[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0
-    return tuple(roc), tuple(pr), float(auc)
+    return tuple(roc), _with_recall_zero(_as_floats(pr)), float(auc)
+
+
+def on_segment(p, a, b):
+    """Whether the exact point p lies on the closed segment from a to b."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    return ((bx - ax) * (py - ay) == (by - ay) * (px - ax)
+            and min(ax, bx) <= px <= max(ax, bx)
+            and min(ay, by) <= py <= max(ay, by))
+
+
+def _thin(points, straight):
+    """The points without every interior one that lies on the segment
+    between its two neighbours, where straight(a, b) holds."""
+    return [p for i, p in enumerate(points)
+            if i in (0, len(points) - 1)
+            or not (straight(points[i - 1], points[i + 1])
+                    and on_segment(p, points[i - 1], points[i + 1]))]
+
+
+def thinned_sweep(errors, labels):
+    """sweep_roc_and_pr with every interior point dropped that lies,
+    exactly, on the segment between its two neighbours in the sweep. A
+    PR segment counts only at one recall: between different
+    true-positive counts PR interpolation is not linear (Davis &
+    Goadrich 2006). The AUC is the full sweep's."""
+    roc, pr = exact_sweep(errors, labels)
+    roc = _thin(roc, lambda a, b: True)
+    pr = _thin(pr, lambda a, b: a[0] == b[0])
+    return (tuple(_as_floats(roc)), _with_recall_zero(_as_floats(pr)),
+            sweep_roc_and_pr(errors, labels)[2])
 
 
 def parse_records(path, feature_list=None, label_map=None, columns=None,

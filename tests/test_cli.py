@@ -10,7 +10,8 @@ from fedsg.cli import _load_eval_inputs, main
 from fedsg.data import DEFAULT_FEATURES, NSL_KDD_COLUMNS, load_dataset
 from fedsg.federation import load_checkpoint
 
-from oracles import parse_records, round_robin_errors, sorted_partition
+from oracles import (pair_count_auc, parse_records, round_robin_errors,
+                     sorted_partition)
 
 NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN, Infinity
 SYNTH = json.dumps({"d": 10, "width": 20, "n_clients": 4, "rank": 2,
@@ -127,6 +128,26 @@ def test_eval_synthetic(run_dir, capsys):
     assert 0.0 <= out["auc"] <= 1.0
     for name in ("metrics.json", "metrics.csv", "roc.csv", "pr.csv"):
         assert (run_dir / name).exists()
+
+
+def test_eval_curves_are_vertices_and_repeat(run_dir, tmp_path):
+    """roc.csv keeps fewer rows than the full sweep's distinct scores + 2,
+    the AUC is the pair count of the scores, and a second eval of the
+    checkpoint writes the same bytes."""
+    checkpoint = str(run_dir / "checkpoint.bin")
+    for out in ("a", "b"):
+        assert main(["eval", "--checkpoint", checkpoint,
+                     "--out", str(tmp_path / out)]) == 0
+    for name in ("roc.csv", "pr.csv", "metrics.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name
+    args = argparse.Namespace(checkpoint=checkpoint, data=None, slice=None)
+    errors, labels = _load_eval_inputs(args, load_checkpoint(checkpoint)[0])
+    with open(tmp_path / "a" / "roc.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) < np.unique(errors).size + 2
+    auc = json.loads((tmp_path / "a" / "metrics.json").read_text())["auc"]
+    assert auc == pytest.approx(pair_count_auc(errors, labels), abs=1e-12)
 
 
 def test_eval_rho_100_orientation(run_dir, capsys):
@@ -499,6 +520,24 @@ def test_csv_value_whose_square_overflows_is_input_error(csv_run, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {message}")
     assert err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_synthetic_record_whose_square_overflows_is_input_error(
+        run_dir, tmp_path, capsys, command):
+    """A finite value of 1e200 in the stored synthetic test set overflows
+    its record's squared residual: exit 2 with one line naming
+    synth_test.npz, no floating-point warning (pytest makes warnings
+    errors), and no file written."""
+    _resave(test=_with(1e200, (3, 7)))(run_dir / "synth_test.npz")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {run_dir / 'synth_test.npz'}: a record too large to score: "
+        f"its residual overflows\n")
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -12,8 +12,9 @@ from fedsg.detection import (evaluate, fit_threshold, roc_and_pr, score,
 from fedsg.errors import AllOneClass, EmptyInput, LengthMismatch, ShapeMismatch
 from fedsg.grassmann import GrassmannPoint
 
-from oracles import (brute_force_metrics, csv_write_curve, pair_count_auc,
-                     random_orthonormal, sweep_roc_and_pr)
+from oracles import (brute_force_metrics, csv_write_curve, exact_sweep,
+                     on_segment, pair_count_auc, random_orthonormal,
+                     sweep_roc_and_pr, thinned_sweep)
 
 
 def _u(rng, d, k):
@@ -181,20 +182,65 @@ def _roc_cases():
 @pytest.mark.parametrize("name,errors,labels", list(_roc_cases()),
                          ids=[c[0] for c in _roc_cases()])
 def test_roc_and_pr_equals_sweep_oracle(name, errors, labels):
-    assert _as_points(roc_and_pr(errors, labels)) == \
-        sweep_roc_and_pr(errors, labels)
+    got = _as_points(roc_and_pr(errors, labels))
+    assert got == thinned_sweep(errors, labels)
+    assert got[2] == sweep_roc_and_pr(errors, labels)[2]
+
+
+SCORED_POINTS = (st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0])
+                                    | st.floats(-10, 10), st.booleans()),
+                          min_size=2, max_size=60)
+                 .filter(lambda p: len({lab for _, lab in p}) == 2))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0])
-                          | st.floats(-10, 10), st.booleans()),
-                min_size=2, max_size=60)
-       .filter(lambda p: len({lab for _, lab in p}) == 2))
+@given(SCORED_POINTS)
 def test_roc_and_pr_equals_sweep_oracle_property(points):
     errors = [e for e, _ in points]
     labels = [lab for _, lab in points]
-    assert _as_points(roc_and_pr(errors, labels)) == \
-        sweep_roc_and_pr(errors, labels)
+    got = _as_points(roc_and_pr(errors, labels))
+    assert got == thinned_sweep(errors, labels)
+    assert got[2] == sweep_roc_and_pr(errors, labels)[2]
+
+
+def _assert_polyline_holds_sweep(got, sweep):
+    """got is an in-order subsequence of the exact swept points, from the
+    first to the last, and every swept point lies exactly on the segment
+    between the two returned points it falls between."""
+    floats = [(float(x), float(y)) for x, y in sweep]
+    at = []
+    for point in got:
+        j = at[-1] + 1 if at else 0
+        while j < len(floats) and floats[j] != point:
+            j += 1
+        assert j < len(floats), f"{point} is not a later swept point"
+        at.append(j)
+    assert (at[0], at[-1]) == (0, len(sweep) - 1)
+    for i, j in zip(at[:-1], at[1:]):
+        for p in sweep[i + 1:j]:
+            assert on_segment(p, sweep[i], sweep[j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(SCORED_POINTS)
+@example([(0.25, True), (0.25, False), (0.25, False)])
+@example([(0.1, False), (0.9, True)])
+@example([(0.1, True), (0.9, False)])
+@example([(0.5, True), (0.5, False)])
+def test_roc_and_pr_curves_hold_every_swept_point(points):
+    errors = [e for e, _ in points]
+    labels = [lab for _, lab in points]
+    (fpr, tpr), (recall, precision), _ = roc_and_pr(errors, labels)
+    roc, pr = exact_sweep(errors, labels)
+    got_roc = list(zip(fpr.tolist(), tpr.tolist()))
+    assert (got_roc[0], got_roc[-1]) == ((0.0, 0.0), (1.0, 1.0))
+    _assert_polyline_holds_sweep(got_roc, roc)
+    got_pr = list(zip(recall.tolist(), precision.tolist()))
+    assert got_pr[0][0] == 0.0
+    if pr[0][0] > 0:  # the recall-0 point in front is not swept
+        assert got_pr[0] == (0.0, float(pr[0][1]))
+        got_pr = got_pr[1:]
+    _assert_polyline_holds_sweep(got_pr, pr)
 
 
 # Values whose text a repr cache could get wrong: signed zeros, NaNs
