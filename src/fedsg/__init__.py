@@ -5,8 +5,9 @@ __version__ = "0.1.0"
 
 from .errors import (AllOneClass, ConvergenceFailure, DimensionMismatch,
                      EmptyInput, EmptyShard, FedsgError, InputError,
-                     LengthMismatch, MissingFeature, NonFiniteShard,
-                     ParseError, RankDeficient, ShapeMismatch, UnknownLabel)
+                     InputOverflow, LengthMismatch, MissingFeature,
+                     NonFiniteShard, ParseError, RankDeficient, ShapeMismatch,
+                     UnknownLabel)
 from .linalg import SvdTriple, frobenius_norm, truncated_svd
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .objective import FactorPair, grad_u, grad_v, loss, optimal_sigma

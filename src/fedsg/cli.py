@@ -3,7 +3,9 @@
 A CSV train partitions the benign records into one (n_clients, d, B)
 stack of equal-width shards, z-scores each with its own statistics and
 trains on that stack. Evaluation assigns test record i to client
-i % n_clients and z-scores it with that client's statistics.
+i % n_clients and z-scores it with that client's statistics
+(data.zscore_round_robin, which gathers no per-record statistics) into
+one C-ordered d x m matrix, which one score_matrix call scores.
 
 Outputs per run directory: manifest.json, trace.csv, checkpoint.bin,
 train_errors.npy, prep.npz (normalization stats) or synth_test.npz,
@@ -11,7 +13,8 @@ and from evaluation: metrics.json, metrics.csv, roc.csv, pr.csv,
 sweep.csv, bench.json.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage or input
-error; README's "Exit codes" paragraph lists the input errors.
+error, a MemoryError included (an input too large for memory);
+README's "Exit codes" paragraph lists the input errors.
 """
 
 import argparse
@@ -28,11 +31,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .data import (DEFAULT_FEATURES, SynthSpec, apply_zscore, filter_slice,
+from .data import (DEFAULT_FEATURES, SynthSpec, filter_slice,
                    generate_synthetic, load_dataset, partition_non_iid,
-                   read_feature_list, zscore_fit_apply)
-from .detection import (evaluate, fit_threshold, roc_and_pr, score,
-                        score_matrix, write_curve, write_metrics)
+                   read_feature_list, zscore_fit_apply, zscore_round_robin)
+from .detection import (evaluate, fit_threshold, fit_thresholds, roc_and_pr,
+                        score, score_matrix, write_curve, write_metrics)
 from .errors import DimensionMismatch, FedsgError, InputError
 from .federation import (CHECKPOINT_HEADER_BYTES, FedConfig, load_checkpoint,
                          run_fedsg, save_checkpoint, write_trace_csv)
@@ -187,7 +190,10 @@ def cmd_train(args):
                              f"but --synthetic has n_clients "
                              f"{spec.n_clients}")
         config = _build(FedConfig, dict(values, n_clients=spec.n_clients))
-        shards, test, labels, _ = generate_synthetic(spec)
+        # A noise large enough to overflow gives infinite shards, which
+        # run_fedsg rejects (NonFiniteShard).
+        with np.errstate(over="ignore"):
+            shards, test, labels, _ = generate_synthetic(spec)
         manifest["dataset"] = {"kind": "synthetic",
                                "spec": dataclasses.asdict(spec)}
         inputs_file, inputs = "synth_test.npz", {"test": test,
@@ -313,10 +319,9 @@ def _load_eval_inputs(args, pair):
                 f"{data.values.shape[0]} features")
         # Round-robin test assignment: record i is normalised with the
         # statistics of client i % n_clients.
-        client = np.arange(len(data)) % means.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            errors = _scorable(score_matrix(pair.u, apply_zscore(
-                means[client].T, stds[client].T, data.values)), args.data)
+            errors = _scorable(score_matrix(pair.u, zscore_round_robin(
+                means, stds, data.values)), args.data)
         if args.slice:
             return filter_slice(errors, data.labels, args.slice.split(","))
         return errors, data.labels != "normal"
@@ -386,8 +391,7 @@ def cmd_sweep(args):
     out = _output_dir(args.out
                       or os.path.dirname(os.path.abspath(args.checkpoint)))
     rows = []
-    for rho in grid:
-        tau = fit_threshold(train_errors, rho)
+    for rho, tau in zip(grid, fit_thresholds(train_errors, grid).tolist()):
         rep = evaluate(errors, labels, tau)
         rows.append([rho, tau, rep.acc, rep.pre, rep.tpr, rep.fpr, rep.f1])
     path = os.path.join(out, "sweep.csv")
@@ -499,6 +503,11 @@ def main(argv=None):
     except FedsgError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
+    except MemoryError as exc:
+        # numpy names the size and shape it could not allocate.
+        print(f"error: MemoryError: {exc or 'out of memory'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -378,17 +378,57 @@ def zscore_fit_apply(shards):
 
 
 def apply_zscore(mean, std, x) -> np.ndarray:
-    """Transform new samples (d x m) with previously fitted statistics:
-    one (d,) mean/std pair for every sample, or a d x m pair holding each
-    sample's own. Any other shape is a ShapeMismatch, never a broadcast."""
+    """Transform new samples (d x m) with one previously fitted (d,)
+    mean/std pair. Any other shape is a ShapeMismatch, never a
+    broadcast."""
     x = np.asarray(x, dtype=float)
     mean, std = np.asarray(mean), np.asarray(std)
-    if x.ndim == 2 and mean.shape == std.shape == x.shape[:1]:
-        mean, std = mean[:, None], std[:, None]
-    elif not mean.shape == std.shape == x.shape:
-        raise ShapeMismatch(f"statistics {mean.shape}/{std.shape} fit "
-                            f"neither (d,) nor samples {x.shape}")
-    return (x - mean) / std
+    if not (x.ndim == 2 and mean.shape == std.shape == x.shape[:1]):
+        raise ShapeMismatch(f"statistics {mean.shape}/{std.shape} do not "
+                            f"fit samples {x.shape} as (d,)")
+    return (x - mean[:, None]) / std[:, None]
+
+
+# Records that zscore_round_robin z-scores at a time, rounded up to whole
+# rounds of clients.
+_ZSCORE_BLOCK = 4096
+
+
+def zscore_round_robin(means, stds, x) -> np.ndarray:
+    """Z-score the d x m records x, record i with the statistics of
+    client i mod n, from the (n, d) means and stds that train stored.
+    Returns a C-ordered d x m matrix; each element is (x - mean) / std,
+    rounded as apply_zscore rounds it. A statistics shape other than
+    (n, d), n >= 1, is a ShapeMismatch.
+
+    No per-record statistics are gathered: the first q*n records, as
+    (d, q, n) views of x, take the (d, 1, n) statistics by broadcasting,
+    and the last m - q*n records take the first clients'."""
+    x = np.asarray(x, dtype=float)
+    means, stds = np.asarray(means), np.asarray(stds)
+    if not (x.ndim == means.ndim == 2 and means.shape == stds.shape
+            and means.shape[0] >= 1 and means.shape[1] == x.shape[0]):
+        raise ShapeMismatch(f"statistics {means.shape}/{stds.shape} do not "
+                            f"fit samples {x.shape} as (n_clients, d)")
+    (n, d), m = means.shape, x.shape[1]
+    full = m - m % n
+    mu, sigma = means.T[:, None], stds.T[:, None]
+    z = np.empty((d, m))
+    # Parsed records are rows, so each of the d rows of z reads x with a
+    # stride of a whole record. Blocks of a few thousand records (a few MB
+    # of x and z) took half the time of one pass over the 22,544 records
+    # of an NSL-KDD-sized test set. Splitting the record axis gives views
+    # of x and z, never copies.
+    step = -(-_ZSCORE_BLOCK // n) * n
+    for j in range(0, full, step):
+        cols = slice(j, min(j + step, full))
+        rounds = z[:, cols].reshape(d, -1, n)
+        np.subtract(x[:, cols].reshape(d, -1, n), mu, out=rounds)
+        rounds /= sigma
+    rest = z[:, full:]
+    np.subtract(x[:, full:], mu[:, 0, :m - full], out=rest)
+    rest /= sigma[:, 0, :m - full]
+    return z
 
 
 def filter_slice(matrix, labels, keep_classes):

@@ -44,7 +44,10 @@ def score_matrix(u: GrassmannPoint, x):
     b = u.basis
     if xm.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"rows {xm.shape[0]} != ambient dim {b.shape[0]}")
-    r = xm - b @ (b.T @ xm)
+    # The projection's buffer takes the residual's negative, which
+    # squares to the same bits, so the matrix makes one temporary.
+    r = b @ (b.T @ xm)
+    r -= xm
     r *= r
     # The sum np.linalg.norm(r, axis=0) takes, bit for bit, without the
     # argument handling that would slow single-sample scoring.
@@ -53,16 +56,24 @@ def score_matrix(u: GrassmannPoint, x):
 
 def fit_threshold(training_errors, rho: float) -> float:
     """rho-th percentile of the sorted training errors by the nearest-rank
-    method: index ceil(rho/100 * n), clamped to [1, n]. One partition
-    finds that order statistic without sorting the rest (NaN sorts last
-    in both)."""
+    method: fit_thresholds for one rho."""
+    return float(fit_thresholds(training_errors, [rho])[0])
+
+
+def fit_thresholds(training_errors, rhos) -> np.ndarray:
+    """fit_threshold for every rho in rhos, as one float array. Each is
+    the element at index ceil(rho/100 * n), clamped to [1, n], of the n
+    sorted training errors. One partition at all those indices finds the
+    order statistics without sorting the rest (NaN sorts last in both)."""
     errs = np.asarray(training_errors, dtype=float)
     n = errs.shape[0]
     if n == 0:
         raise EmptyInput("no training errors")
-    idx = int(np.ceil(rho / 100.0 * n))
-    idx = min(max(idx, 1), n)
-    return float(np.partition(errs, idx - 1)[idx - 1])
+    rhos = np.asarray(rhos, dtype=float)
+    if np.isnan(rhos).any():
+        raise ValueError("rho must be a number, got NaN")
+    idx = np.clip(np.ceil(rhos / 100.0 * n), 1, n).astype(np.intp) - 1
+    return np.partition(errs, idx)[idx]
 
 
 def confusion_counts(errors, labels, tau):
@@ -112,16 +123,21 @@ def roc_and_pr(errors, labels):
     arrays, trapezoidal AUC). Tied scores collapse to one sweep point,
     so the trapezoid equals the half-weighted pair count.
 
-    One stable sort by descending error and a cumulative count give the
+    One sort by descending error and a cumulative count give the
     confusion counts at every threshold in O(n log n) (Fawcett 2006,
-    "An introduction to ROC analysis"). The AUC is summed over that full
-    sweep; each curve then keeps its first and last point and drops
-    interior points of straight runs. An ROC point goes when the count
-    steps into and out of it are parallel (exact in integers);
-    a PR point goes when both neighbours have its true-positive count, a
-    run at constant recall. No other PR run is thinned: interpolation
-    between different counts is not linear in PR space (Davis &
-    Goadrich 2006). Every swept point lies on the returned polyline.
+    "An introduction to ROC analysis"). The counts are read only at the
+    last record of each run of tied errors, so the order of tied records
+    never reaches an output and the sort need not be stable. A NaN error
+    equals nothing, not even another NaN, so each would be a run of its
+    own and the curves would depend on their order: NaN errors are a
+    ValueError. The AUC is summed over the full sweep; each curve then
+    keeps its first and last point and drops interior points of straight
+    runs. An ROC point goes when the count steps into and out of it are
+    parallel (exact in integers); a PR point goes when both neighbours
+    have its true-positive count, a run at constant recall. No other PR
+    run is thinned: interpolation between different counts is not linear
+    in PR space (Davis & Goadrich 2006). Every swept point lies on the
+    returned polyline.
     """
     errs = np.asarray(errors, dtype=float)
     labs = np.asarray(labels, dtype=bool)
@@ -132,8 +148,10 @@ def roc_and_pr(errors, labels):
     if n_pos == 0 or n_neg == 0:
         raise AllOneClass("both classes required for ROC/PR")
 
-    order = np.argsort(-errs, kind="stable")
+    order = np.argsort(-errs)
     errs, labs = errs[order], labs[order]
+    if np.isnan(errs[-1]):  # argsort puts NaN last
+        raise ValueError("NaN error: a NaN has no rank among the errors")
     # Last index of each run of tied errors: the threshold at the next
     # smaller distinct value flags everything up to it.
     last = np.flatnonzero(np.r_[errs[1:] != errs[:-1], True])

@@ -68,6 +68,11 @@ class NonFiniteShard(InputError):
     """A training shard holds a NaN or infinite value."""
 
 
+class InputOverflow(InputError):
+    """Training shards too large for the arithmetic: their energy
+    sum_i ||X_i||_F^2 overflows, or a gradient step of size eta could."""
+
+
 class DimensionMismatch(InputError):
     """Checkpoint and data dimensions disagree, or a training config asks
     for more than the training shards hold (a rank above min(d, B))."""

@@ -27,12 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonFiniteShard, ParseError,
-                     RankDeficient, ShapeMismatch, check_integers)
+from .errors import (DimensionMismatch, InputOverflow, NonFiniteShard,
+                     ParseError, RankDeficient, ShapeMismatch, check_integers)
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .linalg import truncated_svd
 from .objective import (FactorPair, captured_energy, grad_u, grad_v,
                         shard_stack)
+
+# Largest eta * max_i ||X_i||_F^2 that run_fedsg accepts. At orthonormal
+# bases the gradient of a shard's loss has Frobenius norm at most
+# ||X_i||_F^2, so the matrix a step retracts, A (A^T (eta G)) + A - eta G,
+# has Frobenius norm at most 2 * MAX_STEP_ENERGY + sqrt(k): finite, as is
+# every partial sum that forms it.
+MAX_STEP_ENERGY = 1e307
 
 CHECKPOINT_MAGIC = b"FEDSGCK1"
 # magic + d, B, k, round as little-endian uint32.
@@ -156,8 +163,11 @@ def run_fedsg(config: FedConfig, shards):
     up to rounding of about 1e-15 of the total energy, which near a
     perfect fit could otherwise fall below 0.
 
-    Raises DimensionMismatch if config.k exceeds min(d, B), and
-    NonFiniteShard for a shard with a NaN or infinite value.
+    Raises DimensionMismatch if config.k exceeds min(d, B),
+    NonFiniteShard for a shard with a NaN or infinite value, and
+    InputOverflow when the shards' energy overflows or
+    eta * max_i ||X_i||_F^2 exceeds MAX_STEP_ENERGY. A sub-step whose
+    retraction still overflows is skipped as rank deficient.
     """
     shards = shard_stack(shards)
     if shards.ndim != 3 or len(shards) != config.n_clients:
@@ -175,7 +185,15 @@ def run_fedsg(config: FedConfig, shards):
         raise DimensionMismatch(f"rank k={config.k} exceeds min(d, B) = "
                                 f"{min(d, width)} of the {d} x {width} "
                                 f"training shards")
-    energy = sum(float(np.vdot(s, s)) for s in shards)
+    energies = [float(np.vdot(s, s)) for s in shards]
+    energy = sum(energies)
+    if not energy < np.inf:
+        raise InputOverflow("the shards' energy sum_i ||X_i||_F^2 "
+                            "overflows")
+    if config.eta * max(energies) > MAX_STEP_ENERGY:
+        raise InputOverflow(f"eta={config.eta!r} times the largest shard "
+                            f"energy {max(energies):.6g} exceeds "
+                            f"{MAX_STEP_ENERGY:g}: a step could overflow")
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
 

@@ -63,7 +63,8 @@ def batched_qr(m):
     n, k = a.shape[-2:]
     if n < k:
         raise ShapeMismatch(f"thin QR needs n >= k, got {n}x{k}")
-    # A non-finite or overflowing member fails the bound and is redone.
+    # A non-finite or overflowing member fails the bound and is redone,
+    # under this np.errstate too.
     with np.errstate(invalid="ignore", over="ignore"):
         g = gram(a)
         try:
@@ -84,16 +85,20 @@ def batched_qr(m):
         # ||R||_F^2 is the trace of M^T M.
         cond2 = (g.trace(axis1=-2, axis2=-1)
                  * np.square(r_inv).sum(axis=(-2, -1)))
-    redo = failed | ~(cond2 <= CHOLQR_MAX_COND2)  # NaN fails too
-    if not redo.any():
-        return q, r, redo  # all False: no member is rank deficient
-    deficient = np.zeros_like(redo)
-    q[redo], r[redo], deficient[redo] = _householder_qr(a[redo])
+        redo = failed | ~(cond2 <= CHOLQR_MAX_COND2)  # NaN fails too
+        if not redo.any():
+            return q, r, redo  # all False: no member is rank deficient
+        deficient = np.zeros_like(redo)
+        q[redo], r[redo], deficient[redo] = _householder_qr(a[redo])
     return q, r, deficient
 
 
 def _householder_qr(a):
-    """batched_qr on LAPACK Householder, with the sign fix and rank test."""
+    """batched_qr on LAPACK Householder, with the sign fix and rank test.
+    A finite member whose squared norm overflows gets an infinite norm
+    and so is rank deficient (a NaN member is not: its NaN q fails the
+    orthonormality check). batched_qr runs this under its np.errstate,
+    so the overflow warns nothing."""
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     norms = np.sqrt(np.sum(r * r, axis=(-2, -1)))  # ||m||_F = ||r||_F

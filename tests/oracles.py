@@ -13,8 +13,10 @@ sorted_partition are the per-row, per-cell float() CSV parser and the
 per-record sort that data.load_dataset's columnar ingest and
 partition_non_iid replaced;
 csv_write_curve is the csv.writer row loop that detection.write_curve's
-single join replaced; round_robin_errors is the per-client loop that
-z-scored the test set before fedsg eval did it in one broadcast call;
+single join replaced; round_robin_zscores and round_robin_errors are
+the per-client loop that z-scored the test set before
+data.zscore_round_robin did it by broadcasting over whole rounds of
+clients;
 householder_qr is the LAPACK QR that linalg.batched_qr keeps only for
 ill-conditioned members. reference_grad_u and reference_grad_v are the
 Euclidean gradients exact at any U, V, with two Gram matrices per shard,
@@ -272,11 +274,10 @@ def csv_write_curve(points, path, header):
             w.writerow([repr(float(a)), repr(float(b))])
 
 
-def round_robin_errors(u, means, stds, values):
-    """Residual norms of the d x m test records, record i z-scored with
-    client i % n_clients's statistics: one apply_zscore call per client
-    on the columns assigned to it, into one d x m matrix that one
-    score_matrix call scores, as eval does."""
+def round_robin_zscores(means, stds, values):
+    """The d x m test records, record i z-scored with client
+    i % n_clients's statistics: one apply_zscore call per client on the
+    columns assigned to it, into one d x m matrix."""
     n_clients = means.shape[0]
     z = np.empty(values.shape)
     assign = np.arange(values.shape[1]) % n_clients
@@ -285,7 +286,13 @@ def round_robin_errors(u, means, stds, values):
         if cols.size == 0:
             continue
         z[:, cols] = apply_zscore(means[cid], stds[cid], values[:, cols])
-    return score_matrix(u, z)
+    return z
+
+
+def round_robin_errors(u, means, stds, values):
+    """Residual norms of round_robin_zscores, from one score_matrix call
+    on the whole d x m matrix, as eval does."""
+    return score_matrix(u, round_robin_zscores(means, stds, values))
 
 
 def _reference_gradient(a, b, y):

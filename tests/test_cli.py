@@ -541,6 +541,69 @@ def test_synthetic_record_whose_square_overflows_is_input_error(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--eta", "1e308"], "InputOverflow: eta=1e+308 times the largest shard "
+                         "energy"),
+    (["--synthetic", json.dumps({"noise": 1e200})],
+     "InputOverflow: the shards' energy sum_i ||X_i||_F^2 overflows"),
+    (["--synthetic", json.dumps({"noise": 1e308})],
+     "NonFiniteShard: shard 0 has non-finite values"),
+], ids=["eta_1e308", "noise_1e200", "noise_1e308"])
+def test_train_overflow_is_input_error(tmp_path, capsys, flags, message):
+    """Shards or a step too large for float64: exit 2 with one error
+    line, no floating-point warning (pytest makes warnings errors), and
+    no file written."""
+    out = tmp_path / "o"
+    argv = ["train", "--synthetic", "default", *flags, "--rounds", "2",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
+def test_train_step_whose_retraction_overflows_is_skipped(tmp_path):
+    """At eta 1e300 every step is finite, but the squared norm of the
+    matrix it retracts overflows: each sub-step is skipped as rank
+    deficient, without a floating-point warning, and trace.csv counts
+    them (4 sampled clients x 5 local steps x 2 factors per round)."""
+    out = tmp_path / "o"
+    assert main(["train", "--synthetic", "default", "--eta", "1e300",
+                 "--rounds", "2", "--out", str(out)]) == 0
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["skipped_steps"]) for r in rows] == [40, 40]
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError("Unable to allocate 2.18 TiB for an array")
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_memory_error_is_one_error_line(run_dir, tmp_path, capsys,
+                                        monkeypatch, command):
+    """A MemoryError from the allocating call (train --synthetic
+    '{"n_test": 100000000000}', bench --iters 100000000000) exits 2 with
+    one error line. The allocation is faked: under memory overcommit a
+    huge one can succeed."""
+    if command == "train":
+        monkeypatch.setattr("fedsg.cli.generate_synthetic",
+                            _raise_memory_error)
+        argv = ["train", "--synthetic", json.dumps({"n_test": 10 ** 11}),
+                "--out", str(tmp_path / "o")]
+    else:
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: (
+            argparse.Namespace(standard_normal=_raise_memory_error)))
+        argv = ["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                "--iters", str(10 ** 11), "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: MemoryError: Unable to allocate 2.18 TiB for an array\n")
+    out = tmp_path / "o"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("argv,message", [
     (["train", "--config", "TMP/nope.json", "--synthetic", SYNTH,
       "--out", "TMP/o"], "config file not found: TMP/nope.json"),

@@ -13,14 +13,14 @@ from fedsg import data as data_module
 from fedsg.data import (DEFAULT_FEATURES, NSL_KDD_COLUMNS, SynthSpec,
                         apply_zscore, filter_slice, generate_synthetic,
                         load_dataset, partition_non_iid, read_feature_list,
-                        zscore_fit_apply)
+                        zscore_fit_apply, zscore_round_robin)
 from fedsg.detection import score_matrix
 from fedsg.errors import (EmptyShard, FedsgError, MissingFeature,
                           ParseError, ShapeMismatch, UnknownLabel)
 from fedsg.grassmann import GrassmannPoint
 
 from oracles import (parse_records, per_client_synthetic_shards,
-                     sorted_partition)
+                     round_robin_zscores, sorted_partition)
 
 
 def _make_row(rng, label, dst_bytes=None):
@@ -445,25 +445,44 @@ def test_apply_zscore_uses_train_stats():
                        (test - mean[0][:, None]) / std[0][:, None])
 
 
-def test_apply_zscore_per_sample_stats_match_per_column_calls():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((4, 7))
-    means, stds = rng.standard_normal((4, 7)), rng.random((4, 7)) + 0.5
-    got = apply_zscore(means, stds, x)
-    for j in range(7):
-        want = apply_zscore(means[:, j], stds[:, j], x[:, j:j + 1])
-        assert got[:, j:j + 1].tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(4, 1), (7,), (4, 8), (7, 4), ()],
-                         ids=["d_by_1", "m", "d_by_m_plus_1", "m_by_d",
-                              "scalar"])
+@pytest.mark.parametrize("shape", [(4, 1), (7,), (4, 7), (4, 8), (7, 4), ()],
+                         ids=["d_by_1", "m", "d_by_m", "d_by_m_plus_1",
+                              "m_by_d", "scalar"])
 def test_apply_zscore_rejects_other_stat_shapes(shape):
     x = np.ones((4, 7))
     with pytest.raises(ShapeMismatch):
         apply_zscore(np.zeros(shape), np.ones(shape), x)
     with pytest.raises(ShapeMismatch):
         apply_zscore(np.zeros(4), np.ones(shape), x)
+
+
+@pytest.mark.parametrize("n,m", [(5, 3), (5, 20), (5, 23), (1, 9),
+                                 (7, 9001), (100, 12000)],
+                         ids=["m_below_n", "whole_rounds", "remainder",
+                              "one_client", "blocks_and_remainder",
+                              "blocks"])
+def test_zscore_round_robin_matches_per_client_loop(n, m):
+    """Bit for bit the per-client apply_zscore loop, into a C-ordered
+    matrix, with the records a transposed view as Dataset.values is."""
+    rng = np.random.default_rng(m)
+    d = 6
+    x = (rng.standard_normal((m, d)) * 1e3).T
+    means = rng.standard_normal((n, d)) * 10
+    stds = rng.random((n, d)) + 1e-3
+    got = zscore_round_robin(means, stds, x)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == round_robin_zscores(means, stds, x).tobytes()
+
+
+@pytest.mark.parametrize("means,stds", [
+    (np.zeros((3, 5)), np.ones((3, 5))),   # d does not match
+    (np.zeros((0, 4)), np.ones((0, 4))),   # no client
+    (np.zeros((3, 4)), np.ones((3, 5))),   # means and stds disagree
+    (np.zeros(4), np.ones(4)),             # one client's (d,) pair
+], ids=["wrong_d", "no_client", "unequal", "one_pair"])
+def test_zscore_round_robin_rejects_other_stat_shapes(means, stds):
+    with pytest.raises(ShapeMismatch):
+        zscore_round_robin(means, stds, np.ones((4, 7)))
 
 
 def test_filter_slice():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedsg.detection import (evaluate, fit_threshold, roc_and_pr, score,
-                             score_matrix, self_svd_baseline, write_curve)
+from fedsg.detection import (evaluate, fit_threshold, fit_thresholds,
+                             roc_and_pr, score, score_matrix,
+                             self_svd_baseline, write_curve)
 from fedsg.errors import AllOneClass, EmptyInput, LengthMismatch, ShapeMismatch
 from fedsg.grassmann import GrassmannPoint
 
@@ -71,7 +72,8 @@ def test_fit_threshold_uniform_grid():
 
 def test_fit_threshold_matches_sort_oracle():
     """The nearest-rank element of the sorted errors, bit for bit, also
-    with ties and with NaNs (which sort last)."""
+    with ties and with NaNs (which sort last), for one rho and for a grid
+    of them taken from one partition."""
     rng = np.random.default_rng(5)
     for _ in range(60):
         errs = rng.standard_normal(int(rng.integers(1, 50)))
@@ -82,9 +84,27 @@ def test_fit_threshold_matches_sort_oracle():
             errs[rng.random(errs.shape) < 0.3] = np.nan
         rho = float(rng.uniform(0, 100))
         srt = np.sort(errs)
-        idx = min(max(int(np.ceil(rho / 100 * len(errs))), 1), len(errs))
+
+        def oracle(rho):
+            idx = min(max(int(np.ceil(rho / 100 * len(errs))), 1), len(errs))
+            return srt[idx - 1]
+
         assert np.float64(fit_threshold(errs, rho)).tobytes() == \
-            srt[idx - 1].tobytes()
+            oracle(rho).tobytes()
+        grid = [rho, 0.0, 100.0, *range(1, 31), 17.5, 99.9]
+        want = np.array([oracle(r) for r in grid])
+        # np.round gives both -0.0 and 0.0, which tie: the sign of a zero
+        # has no rank, and either may land at the index, so adding +0.0
+        # compares every other bit.
+        assert (fit_thresholds(errs, grid) + 0.0).tobytes() == \
+            (want + 0.0).tobytes()
+
+
+def test_fit_threshold_nan_rho_is_value_error():
+    with pytest.raises(ValueError, match="NaN"):
+        fit_threshold([1.0, 2.0], float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        fit_thresholds([1.0, 2.0], [18.0, float("nan")])
 
 
 def test_fit_threshold_empty():
@@ -185,6 +205,36 @@ def test_roc_and_pr_equals_sweep_oracle(name, errors, labels):
     got = _as_points(roc_and_pr(errors, labels))
     assert got == thinned_sweep(errors, labels)
     assert got[2] == sweep_roc_and_pr(errors, labels)[2]
+
+
+TIED_CASES = [c for c in _roc_cases()
+              if c[0] in ("heavy_ties", "all_tied", "n2_tied")]
+
+
+@pytest.mark.parametrize("name,errors,labels", TIED_CASES,
+                         ids=[c[0] for c in TIED_CASES])
+def test_roc_and_pr_ignore_the_order_of_tied_records(name, errors, labels):
+    """Permuting the records, and with them the order within each run of
+    tied errors that the sort meets, leaves every output bit unchanged."""
+    rng = np.random.default_rng(12)
+    (fpr, tpr), (recall, precision), auc = roc_and_pr(errors, labels)
+    for _ in range(5):
+        perm = rng.permutation(errors.shape[0])
+        (fpr2, tpr2), (recall2, precision2), auc2 = roc_and_pr(
+            errors[perm], labels[perm])
+        for a, b in ((fpr, fpr2), (tpr, tpr2), (recall, recall2),
+                     (precision, precision2)):
+            assert a.tobytes() == b.tobytes()
+        assert np.float64(auc).tobytes() == np.float64(auc2).tobytes()
+
+
+@pytest.mark.parametrize("errors", [[0.1, float("nan"), 0.3, 0.2],
+                                    [float("nan")] * 4])
+def test_roc_and_pr_reject_nan_errors(errors):
+    """Each NaN would be a tie run of its own, so the curves would depend
+    on the order of the NaN records: a NaN error is a ValueError."""
+    with pytest.raises(ValueError, match="NaN error"):
+        roc_and_pr(errors, [True, False, True, False])
 
 
 SCORED_POINTS = (st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0])

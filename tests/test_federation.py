@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fedsg import federation
 from fedsg.data import SynthSpec, generate_synthetic
-from fedsg.errors import (InputError, NonFiniteShard, RankDeficient,
-                          ShapeMismatch)
+from fedsg.errors import (InputError, InputOverflow, NonFiniteShard,
+                          RankDeficient, ShapeMismatch)
 from fedsg.federation import (FedConfig, aggregate, load_checkpoint,
                               local_update, procrustes_rotation, run_fedsg,
                               save_checkpoint, write_trace_csv)
@@ -240,6 +240,26 @@ def test_run_fedsg_rejects_non_finite_shard(bad):
         with pytest.raises(NonFiniteShard, match="shard 1") as err:
             run_fedsg(config, shards)
         assert isinstance(err.value, InputError)
+
+
+def test_run_fedsg_rejects_overflowing_energy_and_step():
+    """Finite shards whose energy overflows, and an eta whose step could
+    overflow (eta * max_i ||X_i||_F^2 above MAX_STEP_ENERGY), are input
+    errors; an eta just inside the bound trains without a warning."""
+    config = FedConfig(n_clients=3, rounds=1, local_steps=2,
+                       sample_fraction=1.0, k=2)
+    shards = np.random.default_rng(7).standard_normal((3, 6, 8))
+    with pytest.raises(InputOverflow, match="energy .* overflows"):
+        run_fedsg(config, shards * 1e160)
+    limit = federation.MAX_STEP_ENERGY / max(float(np.vdot(s, s))
+                                             for s in shards)
+    _, traces = run_fedsg(FedConfig(**{**vars(config), "eta": limit}),
+                          shards)
+    assert traces[0].skipped_steps == 12  # every step overflows the QR
+    with pytest.raises(InputOverflow, match="a step could overflow") as err:
+        run_fedsg(FedConfig(**{**vars(config), "eta": limit * 1.01}),
+                  shards)
+    assert isinstance(err.value, InputError)
 
 
 def test_run_fedsg_on_a_list_and_on_stacks():

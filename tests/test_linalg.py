@@ -136,6 +136,19 @@ def test_qr_non_finite_member_takes_householder(bad):
     assert np.array_equal(q[0], batched_qr(stack[0])[0])
 
 
+def test_qr_member_whose_norm_overflows_is_rank_deficient():
+    """Finite entries of 1e200 overflow the member's Gram matrix and its
+    squared norm: it is flagged rank deficient without a floating-point
+    warning (pytest makes warnings errors), and the other member factors
+    as it does alone."""
+    rng = np.random.default_rng(23)
+    stack = np.stack([_conditioned(rng, 8, 2, 2.0) for _ in range(2)])
+    stack[1] *= 1e200
+    q, _, deficient = batched_qr(stack)
+    assert deficient.tolist() == [False, True]
+    assert np.array_equal(q[0], batched_qr(stack[0])[0])
+
+
 def test_riemannian_step_nan_gradient_member_fails_loudly():
     rng = np.random.default_rng(21)
     bases = np.stack([random_orthonormal(rng, 8, 2) for _ in range(3)])
