@@ -14,7 +14,7 @@ sweep.csv, bench.json.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage or input
 error, a MemoryError included (an input too large for memory);
-README's "Exit codes" paragraph lists the input errors.
+README's "Exit codes" section lists the input errors by command.
 """
 
 import argparse
@@ -413,7 +413,8 @@ def cmd_bench(args):
         samples, = _load_arrays(_input_file(args.data, "data path"), "test")
         _check(args.data, "'test'", samples, "f", (d, "m"))
     else:
-        samples = np.random.default_rng(0).standard_normal((d, args.iters))
+        # One fixed pool, cycled as --data's is: memory is flat in --iters.
+        samples = np.random.default_rng(0).standard_normal((d, 1024))
     score(pair.u, samples[:, 0])  # warm-up, discarded
     lat = np.empty(args.iters)
     for i in range(args.iters):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (EmptyShard, MissingFeature, ParseError, ShapeMismatch,
-                     UnknownLabel, check_integers)
+                     UnknownLabel, check_numbers)
 
 # NSL-KDD column order (41 features, then label, then optional difficulty).
 NSL_KDD_COLUMNS = [
@@ -459,8 +459,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, ("d", "width", "n_clients", "rank", "n_test",
-                              "seed"))
+        check_numbers(self, ("d", "width", "n_clients", "rank", "n_test",
+                             "seed"),
+                      ("noise", "anomaly_fraction", "anomaly_offset"))
         if min(self.d, self.width, self.n_clients, self.rank, self.n_test) < 1:
             raise ValueError("d, width, n_clients, rank and n_test must be "
                              "at least 1")

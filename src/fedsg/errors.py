@@ -1,16 +1,19 @@
-"""Exception types shared across the package, and the integer check
+"""Exception types shared across the package, and the number check
 that the config dataclasses share."""
 
 import numbers
 
 
-def check_integers(obj, names):
-    """Raise ValueError unless every named field of obj is an integer.
-    A bool, or a float even when integral (20.0), is refused."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_numbers(obj, integers, reals):
+    """Raise ValueError unless every field of obj named in integers is an
+    integer and every one named in reals is a real number. A bool is
+    refused, and so is a float for an integer even when integral (20.0)."""
+    for names, kind, what in ((integers, numbers.Integral, "an integer"),
+                              (reals, numbers.Real, "a number")):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 class FedsgError(Exception):

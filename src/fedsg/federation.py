@@ -10,25 +10,27 @@ buffer, allocated once per run, and stacks their bases as (s, d, k) and
 product each (objective.grad_u / grad_v). Every basis the gradients see
 is orthonormal (the local steps start from the global pair, and
 riemannian_step checks each retracted stack), so they take their closed
-form there. The QR retractions, Procrustes alignments and the mean act
-on the whole stack. The per-round global loss over all shards is their
-energy, summed once per run, minus objective.captured_energy at the new
-global pair, so a round does O(k(d+B)) work per shard and forms no
-d x B residual.
+form there, which is tangent: a sub-step retracts A - eta G as it is.
+The QR retractions, Procrustes alignments and the mean act on the whole
+stack. The per-round global loss over all shards is their energy, summed
+once per run, minus objective.captured_energy at the new global pair, so
+a round does O(k(d+B)) work per shard and forms no d x B residual.
 
 Message sizes follow the wire contract: each sampled client exchanges
 k*(d+B) float64 values per direction per round.
 """
 
 import csv
+import math
 import struct
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import (DimensionMismatch, InputOverflow, NonFiniteShard,
-                     ParseError, RankDeficient, ShapeMismatch, check_integers)
+                     ParseError, RankDeficient, ShapeMismatch, check_numbers)
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .linalg import truncated_svd
 from .objective import (FactorPair, captured_energy, grad_u, grad_v,
@@ -36,9 +38,8 @@ from .objective import (FactorPair, captured_energy, grad_u, grad_v,
 
 # Largest eta * max_i ||X_i||_F^2 that run_fedsg accepts. At orthonormal
 # bases the gradient of a shard's loss has Frobenius norm at most
-# ||X_i||_F^2, so the matrix a step retracts, A (A^T (eta G)) + A - eta G,
-# has Frobenius norm at most 2 * MAX_STEP_ENERGY + sqrt(k): finite, as is
-# every partial sum that forms it.
+# ||X_i||_F^2, so the matrix a step retracts has
+# ||A - eta G||_F <= sqrt(k) + MAX_STEP_ENERGY: finite.
 MAX_STEP_ENERGY = 1e307
 
 CHECKPOINT_MAGIC = b"FEDSGCK1"
@@ -58,8 +59,8 @@ class FedConfig:
     align_before_average: bool = True
 
     def __post_init__(self):
-        check_integers(self, ("n_clients", "rounds", "local_steps", "k",
-                              "seed"))
+        check_numbers(self, ("n_clients", "rounds", "local_steps", "k",
+                             "seed"), ("sample_fraction", "eta"))
         if not isinstance(self.align_before_average, bool):
             raise ValueError(f"align_before_average must be true or false, "
                              f"got {self.align_before_average!r}")
@@ -73,6 +74,13 @@ class FedConfig:
             raise ValueError("sample_fraction * n_clients must be >= 1")
         if not 0.0 < self.eta < np.inf:  # also false for nan
             raise ValueError("eta must be positive and finite")
+
+    @property
+    def n_sampled(self) -> int:
+        """Clients sampled per round: ceil(sample_fraction * n_clients) on
+        the decimal given: 0.07 * 100 gives 7, not the 8 of binary floats."""
+        return math.ceil(Fraction(repr(float(self.sample_fraction)))
+                         * self.n_clients)
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,7 @@ def run_fedsg(config: FedConfig, shards):
     shards is the (n_clients, d, B) stack of the client shards, taken as
     it is; a list of d x B shards is stacked once. The start is
     initial_pair, drawn from the seeded generator that then samples the
-    clients. Each round samples ceil(sample_fraction * N) clients without
+    clients. Each round samples config.n_sampled clients without
     replacement, runs their local updates as one batch, aggregates, and
     records the loss over ALL shards as sum_i ||X_i||^2 - captured_energy,
     clamped at 0. At the orthonormal global pair that is objective.loss
@@ -166,8 +174,7 @@ def run_fedsg(config: FedConfig, shards):
     Raises DimensionMismatch if config.k exceeds min(d, B),
     NonFiniteShard for a shard with a NaN or infinite value, and
     InputOverflow when the shards' energy overflows or
-    eta * max_i ||X_i||_F^2 exceeds MAX_STEP_ENERGY. A sub-step whose
-    retraction still overflows is skipped as rank deficient.
+    eta * max_i ||X_i||_F^2 exceeds MAX_STEP_ENERGY.
     """
     shards = shard_stack(shards)
     if shards.ndim != 3 or len(shards) != config.n_clients:
@@ -197,7 +204,7 @@ def run_fedsg(config: FedConfig, shards):
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
 
-    n_sample = int(np.ceil(config.sample_fraction * config.n_clients))
+    n_sample = config.n_sampled
     per_client_bytes = config.k * (d + width) * 8
     traces = []
 

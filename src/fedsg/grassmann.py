@@ -1,11 +1,12 @@
 """Grassmann-manifold geometry: points are n-by-k orthonormal bases
-identified up to right rotation; updates use tangent projection followed
-by QR retraction. The retraction's QR is linalg.batched_qr: CholeskyQR on
-each k x k Gram matrix, with LAPACK Householder for ill-conditioned
-members; either way it is the positive-diagonal thin QR, so the
-retraction is the same map. Every retracted basis is checked for
-orthonormality. The Riemannian step takes an (s, n, k) stack of bases,
-one per client, and steps them all at once."""
+identified up to right rotation; an update steps along a tangent vector
+and retracts by QR (Absil, Mahony & Sepulchre 2008). The retraction's QR
+is linalg.batched_qr: CholeskyQR on each k x k Gram matrix, with LAPACK
+Householder for ill-conditioned members; either way it is the
+positive-diagonal thin QR, so the retraction is the same map. Every
+retracted basis is checked for orthonormality. The Riemannian step takes
+an (s, n, k) stack of bases, one per client, with their tangent
+gradients, and steps them all at once."""
 
 from dataclasses import dataclass, field
 
@@ -90,19 +91,11 @@ def retract(m) -> GrassmannPoint:
     return GrassmannPoint(q)
 
 
-def _tangent_step(bases, g, eta):
-    """A - eta (I - A A^T) G, the matrix that riemannian_step retracts,
-    as A (A^T (eta G)) + A - eta G."""
-    step = eta * g
-    m = bases @ (bases.swapaxes(-1, -2) @ step)
-    m += bases
-    m -= step
-    return m
-
-
-def riemannian_step(bases, euclidean_grad, eta: float):
+def riemannian_step(bases, grad, eta: float):
     """One gradient step along the manifold for every member of an
-    (s, n, k) stack of orthonormal bases: retract(A - eta (I - A A^T) G).
+    (s, n, k) stack of orthonormal bases A: retract(A - eta G), with G
+    tangent at A (the Riemannian gradient, as objective.grad_u and grad_v
+    give it at orthonormal bases), so it is not projected again.
 
     Returns (bases, full_rank): each member is retracted on its own, and
     a member whose retraction is rank deficient keeps its basis and has
@@ -111,16 +104,14 @@ def riemannian_step(bases, euclidean_grad, eta: float):
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     bases = np.asarray(bases, dtype=float)
-    g = np.asarray(euclidean_grad, dtype=float)
+    g = np.asarray(grad, dtype=float)
     if bases.ndim != 3:
         raise ShapeMismatch(f"riemannian_step takes an (s, n, k) stack of "
                             f"bases, got shape {bases.shape}")
     if g.shape != bases.shape:
         raise ShapeMismatch(f"gradient shape {g.shape} != basis shape "
                             f"{bases.shape}")
-    # The stepped stack is a temporary, freed when the QR returns, so it
-    # is not live through check_orthonormal.
-    q, _, deficient = batched_qr(_tangent_step(bases, g, eta))
+    q, _, deficient = batched_qr(bases - eta * g)
     if deficient.any():
         q = np.where(deficient[:, None, None], bases, q)
     check_orthonormal(q)

@@ -95,16 +95,15 @@ def batched_qr(m):
 
 def _householder_qr(a):
     """batched_qr on LAPACK Householder, with the sign fix and rank test.
-    A finite member whose squared norm overflows gets an infinite norm
-    and so is rank deficient (a NaN member is not: its NaN q fails the
-    orthonormality check). batched_qr runs this under its np.errstate,
-    so the overflow warns nothing."""
+    The rank test runs on r over its largest entry, as ||m||_F^2 overflows
+    from ||m||_F of about 1.3e154. A zero member fails it (0 <= 0); a NaN
+    member passes, but its NaN q fails the orthonormality check.
+    batched_qr runs this under its np.errstate, so nothing warns."""
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    norms = np.sqrt(np.sum(r * r, axis=(-2, -1)))  # ||m||_F = ||r||_F
-    deficient = np.any(
-        np.abs(diag) < RANK_TOL * np.maximum(norms, 1e-300)[..., None],
-        axis=-1)
+    unit = r / np.maximum(np.abs(r).max(axis=(-2, -1), keepdims=True), 1e-300)
+    tol = RANK_TOL * np.linalg.norm(unit, axis=(-2, -1))[..., None]
+    deficient = (np.abs(np.diagonal(unit, axis1=-2, axis2=-1)) <= tol).any(-1)
     # Flip signs so every diagonal entry of r is positive.
     signs = np.where(diag < 0.0, -1.0, 1.0)
     return q * signs[..., None, :], r * signs[..., :, None], deficient

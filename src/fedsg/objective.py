@@ -1,4 +1,4 @@
-"""The federated low-rank objective and its Euclidean gradients.
+"""The federated low-rank objective and its gradients.
 
 With U (d x k) and V (B x k) orthonormal and shards X_i (d x B), the
 per-shard core is C_i = U^T X_i V (the closed-form optimal middle
@@ -13,14 +13,14 @@ X_i V; the federated engine records its per-round loss that way.
 
 Gradients are defined at orthonormal U, V, the only points the
 federated engine evaluates them at (riemannian_step requires them too).
-There the Euclidean gradient is already tangent and has a closed form
-in the k-column shard products X_i V and X_i^T U and the k x k cores,
-so it forms no Gram matrix; at such points it agrees with finite
-differences of loss in every direction. The shards are one (n, d, B)
-stack (a list is stacked), so the products of every shard are one
-batched np.matmul. The gradients also take stacks of bases, one member
-per shard, so the federated engine gets every sampled client's gradient
-in one call.
+There the Euclidean gradient is already tangent, the Riemannian gradient
+riemannian_step takes, and has a closed form in the shard products
+X_i V and X_i^T U and the k x k cores, with no Gram matrix; at such
+points it agrees with finite differences of loss in every direction.
+The shards are one (n, d, B) stack (a list is stacked), so the products
+of every shard are one batched np.matmul. The gradients are one per
+shard, for one pair of bases or a stack of one pair per shard, so the
+engine gets every sampled client's gradient in one call.
 """
 
 from dataclasses import dataclass
@@ -119,7 +119,7 @@ def _shard_products(ub, vb, shards, transpose):
 
 
 def _gradient(a, products):
-    """Gradient with respect to A of sum_i ||Y_i - A A^T Y_i B B^T||_F^2
+    """Gradient with respect to A of each ||Y_i - A A^T Y_i B B^T||_F^2
     at orthonormal A and B, from the products P_i = Y_i B. With the core
     C = A^T P it is
         2 (A C - P) C^T = -2 (I - A A^T) Y B C^T,
@@ -136,22 +136,18 @@ def _gradient(a, products):
 
 
 def grad_u(u, v, shards) -> np.ndarray:
-    """Euclidean gradient of loss with respect to U, at orthonormal U, V
-    (the points riemannian_step takes).
-
-    u and v are one pair (gradient of the loss summed over shards), or
-    (s, d, k) and (s, B, k) stacks with s shards, which gives the
-    (s, d, k) stack of each member's gradient of its own shard's loss.
-    """
+    """Gradient with respect to U of each shard's loss at orthonormal
+    U, V, where it is tangent (the gradient riemannian_step takes): an
+    (s, d, k) stack for s shards. u and v are one pair shared by every
+    shard, or (s, d, k) and (s, B, k) stacks, one member per shard; the
+    gradient of the summed loss is the stack's sum."""
     ub, vb = _basis(u), _basis(v)
-    g = _gradient(ub, _shard_products(ub, vb, shards, transpose=False))
-    return g if ub.ndim == 3 else g.sum(axis=0)
+    return _gradient(ub, _shard_products(ub, vb, shards, transpose=False))
 
 
 def grad_v(u, v, shards) -> np.ndarray:
-    """Euclidean gradient of loss with respect to V, at orthonormal U, V;
-    as grad_u, with the roles of U and V swapped (the loss of X_i^T under
-    (V, U))."""
+    """Gradient with respect to V of each shard's loss, at orthonormal
+    U, V; as grad_u, with the roles of U and V swapped (the loss of X_i^T
+    under (V, U))."""
     ub, vb = _basis(u), _basis(v)
-    g = _gradient(vb, _shard_products(ub, vb, shards, transpose=True))
-    return g if vb.ndim == 3 else g.sum(axis=0)
+    return _gradient(vb, _shard_products(ub, vb, shards, transpose=True))

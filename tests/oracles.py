@@ -379,7 +379,7 @@ def sequential_fedsg(config, shards):
     d, width = shards[0].shape
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
-    n_sample = int(np.ceil(config.sample_fraction * config.n_clients))
+    n_sample = config.n_sampled
     losses, skips, aborts = [], [], []
     for _ in range(config.rounds):
         sampled = np.sort(rng.choice(config.n_clients, size=n_sample,

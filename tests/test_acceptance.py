@@ -49,8 +49,11 @@ def test_criterion_01_gradient_correctness():
                   for _ in range(int(rng.integers(1, 4)))]
         fu = finite_difference_grad(lambda w: loss(w, v, shards), u)
         fv = finite_difference_grad(lambda w: loss(u, w, shards), v)
-        eu = np.max(np.abs(grad_u(u, v, shards) - fu)) / max(np.max(np.abs(fu)), 1e-12)
-        ev = np.max(np.abs(grad_v(u, v, shards) - fv)) / max(np.max(np.abs(fv)), 1e-12)
+        # one gradient per shard; the loss over all shards takes their sum
+        gu = grad_u(u, v, shards).sum(axis=0)
+        gv = grad_v(u, v, shards).sum(axis=0)
+        eu = np.max(np.abs(gu - fu)) / max(np.max(np.abs(fu)), 1e-12)
+        ev = np.max(np.abs(gv - fv)) / max(np.max(np.abs(fv)), 1e-12)
         worst = max(worst, eu, ev)
     _report(1, worst <= 1e-5,
             f"max finite-difference relative error {worst:.2e} (tol 1e-5)")

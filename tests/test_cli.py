@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import pathlib
 import struct
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 
 from fedsg.cli import _load_eval_inputs, main
 from fedsg.data import DEFAULT_FEATURES, NSL_KDD_COLUMNS, load_dataset
+from fedsg.errors import ConvergenceFailure, InputError, RankDeficient
 from fedsg.federation import load_checkpoint
 
 from oracles import (pair_count_auc, parse_records, round_robin_errors,
                      sorted_partition)
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN, Infinity
 SYNTH = json.dumps({"d": 10, "width": 20, "n_clients": 4, "rank": 2,
                     "noise": 0.05, "anomaly_fraction": 0.1,
@@ -99,6 +102,15 @@ def test_train_requires_source(tmp_path):
     (["--synthetic", json.dumps({"d": 3, "rank": 3, "width": 10,
                                  "n_clients": 5}), "--rank", "3"],
      "invalid SynthSpec: anomaly_fraction must be 0 when rank == d"),
+    *[(["--synthetic", SYNTH, "--config", json.dumps({key: value})],
+       f"invalid FedConfig: {key} must be a number, got {value!r}")
+      for key, value in [("eta", True), ("sample_fraction", True),
+                         ("eta", "0.01"), ("sample_fraction", None)]],
+    *[(["--synthetic", json.dumps({"n_clients": 4, key: value})],
+       f"invalid SynthSpec: {key} must be a number, got {value!r}")
+      for key, value in [("noise", True), ("anomaly_fraction", True),
+                         ("anomaly_offset", True), ("noise", "0.05"),
+                         ("anomaly_offset", None), ("noise", [0.05])]],
 ], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
         "unknown_synthetic_key", "data_and_synthetic", "nan_eta", "inf_eta",
         "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise",
@@ -108,7 +120,10 @@ def test_train_requires_source(tmp_path):
         "bool_rounds", "string_align", "float_width", "float_d",
         "float_n_test", "float_synthetic_seed", "negative_seed",
         "negative_synthetic_seed", "rank_above_d",
-        "anomalies_without_an_orthogonal_direction"])
+        "anomalies_without_an_orthogonal_direction", "bool_eta",
+        "bool_sample_fraction", "string_eta", "null_sample_fraction",
+        "bool_noise", "bool_anomaly_fraction", "bool_anomaly_offset",
+        "string_noise", "null_anomaly_offset", "list_noise"])
 def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
     if "--config" in flags:  # given as JSON text, passed as a file
         i = flags.index("--config") + 1
@@ -117,6 +132,7 @@ def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
     assert main(["train", *flags, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
     assert not list((tmp_path / "o").glob("*"))
 
 
@@ -191,6 +207,64 @@ def test_bench_payload_and_latency(run_dir, capsys):
     assert rep["payload_bytes"] == 8 * 2 * (10 + 20)
     assert rep["median_us"] < 1000.0
     assert (run_dir / "bench.json").exists()
+
+
+def test_bench_draws_one_pool_of_samples(run_dir, monkeypatch):
+    """Without --data, bench draws the same pool of random samples
+    whatever --iters is, and cycles through it, so its memory does not
+    grow with --iters."""
+    shapes = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        rng = default_rng(seed)
+        return argparse.Namespace(standard_normal=lambda shape: (
+            shapes.append(shape) or rng.standard_normal(shape)))
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    for iters in (1, 3000):
+        assert main(["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                     "--iters", str(iters)]) == 0
+    assert shapes[0] == shapes[1] and shapes[0][0] == 10
+    assert shapes[0][1] < 3000
+
+
+def test_train_samples_the_decimal_fraction_of_clients(tmp_path):
+    """--clients 100 --sample-fraction 0.07 samples 7 clients a round,
+    not the 8 that the binary product 7.000000000000001 rounds up to;
+    trace.csv counts 7 clients and their bytes."""
+    synth = json.dumps({"d": 6, "width": 8, "n_clients": 100, "rank": 2,
+                        "n_test": 20})
+    out = tmp_path / "o"
+    assert main(["train", "--synthetic", synth, "--sample-fraction", "0.07",
+                 "--rank", "2", "--rounds", "2", "--local-steps", "1",
+                 "--out", str(out)]) == 0
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    message_bytes = 7 * 2 * (6 + 8) * 8
+    assert [(r["n_sampled"], r["uplink_bytes"], r["downlink_bytes"])
+            for r in rows] == [("7", str(message_bytes),
+                                str(message_bytes))] * 2
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_readme_lists_every_error_under_its_exit_code():
+    """README's exit-code list names every InputError subclass under
+    exit 2 and the numerical failures under exit 1."""
+    text = README.read_text()
+    codes = text[text.index("## Exit codes"):]
+    codes = codes[:codes.index("\n## ")]
+    exit_1 = codes[codes.index("- **1**"):codes.index("- **2**")]
+    exit_2 = codes[codes.index("- **2**"):]
+    for cls in _subclasses(InputError):
+        assert f"`{cls.__name__}`" in exit_2, cls.__name__
+    for cls in (RankDeficient, ConvergenceFailure):
+        assert f"`{cls.__name__}`" in exit_1, cls.__name__
+        assert f"`{cls.__name__}`" not in exit_2, cls.__name__
 
 
 def test_train_determinism(tmp_path):
@@ -562,17 +636,18 @@ def test_train_overflow_is_input_error(tmp_path, capsys, flags, message):
     assert not any(out.iterdir())
 
 
-def test_train_step_whose_retraction_overflows_is_skipped(tmp_path):
+def test_train_step_whose_squared_norm_overflows_trains(tmp_path):
     """At eta 1e300 every step is finite, but the squared norm of the
-    matrix it retracts overflows: each sub-step is skipped as rank
-    deficient, without a floating-point warning, and trace.csv counts
-    them (4 sampled clients x 5 local steps x 2 factors per round)."""
+    matrix it retracts overflows: the retraction still factors it, so
+    no sub-step is skipped, without a floating-point warning, and the
+    checkpoint holds orthonormal factors."""
     out = tmp_path / "o"
     assert main(["train", "--synthetic", "default", "--eta", "1e300",
                  "--rounds", "2", "--out", str(out)]) == 0
     with open(out / "trace.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert [int(r["skipped_steps"]) for r in rows] == [40, 40]
+    assert [int(r["skipped_steps"]) for r in rows] == [0, 0]
+    load_checkpoint(out / "checkpoint.bin")  # checks orthonormality
 
 
 def _raise_memory_error(*args, **kwargs):
@@ -583,17 +658,20 @@ def _raise_memory_error(*args, **kwargs):
 def test_memory_error_is_one_error_line(run_dir, tmp_path, capsys,
                                         monkeypatch, command):
     """A MemoryError from the allocating call (train --synthetic
-    '{"n_test": 100000000000}', bench --iters 100000000000) exits 2 with
-    one error line. The allocation is faked: under memory overcommit a
-    huge one can succeed."""
+    '{"n_test": 100000000000}'; bench --iters 100000000000, whose
+    latency array is the one allocation that grows with --iters) exits 2
+    with one error line. The allocation is faked: under memory
+    overcommit a huge one can succeed."""
     if command == "train":
         monkeypatch.setattr("fedsg.cli.generate_synthetic",
                             _raise_memory_error)
         argv = ["train", "--synthetic", json.dumps({"n_test": 10 ** 11}),
                 "--out", str(tmp_path / "o")]
     else:
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: (
-            argparse.Namespace(standard_normal=_raise_memory_error)))
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda shape, *args, **kwargs: (
+            _raise_memory_error() if shape == 10 ** 11
+            else empty(shape, *args, **kwargs)))
         argv = ["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
                 "--iters", str(10 ** 11), "--out", str(tmp_path / "o")]
     capsys.readouterr()

@@ -45,6 +45,25 @@ def test_config_validation():
         FedConfig(eta=-1.0)
 
 
+@pytest.mark.parametrize("fraction,n_clients,n_sampled", [
+    (0.07, 100, 7), (0.55, 100, 55), (0.28, 25, 7), (0.071, 100, 8),
+    (0.2, 100, 20), (0.5, 20, 10), (0.01, 100, 1), (1, 3, 3),
+    (0.34, 3, 2)])
+def test_sampled_count_is_the_ceiling_of_the_decimal(fraction, n_clients,
+                                                     n_sampled):
+    """ceil(sample_fraction * n_clients) on the decimal that was given:
+    0.07 * 100 is 7, although the binary product is 7.000000000000001.
+    Every round samples that many clients and counts their bytes."""
+    config = FedConfig(n_clients=n_clients, rounds=2, local_steps=1,
+                       sample_fraction=fraction, k=2, eta=1e-3)
+    assert config.n_sampled == n_sampled
+    shards = np.random.default_rng(5).standard_normal((n_clients, 4, 5))
+    _, traces = run_fedsg(config, shards)
+    for t in traces:
+        assert len(t.sampled) == len(set(t.sampled)) == n_sampled
+        assert t.bytes_uplink == t.bytes_downlink == n_sampled * 2 * 9 * 8
+
+
 def test_local_update_zero_steps_is_identity():
     rng = np.random.default_rng(0)
     pair = _pair(rng, 6, 5, 2)
@@ -163,6 +182,14 @@ def test_run_fedsg_matches_sequential_reference_at_criterion_7_shapes():
     _assert_matches_sequential_reference(cfg, shards)
 
 
+def test_run_fedsg_matches_sequential_reference_at_paper_scale():
+    """Paper-scale shards at the paper's eta, where rounding grows
+    fastest from round to round."""
+    shards, *_ = generate_synthetic(SynthSpec(d=34, width=600,
+                                              n_clients=100, seed=41))
+    _assert_matches_sequential_reference(FedConfig(rounds=3), shards)
+
+
 def _assert_matches_sequential_reference(cfg, shards):
     """The batched engine, with the closed-form gradient, against the
     per-client loop on the gradient that is exact at any point."""
@@ -245,7 +272,9 @@ def test_run_fedsg_rejects_non_finite_shard(bad):
 def test_run_fedsg_rejects_overflowing_energy_and_step():
     """Finite shards whose energy overflows, and an eta whose step could
     overflow (eta * max_i ||X_i||_F^2 above MAX_STEP_ENERGY), are input
-    errors; an eta just inside the bound trains without a warning."""
+    errors; an eta just inside the bound trains without a warning and
+    without a skipped step, although every step's squared norm
+    overflows."""
     config = FedConfig(n_clients=3, rounds=1, local_steps=2,
                        sample_fraction=1.0, k=2)
     shards = np.random.default_rng(7).standard_normal((3, 6, 8))
@@ -255,11 +284,24 @@ def test_run_fedsg_rejects_overflowing_energy_and_step():
                                              for s in shards)
     _, traces = run_fedsg(FedConfig(**{**vars(config), "eta": limit}),
                           shards)
-    assert traces[0].skipped_steps == 12  # every step overflows the QR
+    assert traces[0].skipped_steps == 0
     with pytest.raises(InputOverflow, match="a step could overflow") as err:
         run_fedsg(FedConfig(**{**vars(config), "eta": limit * 1.01}),
                   shards)
     assert isinstance(err.value, InputError)
+
+
+@pytest.mark.parametrize("eta", [1e-3, 1.0, 1e100])
+def test_run_fedsg_trains_shards_whose_squares_overflow(eta):
+    """Shards of noise 1e100 have finite energy, but every step matrix
+    has a squared norm that overflows: each retraction still factors,
+    so no step is skipped, without a floating-point warning."""
+    shards, *_ = generate_synthetic(SynthSpec(noise=1e100, d=12, width=40,
+                                              n_clients=6))
+    config = FedConfig(n_clients=6, rounds=2, local_steps=2,
+                       sample_fraction=0.5, k=3, eta=eta)
+    _, traces = run_fedsg(config, shards)
+    assert [(t.skipped_steps, t.aborted) for t in traces] == [(0, False)] * 2
 
 
 def test_run_fedsg_on_a_list_and_on_stacks():

@@ -104,8 +104,8 @@ def test_riemannian_step_members_step_as_they_do_alone(n, eta):
     rng = np.random.default_rng(n)
     bases = np.stack([random_orthonormal(rng, n, 3) for _ in range(4)])
     grads = rng.standard_normal(bases.shape) * 10.0
-    # Member 1: A - eta (I - A A^T) G is A plus a huge multiple of one
-    # direction w outside span(A) in every column, numerically rank 1.
+    # Member 1: A - eta G is A plus a huge multiple of one direction w
+    # outside span(A) in every column, numerically rank 1.
     w = rng.standard_normal(n)
     w -= bases[1] @ (bases[1].T @ w)
     grads[1] = -np.outer(w, np.ones(3)) * (1e16 / eta)
@@ -113,8 +113,7 @@ def test_riemannian_step_members_step_as_they_do_alone(n, eta):
     # above CholeskyQR's bound.
     grads[2] = 0.0
     grads[2][:, 0] = -w * (1e4 / eta)
-    stepped = bases - eta * (grads - bases @ (np.swapaxes(bases, 1, 2)
-                                              @ grads))
+    stepped = bases - eta * grads
     assert batched_qr(stepped[1])[2]
     r = batched_qr(stepped[2])[1]
     assert (np.trace(r.T @ r) * np.square(np.linalg.inv(r)).sum()
@@ -127,6 +126,25 @@ def test_riemannian_step_members_step_as_they_do_alone(n, eta):
         q1, full1 = riemannian_step(bases[one], grads[one], eta)
         assert np.array_equal(q1[0], q[i])
         assert full1[0] == full_rank[i]
+
+
+def test_riemannian_step_is_the_qr_of_the_step():
+    """riemannian_step is batched_qr(A - eta G) bit for bit: G is taken
+    as the Riemannian gradient and not projected again (members 0, 2 and
+    3 are not tangent). A rank-deficient member keeps its basis."""
+    rng = np.random.default_rng(12)
+    eta = 0.05
+    bases = np.stack([random_orthonormal(rng, 34, 3) for _ in range(4)])
+    grads = rng.standard_normal(bases.shape)
+    w = rng.standard_normal(34)
+    w -= bases[1] @ (bases[1].T @ w)
+    grads[1] = -np.outer(w, np.ones(3)) * (1e16 / eta)
+    q, full_rank = riemannian_step(bases, grads, eta)
+    q_ref, _, deficient = batched_qr(bases - eta * grads)
+    assert deficient.tolist() == [False, True, False, False]
+    assert np.array_equal(full_rank, ~deficient)
+    assert np.array_equal(q[~deficient], q_ref[~deficient])
+    assert np.array_equal(q[1], bases[1])
 
 
 def test_riemannian_step_shape_mismatch():
@@ -151,5 +169,5 @@ def test_descent_for_small_steps():
         u = _point(r, d, k)
         v = _point(r, width, k)
         before = loss(u, v, [x])
-        u2 = _step_one(u.basis, grad_u(u, v, [x]), 1e-4)
+        u2 = _step_one(u.basis, grad_u(u, v, [x])[0], 1e-4)
         assert loss(u2, v, [x]) <= before + 1e-12

@@ -136,17 +136,24 @@ def test_qr_non_finite_member_takes_householder(bad):
     assert np.array_equal(q[0], batched_qr(stack[0])[0])
 
 
-def test_qr_member_whose_norm_overflows_is_rank_deficient():
+def test_qr_member_whose_norm_overflows_factors():
     """Finite entries of 1e200 overflow the member's Gram matrix and its
-    squared norm: it is flagged rank deficient without a floating-point
-    warning (pytest makes warnings errors), and the other member factors
-    as it does alone."""
+    squared norm, but not its factors: it takes LAPACK Householder, is
+    not flagged rank deficient and factors as it does alone, without a
+    floating-point warning (pytest makes warnings errors); the other
+    member factors as it does alone."""
     rng = np.random.default_rng(23)
     stack = np.stack([_conditioned(rng, 8, 2, 2.0) for _ in range(2)])
     stack[1] *= 1e200
-    q, _, deficient = batched_qr(stack)
-    assert deficient.tolist() == [False, True]
-    assert np.array_equal(q[0], batched_qr(stack[0])[0])
+    q, r, deficient = batched_qr(stack)
+    assert deficient.tolist() == [False, False]
+    assert frobenius_norm(q[1].T @ q[1] - np.eye(2)) <= 1e-13
+    q_ref, r_ref = householder_qr(stack[1])
+    assert np.array_equal(q[1], q_ref) and np.array_equal(r[1], r_ref)
+    for i in range(2):
+        q1, r1, d1 = batched_qr(stack[i])
+        assert np.array_equal(q[i], q1) and np.array_equal(r[i], r1)
+        assert not d1
 
 
 def test_riemannian_step_nan_gradient_member_fails_loudly():
