@@ -1,13 +1,15 @@
 import argparse
 import csv
+import gc
 import json
 import pathlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedsg.cli import _load_eval_inputs, main
+from fedsg.cli import _LatencyHistogram, _load_eval_inputs, main
 from fedsg.data import DEFAULT_FEATURES, NSL_KDD_COLUMNS, load_dataset
 from fedsg.errors import ConvergenceFailure, InputError, RankDeficient
 from fedsg.federation import load_checkpoint
@@ -158,7 +160,7 @@ def test_eval_curves_are_vertices_and_repeat(run_dir, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
     args = argparse.Namespace(checkpoint=checkpoint, data=None, slice=None)
-    errors, labels = _load_eval_inputs(args, load_checkpoint(checkpoint)[0])
+    errors, labels, _ = _load_eval_inputs(args)
     with open(tmp_path / "a" / "roc.csv") as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) < np.unique(errors).size + 2
@@ -211,8 +213,8 @@ def test_bench_payload_and_latency(run_dir, capsys):
 
 def test_bench_draws_one_pool_of_samples(run_dir, monkeypatch):
     """Without --data, bench draws the same pool of random samples
-    whatever --iters is, and cycles through it, so its memory does not
-    grow with --iters."""
+    whatever --iters is, and cycles through it, so the pool's size does
+    not depend on --iters."""
     shapes = []
     default_rng = np.random.default_rng
 
@@ -226,6 +228,121 @@ def test_bench_draws_one_pool_of_samples(run_dir, monkeypatch):
                      "--iters", str(iters)]) == 0
     assert shapes[0] == shapes[1] and shapes[0][0] == 10
     assert shapes[0][1] < 3000
+
+
+def test_bench_allocates_nothing_sized_by_iters(run_dir, tmp_path):
+    """bench counts its latencies in a fixed-size histogram, so what it
+    allocates at once (numpy's buffers included: numpy reports them to
+    tracemalloc) peaks equally at --iters 1 and 20000. An iters-long
+    float64 array of latencies would add 160 kB."""
+    argv = ["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
+            "--out", str(tmp_path / "o")]
+    assert main([*argv, "--iters", "1"]) == 0  # imports and caches
+    peaks = []
+    tracemalloc.start()
+    try:
+        for iters in (1, 20000):
+            gc.collect()  # argparse's cycles would otherwise free mid-run
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main([*argv, "--iters", str(iters)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 16_000, peaks
+
+
+def test_bench_percentiles_match_numpy_within_one_percent(run_dir, capsys,
+                                                          monkeypatch):
+    """The median and p99 that bench reads from its histogram are within
+    1% of np.median and np.percentile(..., 99) of the latencies it
+    recorded."""
+    recorded = []
+    add = _LatencyHistogram.add
+    monkeypatch.setattr(_LatencyHistogram, "add", lambda self, seconds: (
+        recorded.append(seconds), add(self, seconds)))
+    assert main(["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--iters", "5000"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    lat_us = np.array(recorded) * 1e6
+    assert len(lat_us) == 5000
+    assert rep["median_us"] == pytest.approx(np.median(lat_us), rel=0.01)
+    assert rep["p99_us"] == pytest.approx(np.percentile(lat_us, 99),
+                                          rel=0.01)
+
+
+@pytest.mark.parametrize("n", [1, 2, 101])
+def test_latency_histogram_percentiles_within_half_a_bin(n):
+    """Sparse and spread-out latencies too: each order statistic is read
+    as its bin's geometric centre, at most 0.5% off, and the percentile
+    interpolates between them as numpy's does."""
+    lat = np.random.default_rng(n).lognormal(np.log(5e-6), 2.0, n)
+    hist = _LatencyHistogram()
+    for seconds in lat:
+        hist.add(seconds)
+    for q in (0, 50, 99, 100):
+        assert hist.percentile(q) == pytest.approx(np.percentile(lat, q),
+                                                   rel=0.005)
+
+
+def test_bench_payload_of_a_csv_run(csv_run, tmp_path, capsys):
+    """A CSV train at rank 3 on 4 clients of 10 benign records: the
+    checkpoint holds U (34 x 3) and V (10 x 3) as float64 after the
+    header."""
+    out = tmp_path / "k3"
+    assert main(["train", "--data", str(tmp_path / "train.csv"),
+                 "--out", str(out), *CSV_TRAIN_ARGS, "--rank", "3"]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--iters", "100"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["payload_bytes"] == 8 * 3 * (34 + 10)
+    assert rep["checkpoint_bytes"] == rep["payload_bytes"] + 24
+    assert rep["payload_matches"]
+
+
+class _UOnlyPair:
+    """A checkpoint's factors whose V cannot be read."""
+
+    def __init__(self, pair):
+        self.u = pair.u
+
+    @property
+    def v(self):
+        raise AssertionError("a detection command read V")
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_detection_commands_read_only_u(request, tmp_path, monkeypatch,
+                                        source):
+    """eval, sweep and bench score by U alone: given a checkpoint whose V
+    raises, they exit 0 and write what they write unpatched, bench's
+    timings aside."""
+    if source == "csv":
+        run = request.getfixturevalue("csv_run")
+        data = ["--data",
+                str(_attack_mix_csv(tmp_path / "test.csv", 12, seed=6))]
+    else:
+        run, data = request.getfixturevalue("run_dir"), []
+
+    def outputs(out):
+        for argv in (["eval", *data], ["sweep", *data],
+                     ["bench", "--iters", "10"]):
+            assert main([argv[0], "--checkpoint", str(run / "checkpoint.bin"),
+                         *argv[1:], "--out", str(out)]) == 0
+        bench = json.loads((out / "bench.json").read_text())
+        del bench["median_us"], bench["p99_us"]
+        return bench, {path.name: path.read_bytes()
+                       for path in out.glob("*.csv")}, \
+            (out / "metrics.json").read_bytes()
+
+    want = outputs(tmp_path / "plain")
+    load = load_checkpoint
+    monkeypatch.setattr("fedsg.cli.load_checkpoint", lambda path: (
+        _UOnlyPair(load(path)[0]), load(path)[1]))
+    assert outputs(tmp_path / "u_only") == want
+    assert sorted(want[1]) == ["metrics.csv", "pr.csv", "roc.csv",
+                               "sweep.csv"]
 
 
 def test_train_samples_the_decimal_fraction_of_clients(tmp_path):
@@ -654,27 +771,14 @@ def _raise_memory_error(*args, **kwargs):
     raise MemoryError("Unable to allocate 2.18 TiB for an array")
 
 
-@pytest.mark.parametrize("command", ["train", "bench"])
-def test_memory_error_is_one_error_line(run_dir, tmp_path, capsys,
-                                        monkeypatch, command):
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     """A MemoryError from the allocating call (train --synthetic
-    '{"n_test": 100000000000}'; bench --iters 100000000000, whose
-    latency array is the one allocation that grows with --iters) exits 2
-    with one error line. The allocation is faked: under memory
-    overcommit a huge one can succeed."""
-    if command == "train":
-        monkeypatch.setattr("fedsg.cli.generate_synthetic",
-                            _raise_memory_error)
-        argv = ["train", "--synthetic", json.dumps({"n_test": 10 ** 11}),
-                "--out", str(tmp_path / "o")]
-    else:
-        empty = np.empty
-        monkeypatch.setattr(np, "empty", lambda shape, *args, **kwargs: (
-            _raise_memory_error() if shape == 10 ** 11
-            else empty(shape, *args, **kwargs)))
-        argv = ["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                "--iters", str(10 ** 11), "--out", str(tmp_path / "o")]
-    capsys.readouterr()
+    '{"n_test": 100000000000}') exits 2 with one error line. The
+    allocation is faked: under memory overcommit a huge one can
+    succeed."""
+    monkeypatch.setattr("fedsg.cli.generate_synthetic", _raise_memory_error)
+    argv = ["train", "--synthetic", json.dumps({"n_test": 10 ** 11}),
+            "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "error: MemoryError: Unable to allocate 2.18 TiB for an array\n")
@@ -798,7 +902,7 @@ def test_round_robin_zscore_matches_per_client_loop(csv_run, tmp_path,
     pair, _ = load_checkpoint(ckpt)
     args = argparse.Namespace(checkpoint=str(ckpt), data=str(test),
                               slice=None)
-    errors, _ = _load_eval_inputs(args, pair)
+    errors, _, _ = _load_eval_inputs(args)
     prep = np.load(csv_run / "prep.npz")
     features = [str(f) for f in prep["features"]]
     values = load_dataset(test, feature_list=features).values
