@@ -8,14 +8,13 @@ to the Eckart-Young tail energy: the best any rank-k model can do.
 import numpy as np
 
 from fedsg import FedConfig, run_fedsg, truncated_svd
-from fedsg.linalg import frobenius_norm
 
 rng = np.random.default_rng(0)
 x = rng.standard_normal((20, 20))
 
 k = 3
 t = truncated_svd(x, k)
-tail = frobenius_norm(x - t.u @ np.diag(t.sigma) @ t.v.T) ** 2
+tail = np.linalg.norm(x - t.u @ np.diag(t.sigma) @ t.v.T) ** 2
 print(f"centralized rank-{k} SVD tail energy: {tail:.4f}")
 
 cfg = FedConfig(n_clients=1, rounds=500, local_steps=5, sample_fraction=1.0,

@@ -8,7 +8,7 @@ from .errors import (AllOneClass, ConvergenceFailure, DimensionMismatch,
                      InputOverflow, LengthMismatch, MissingFeature,
                      NonFiniteShard, ParseError, RankDeficient, ShapeMismatch,
                      UnknownLabel)
-from .linalg import SvdTriple, frobenius_norm, truncated_svd
+from .linalg import SvdTriple, truncated_svd
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .objective import FactorPair, grad_u, grad_v, loss, optimal_sigma
 from .federation import (FedConfig, RoundTrace, aggregate, load_checkpoint,

@@ -39,7 +39,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .data import (DEFAULT_FEATURES, SynthSpec, filter_slice,
+from .data import (DEFAULT_FEATURES, STD_FLOOR, SynthSpec, filter_slice,
                    generate_synthetic, load_dataset, partition_non_iid,
                    read_feature_list, zscore_fit_apply, zscore_round_robin)
 from .detection import (evaluate, fit_threshold, fit_thresholds, roc_and_pr,
@@ -281,7 +281,8 @@ def _stored(checkpoint, name, d=None):
     train_errors.npy, the records (one per column) and labels of
     synth_test.npz, or the per-client means and stds and the feature
     names of prep.npz. A missing file, an array of the wrong dtype or
-    shape, a non-finite value or a std below 1e-12 is a usage error."""
+    shape, a non-finite value or a std below data.STD_FLOOR is a usage
+    error."""
     path = os.path.join(os.path.dirname(checkpoint), name)
     if not os.path.isfile(path):
         raise UsageError(f"no {name} next to the checkpoint: {path}")
@@ -296,10 +297,10 @@ def _stored(checkpoint, name, d=None):
     means, stds, features = _load_arrays(path, "means", "stds", "features")
     _check(path, "'means'", means, "f", ("n", d))
     _check(path, "'stds'", stds, "f", means.shape)
-    # Train records a std below 1e-12 as 1 (data.zscore_fit_apply); a
+    # Train records a std below STD_FLOOR as 1 (data.zscore_fit_apply); a
     # smaller one would overflow the z-scores.
-    if not (stds >= 1e-12).all():
-        raise UsageError(f"{path}: a value below 1e-12 in 'stds'")
+    if not (stds >= STD_FLOOR).all():
+        raise UsageError(f"{path}: a value below {STD_FLOOR} in 'stds'")
     return means, stds, _check(path, "'features'", features, "U", ("n",))
 
 
@@ -381,6 +382,11 @@ def _parse_grid(text):
                 if lo > hi:
                     raise UsageError(f"--rho-grid entry {part!r} is a "
                                      f"reversed range: {lo} > {hi}")
+                # The ends are checked before the range is built, so
+                # 0:100000000 is refused without a list of 10^8 entries.
+                # From text, an end beyond the float range reads as inf.
+                for end in part.split(":"):
+                    _check_rho(float(end))
                 out.extend(range(lo, hi + 1))
             elif part:
                 out.append(float(part))

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import (EmptyShard, MissingFeature, ParseError, ShapeMismatch,
                      UnknownLabel, check_numbers)
 
-# NSL-KDD column order (41 features, then label, then optional difficulty).
+# The one layout of every NSL-KDD and KDD'99 file: 41 features, then the
+# label in column 41, then (NSL-KDD only) a difficulty level.
 NSL_KDD_COLUMNS = [
     "duration", "protocol_type", "service", "flag", "src_bytes", "dst_bytes",
     "land", "wrong_fragment", "urgent", "hot", "num_failed_logins",
@@ -31,6 +32,7 @@ NSL_KDD_COLUMNS = [
     "dst_host_srv_serror_rate", "dst_host_rerror_rate",
     "dst_host_srv_rerror_rate",
 ]
+LABEL_COLUMN = 41
 
 # Default 34-feature subset: the numeric NSL-KDD features minus the
 # categorical columns and four near-constant binary flags. Editable via a
@@ -79,27 +81,37 @@ class Dataset:
         return self.labels.shape[0]
 
 
+def _not_text(path, exc):
+    """The ParseError for a file that is not text in exc's encoding."""
+    return ParseError(f"{path}: not {exc.encoding} text: {exc.reason}")
+
+
 def read_feature_list(path):
     """Plain-text feature config: one name per line; blanks and '#'
-    comment lines ignored. A file without names is a ParseError."""
-    names = []
-    with open(path) as fh:
-        for line in fh:
-            name = line.strip()
-            if name and not name.startswith("#"):
-                names.append(name)
+    comment lines ignored. A file without names, one that names a
+    feature twice or one that is not text in the locale's encoding is a
+    ParseError."""
+    names = {}  # a dict keeps the file's order and finds a name in O(1)
+    try:
+        with open(path) as fh:
+            for line in fh:
+                name = line.strip()
+                if name in names:
+                    raise ParseError(f"{path}: feature {name!r} listed twice")
+                if name and not name.startswith("#"):
+                    names[name] = None
+    except UnicodeDecodeError as exc:
+        raise _not_text(path, exc) from None
     if not names:
         raise ParseError(f"{path}: no feature names")
-    return names
+    return list(names)
 
 
-def load_dataset(path, feature_list=None, label_map=None,
-                 columns=None, label_column=41) -> Dataset:
-    """Parse an NSL-KDD style CSV into a columnar Dataset with the
-    configured feature subset and mapped labels. feature_list, label_map
-    and columns default to DEFAULT_FEATURES, DEFAULT_LABEL_MAP and
-    NSL_KDD_COLUMNS only when None: an empty map makes every label
-    unknown, and an empty column list misses every feature.
+def load_dataset(path, feature_list=None) -> Dataset:
+    """Parse an NSL-KDD CSV (NSL_KDD_COLUMNS, then the label in column
+    LABEL_COLUMN, mapped by DEFAULT_LABEL_MAP) into a columnar Dataset
+    with the given feature subset, DEFAULT_FEATURES when None (an empty
+    list is refused, never replaced).
 
     Valid input takes no per-row Python. A pass over the file's bytes
     finds the data rows (blank lines and a header on line 0 are skipped)
@@ -118,34 +130,28 @@ def load_dataset(path, feature_list=None, label_map=None,
     features = list(DEFAULT_FEATURES if feature_list is None else feature_list)
     if not features:
         raise MissingFeature("empty feature list")
-    label_map = dict(DEFAULT_LABEL_MAP if label_map is None else label_map)
-    columns = list(NSL_KDD_COLUMNS if columns is None else columns)
     try:
-        idx = [columns.index(f) for f in features]
+        idx = [NSL_KDD_COLUMNS.index(f) for f in features]
     except ValueError as exc:
         raise MissingFeature(str(exc)) from None
     try:
-        values, labels = _read_dataset(path, idx, columns, label_column,
-                                       label_map)
+        values, labels = _read_dataset(path, idx)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not {exc.encoding} text: "
-                         f"{exc.reason}") from None
+        raise _not_text(path, exc) from None
     return Dataset(values=values.T, labels=labels, features=tuple(features))
 
 
-def _read_dataset(path, idx, columns, label_column, label_map):
+def _read_dataset(path, idx):
     """load_dataset on resolved columns: idx are the feature columns'
-    positions, label_map holds every accepted raw label. Returns the
-    m x d values and the m class names."""
+    positions. Returns the m x d values and the m class names."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")[0] == columns[0]
+        header = fh.readline().strip().split(",")[0] == NSL_KDD_COLUMNS[0]
         encoding = fh.encoding
     # Every rejection below goes to the per-line pass, which names it.
-    scan = (path, header, idx, columns, label_column, label_map)
-    n_rows, gaps, width, ascii_text, faulty = _check_layout(
-        path, encoding, header, label_column)
+    n_rows, gaps, width, ascii_text, faulty = _check_layout(path, encoding,
+                                                            header)
     if faulty:
-        _raise_first_fault(*scan)
+        _raise_first_fault(path, header, idx)
 
     # Bytes labels take a quarter of the memory of str ones; loadtxt
     # stores them as latin-1, which holds ASCII text exactly.
@@ -160,23 +166,23 @@ def _read_dataset(path, idx, columns, label_column, label_map):
         try:
             table = np.loadtxt(filter(None, map(str.strip, fh)) if gaps
                                else path, delimiter=",", dtype=dtype,
-                               usecols=idx + [label_column],
+                               usecols=idx + [LABEL_COLUMN],
                                skiprows=int(header), max_rows=n_rows,
                                comments=None, ndmin=1)
         except ValueError:
-            _raise_first_fault(*scan)
+            _raise_first_fault(path, header, idx)
 
     raw = table["label"]
     # np.unique copies its input; 8192 rows at a time keep the copy small.
     keys = np.unique(np.concatenate([np.unique(raw[i:i + 8192])
                                      for i in range(0, raw.size, 8192)]))
-    names = [label_map.get(k.strip().lower().rstrip("."))
+    names = [DEFAULT_LABEL_MAP.get(k.strip().lower().rstrip("."))
              for k in keys.astype(str)]
     values = table["values"]
     # min and max propagate NaN and reach +-inf, so they are finite only
     # when every value is, without a temporary the size of values.
     if None in names or not np.isfinite([values.min(), values.max()]).all():
-        _raise_first_fault(*scan)
+        _raise_first_fault(path, header, idx)
     return values, np.array(names)[np.searchsorted(keys, raw)]
 
 
@@ -185,14 +191,14 @@ def _read_dataset(path, idx, columns, label_column, label_map):
 _CHUNK_BYTES = 1 << 18
 
 
-def _check_layout(path, encoding, header, label_column):
+def _check_layout(path, encoding, header):
     """Whole-file layout checks, one chunk of bytes at a time: split the
     file into lines as text mode does (at \\n, \\r\\n or a lone \\r),
     skip blank lines (empty or all whitespace; a line without commas is
     decoded with `encoding` to tell) and the header, and check that each
     data row has the column count of the first and that no label cell
-    holds a NUL. (np.loadtxt rejects a label or feature column past the
-    row end.)
+    (column LABEL_COLUMN) holds a NUL. (np.loadtxt rejects rows too short
+    to hold the label; every feature column comes before it.)
 
     Returns (the number of data rows, whether blank lines fall between
     them, the widest label cell in bytes, whether the file is ASCII,
@@ -238,11 +244,11 @@ def _check_layout(path, encoding, header, label_column):
                 last = line0 + int(lines[-1])
             # Each label cell runs from after the comma before it to the
             # comma after it or the line end.
-            has = np.flatnonzero(n >= label_column)
-            k = first[has] + label_column
-            lo = cpos[k - 1] + 1 if label_column else starts[has]
+            has = np.flatnonzero(n >= LABEL_COLUMN)
+            k = first[has] + LABEL_COLUMN
+            lo = cpos[k - 1] + 1
             hi = ends[has]
-            after = n[has] > label_column
+            after = n[has] > LABEL_COLUMN
             hi[after] = cpos[k[after]]
             if has.size:
                 width = max(width, int((hi - lo).max()))
@@ -264,14 +270,14 @@ def _check_layout(path, encoding, header, label_column):
     return n_rows, last + 1 - header != n_rows, width, ascii_text, faulty
 
 
-def _raise_first_fault(path, header, idx, columns, label_column, label_map):
+def _raise_first_fault(path, header, idx):
     """The one per-line pass, run only after a check on the fast path
     failed: raise the file's first fault, in file order. Each data row
     must have the column count of the first, which must hold the label
-    and feature columns, and a mapped label; np.loadtxt then parses the
-    rows that pass as stripped lines and names the first unparsable
-    cell. The first non-finite value comes last."""
-    last_feature = max(idx)
+    column (and so every feature column before it), and a mapped label;
+    np.loadtxt then parses the rows that pass as stripped lines and
+    names the first unparsable cell. The first non-finite value comes
+    last."""
     rows, parts = [], None
 
     def checked_lines(fh):
@@ -284,17 +290,14 @@ def _raise_first_fault(path, header, idx, columns, label_column, label_map):
             parts = line.split(",")
             if n_cols is None:
                 n_cols = len(parts)
-                if label_column >= n_cols:
+                if LABEL_COLUMN >= n_cols:
                     raise ParseError(f"row {row_no}: no label column "
-                                     f"{label_column}")
-                if last_feature >= n_cols:
-                    raise ParseError(f"row {row_no}: no column "
-                                     f"{columns[last_feature]!r}")
+                                     f"{LABEL_COLUMN}")
             if len(parts) != n_cols:
                 raise ParseError(f"row {row_no}: expected {n_cols} columns, "
                                  f"got {len(parts)}")
-            raw_label = parts[label_column].strip().lower().rstrip(".")
-            if raw_label not in label_map:
+            raw_label = parts[LABEL_COLUMN].strip().lower().rstrip(".")
+            if raw_label not in DEFAULT_LABEL_MAP:
                 raise UnknownLabel(f"row {row_no}: label {raw_label!r}")
             rows.append(row_no)
             yield line
@@ -313,13 +316,13 @@ def _raise_first_fault(path, header, idx, columns, label_column, label_map):
                     float(parts[col_i])
                 except ValueError:
                     raise ParseError(
-                        f"row {rows[-1]}, column {columns[col_i]!r}: "
+                        f"row {rows[-1]}, column {NSL_KDD_COLUMNS[col_i]!r}: "
                         f"non-numeric value {parts[col_i]!r}") from None
             raise ParseError(f"row {rows[-1]}: {exc}") from None
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
-        raise ParseError(f"row {rows[i]}, column {columns[idx[j]]!r}: "
+        raise ParseError(f"row {rows[i]}, column {NSL_KDD_COLUMNS[idx[j]]!r}: "
                          f"non-finite value {float(values[i, j])!r}")
     raise ParseError(f"{path}: cannot be parsed")  # a backstop
 
@@ -354,10 +357,15 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature):
     return shards, pool.size - width * n_clients
 
 
+# A std below this is a feature without spread: zscore_fit_apply records
+# it as 1, and eval refuses a stored one (a smaller std would overflow).
+STD_FLOOR = 1e-12
+
+
 def zscore_fit_apply(shards):
     """Per-feature z-scoring of each client's shard with that client's
-    own statistics. Features with vanishing spread are zeroed and their
-    std recorded as 1.
+    own statistics. Features with a std below STD_FLOOR are zeroed and
+    their std recorded as 1.
 
     shards is an (n_clients, d, B) stack; returns (z, means, stds) with
     means and stds (n_clients, d). The statistics are summed along
@@ -369,7 +377,7 @@ def zscore_fit_apply(shards):
                          f"shards, got shape {x.shape}")
     means = x.mean(axis=2)
     stds = x.std(axis=2)
-    degenerate = stds < 1e-12
+    degenerate = stds < STD_FLOOR
     stds[degenerate] = 1.0
     z = x - means[..., None]
     z /= stds[..., None]

@@ -1,6 +1,6 @@
-"""Dense linear-algebra kernel: Frobenius norm, Gram matrix, a batched
-thin QR with a positive-diagonal R that flags rank-deficient members
-instead of raising, and a truncated SVD on LAPACK through numpy. The QR
+"""Dense linear-algebra kernel: Gram matrix, a batched thin QR with a
+positive-diagonal R that flags rank-deficient members instead of
+raising, and a truncated SVD on LAPACK through numpy. The QR
 is CholeskyQR on each matrix's k x k Gram matrix (Fukaya et al., 2014),
 with LAPACK Householder kept for members that are ill-conditioned or not
 positive definite. The Gram matrix, the QR and the SVD take stacks of
@@ -23,12 +23,6 @@ RANK_TOL = 1e-12
 # a member's CholeskyQR factors; its loss of orthogonality is then about
 # eps * 1e4, far below grassmann.ORTHO_TOL.
 CHOLQR_MAX_COND2 = 1e4
-
-
-def frobenius_norm(m) -> float:
-    """sqrt of the sum of squared entries."""
-    a = np.asarray(m, dtype=float)
-    return float(np.sqrt(np.sum(a * a)))
 
 
 def gram(m) -> np.ndarray:

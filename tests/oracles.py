@@ -39,8 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from fedsg.data import (DEFAULT_FEATURES, DEFAULT_LABEL_MAP, NSL_KDD_COLUMNS,
-                        apply_zscore)
+from fedsg.data import (DEFAULT_FEATURES, DEFAULT_LABEL_MAP, LABEL_COLUMN,
+                        NSL_KDD_COLUMNS, apply_zscore)
 from fedsg.detection import confusion_counts, score_matrix
 from fedsg.errors import (MissingFeature, ParseError, RankDeficient,
                           UnknownLabel)
@@ -180,8 +180,7 @@ def thinned_sweep(errors, labels):
             sweep_roc_and_pr(errors, labels)[2])
 
 
-def parse_records(path, feature_list=None, label_map=None, columns=None,
-                  label_column=41):
+def parse_records(path, feature_list=None):
     """load_dataset one row and one cell at a time with float().
 
     Returns (d x m values, list of class names, list of row numbers) and
@@ -189,12 +188,10 @@ def parse_records(path, feature_list=None, label_map=None, columns=None,
     features = list(DEFAULT_FEATURES if feature_list is None else feature_list)
     if not features:
         raise MissingFeature("empty feature list")
-    label_map = dict(DEFAULT_LABEL_MAP if label_map is None else label_map)
-    columns = list(NSL_KDD_COLUMNS if columns is None else columns)
-    missing = [f for f in features if f not in columns]
+    missing = [f for f in features if f not in NSL_KDD_COLUMNS]
     if missing:
         raise MissingFeature(f"{missing[0]!r} is not in list")
-    idx = [columns.index(f) for f in features]
+    idx = [NSL_KDD_COLUMNS.index(f) for f in features]
     values, labels, rows = [], [], []
     with open(path) as fh:
         n_cols = None
@@ -203,17 +200,18 @@ def parse_records(path, feature_list=None, label_map=None, columns=None,
             if not line:
                 continue
             parts = line.split(",")
-            if row_no == 0 and parts[0] == columns[0]:
+            if row_no == 0 and parts[0] == NSL_KDD_COLUMNS[0]:
                 continue
             if n_cols is None:
                 n_cols = len(parts)
             if len(parts) != n_cols:
                 raise ParseError(f"row {row_no}: expected {n_cols} columns, "
                                  f"got {len(parts)}")
-            if label_column >= len(parts):
-                raise ParseError(f"row {row_no}: no label column {label_column}")
-            raw_label = parts[label_column].strip().lower().rstrip(".")
-            if raw_label not in label_map:
+            if LABEL_COLUMN >= len(parts):
+                raise ParseError(f"row {row_no}: no label column "
+                                 f"{LABEL_COLUMN}")
+            raw_label = parts[LABEL_COLUMN].strip().lower().rstrip(".")
+            if raw_label not in DEFAULT_LABEL_MAP:
                 raise UnknownLabel(f"row {row_no}: label {raw_label!r}")
             vals = []
             for col_i in idx:
@@ -221,10 +219,10 @@ def parse_records(path, feature_list=None, label_map=None, columns=None,
                     vals.append(float(parts[col_i]))
                 except ValueError:
                     raise ParseError(
-                        f"row {row_no}, column {columns[col_i]!r}: "
+                        f"row {row_no}, column {NSL_KDD_COLUMNS[col_i]!r}: "
                         f"non-numeric value {parts[col_i]!r}") from None
             values.append(vals)
-            labels.append(label_map[raw_label])
+            labels.append(DEFAULT_LABEL_MAP[raw_label])
             rows.append(row_no)
     if not values:
         raise ParseError(f"{path}: no data rows")
@@ -232,7 +230,7 @@ def parse_records(path, feature_list=None, label_map=None, columns=None,
     bad = np.argwhere(~np.isfinite(mat))
     if bad.size:
         i, j = bad[0]
-        raise ParseError(f"row {rows[i]}, column {columns[idx[j]]!r}: "
+        raise ParseError(f"row {rows[i]}, column {NSL_KDD_COLUMNS[idx[j]]!r}: "
                          f"non-finite value {float(mat[i, j])!r}")
     return mat.T, labels, rows
 

@@ -21,7 +21,6 @@ from fedsg.detection import (evaluate, roc_and_pr, score_matrix,
                              self_svd_baseline)
 from fedsg.federation import FedConfig, run_fedsg, save_checkpoint
 from fedsg.grassmann import GrassmannPoint
-from fedsg.linalg import frobenius_norm
 from fedsg.objective import grad_u, grad_v, loss, optimal_sigma
 
 from oracles import (brute_force_metrics, finite_difference_grad,
@@ -67,11 +66,11 @@ def test_criterion_02_optimal_sigma():
         v = random_orthonormal(rng, 5, 2)
         x = rng.standard_normal((6, 5))
         sigma = optimal_sigma(u, x, v)
-        best = frobenius_norm(x - u @ sigma @ v.T) ** 2
+        best = np.linalg.norm(x - u @ sigma @ v.T) ** 2
         deltas = rng.standard_normal((1000, 2, 2))
         deltas *= 1e-3 / np.linalg.norm(deltas, axis=(1, 2), keepdims=True)
         for delta in deltas:
-            if frobenius_norm(x - u @ (sigma + delta) @ v.T) ** 2 < best:
+            if np.linalg.norm(x - u @ (sigma + delta) @ v.T) ** 2 < best:
                 violations += 1
     _report(2, violations == 0,
             f"{violations} of 100000 perturbations beat the closed form")
@@ -86,8 +85,8 @@ def test_criterion_03_manifold_feasibility():
     cfg = FedConfig(n_clients=spec.n_clients, rounds=200, local_steps=5,
                     sample_fraction=0.2, k=3, eta=1e-3, seed=11)
     pair, traces = run_fedsg(cfg, shards)
-    gram_u = frobenius_norm(pair.u.basis.T @ pair.u.basis - np.eye(3))
-    gram_v = frobenius_norm(pair.v.basis.T @ pair.v.basis - np.eye(3))
+    gram_u = np.linalg.norm(pair.u.basis.T @ pair.u.basis - np.eye(3))
+    gram_v = np.linalg.norm(pair.v.basis.T @ pair.v.basis - np.eye(3))
     ok = len(traces) == 200 and gram_u <= 1e-8 and gram_v <= 1e-8
     _report(3, ok,
             f"200 rounds feasible; final ||Q^T Q - I||_F = "

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedsg.cli import _LatencyHistogram, _load_eval_inputs, main
+from fedsg.cli import (UsageError, _LatencyHistogram, _load_eval_inputs,
+                       _parse_grid, main)
 from fedsg.data import DEFAULT_FEATURES, NSL_KDD_COLUMNS, load_dataset
 from fedsg.errors import ConvergenceFailure, InputError, RankDeficient
 from fedsg.federation import load_checkpoint
@@ -659,6 +660,29 @@ def test_train_empty_feature_list_is_input_error(tmp_path, capsys):
     assert not (out / "prep.npz").exists()
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"count\n\xff\xfe bad\n", "not utf-8 text: invalid start byte"),
+    (b"count\ndst_bytes\n# again:\ncount\nhot\n",
+     "feature 'count' listed twice"),
+], ids=["undecodable", "duplicate"])
+def test_train_faulty_feature_list_is_input_error(tmp_path, capsys, content,
+                                                  message):
+    """A --features file that is not text, or that names a feature twice
+    (which would train on a duplicated column), exits 2 with one line."""
+    rng = np.random.default_rng(1)
+    train = tmp_path / "train.csv"
+    train.write_text("\n".join(_csv_row(rng, "normal", i)
+                               for i in range(40)) + "\n")
+    features = tmp_path / "features.txt"
+    features.write_bytes(content)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(train), "--features", str(features),
+                 "--out", str(out), *CSV_TRAIN_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: ParseError: {features}: {message}\n"
+    assert not (out / "prep.npz").exists()
+
+
 def test_eval_empty_csv_is_input_error(csv_run, tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -1122,6 +1146,8 @@ def test_slice_without_data_is_usage_error(run_dir, capsys, command):
     (["sweep", "--rho-grid", "30:1"], "--rho-grid entry '30:1'"),
     (["sweep", "--rho-grid", "abc"], "--rho-grid entry 'abc'"),
     (["sweep", "--rho-grid", "95:101"], "rho must be in [0, 100], got 101.0"),
+    (["sweep", "--rho-grid", "0:100000000"],
+     "rho must be in [0, 100], got 100000000.0"),
     (["eval", "--rho", "nan"], "rho must be in [0, 100], got nan"),
     (["eval", "--rho", "150"], "rho must be in [0, 100], got 150.0"),
     (["eval", "--rho", "-5"], "rho must be in [0, 100], got -5.0"),
@@ -1130,10 +1156,24 @@ def test_slice_without_data_is_usage_error(run_dir, capsys, command):
 ], ids=["grid_range_not_int", "grid_three_part_range",
         "grid_reversed_range_and_number", "grid_reversed_range",
         "grid_not_number",
-        "grid_above_100", "rho_nan", "rho_above_100", "rho_negative",
+        "grid_above_100", "grid_wide_range", "rho_nan", "rho_above_100",
+        "rho_negative",
         "iters_zero", "iters_negative"])
 def test_bad_number_is_usage_error(run_dir, capsys, argv, message):
     assert main([argv[0], "--checkpoint", str(run_dir / "checkpoint.bin"),
                  *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_rho_grid_range_is_refused_before_it_is_built():
+    """A lo:hi range is checked at its ends first: the 10^8 grid entries
+    of 0:100000000 would take gigabytes before one was refused."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=r"got 100000000\.0$"):
+            _parse_grid("0:100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

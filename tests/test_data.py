@@ -230,15 +230,11 @@ def _faulty_lines(fault):
     "short_row_before_nan", "nan_after_unknown_label",
     "nul_label_before_short_row", "short_row_before_unknown_label",
     "unknown_label_before_non_numeric", "no_label_column",
-    "header_then_faulty_first_row", "empty_label_map", "empty_columns",
-    "empty_feature_list"])
+    "header_then_faulty_first_row", "empty_feature_list"])
 def test_load_dataset_errors_match_parser_oracle(tmp_path, fault):
-    """A faulty file, or a clean one read with an empty label map, column
-    list or feature list: those are used as given, never replaced by
-    the defaults."""
-    kwargs = {"empty_label_map": {"label_map": {}},
-              "empty_columns": {"columns": []},
-              "empty_feature_list": {"feature_list": []}}.get(fault, {})
+    """A faulty file, or a clean one read with an empty feature list,
+    which is used as given, never replaced by the defaults."""
+    kwargs = {"feature_list": []} if fault == "empty_feature_list" else {}
     path = tmp_path / "bad.csv"
     _write_csv(path, _faulty_lines(fault))
     with pytest.raises(FedsgError) as want:
@@ -256,17 +252,22 @@ def test_load_dataset_non_numeric_names_row_and_column(tmp_path):
         load_dataset(path)
 
 
-@pytest.mark.parametrize("text,message", [
-    ("1.0,normal,2.0\n3.0,normal\n", "row 1: expected 3 columns"),
-    ("1.0,normal\n", "row 0: no column 'b'"),
-    ("1_000,normal,2.0\n", "row 0: "),
-], ids=["ragged_row", "feature_past_row_end", "cell_only_float_accepts"])
-def test_load_dataset_cell_layout_errors(tmp_path, text, message):
+def _nsl_line(label="normal", level=None, **cells):
+    """One NSL-KDD row: the given feature cells, "0" in every other
+    feature column, the label and, unless None, a difficulty level."""
+    return ",".join([cells.get(c, "0") for c in NSL_KDD_COLUMNS] + [label]
+                    + ([] if level is None else [level]))
+
+
+@pytest.mark.parametrize("lines,message", [
+    ([_nsl_line(level="21"), _nsl_line()], "row 1: expected 43 columns"),
+    ([_nsl_line(src_bytes="1_000")], "row 0: "),
+], ids=["ragged_row", "cell_only_float_accepts"])
+def test_load_dataset_cell_layout_errors(tmp_path, lines, message):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    _write_csv(path, lines)
     with pytest.raises(ParseError, match=re.escape(message)):
-        load_dataset(path, feature_list=["a", "b"],
-                     columns=["a", "label", "b"], label_column=1)
+        load_dataset(path)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,23 +275,23 @@ def test_load_dataset_cell_layout_errors(tmp_path, text, message):
               elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_load_dataset_round_trips_repr(mat):
     m, d = mat.shape
-    columns = [f"f{j}" for j in range(d)] + ["label"]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.csv")
         with open(path, "w") as fh:
             for row in mat:
-                fh.write(",".join(repr(float(x)) for x in row) + ",normal\n")
-        data = load_dataset(path, feature_list=columns[:d], columns=columns,
-                            label_column=d)
+                fh.write(_nsl_line(**{c: repr(float(x)) for c, x
+                                      in zip(NSL_KDD_COLUMNS, row)}) + "\n")
+        data = load_dataset(path, feature_list=NSL_KDD_COLUMNS[:d])
     assert data.values.tobytes() == mat.T.tobytes()
     assert data.labels.tolist() == ["normal"] * m
 
 
-# Lines of small files with columns a, label, b or a, b, label: padded,
-# non-finite, non-numeric and empty cells, label spellings (one padded
-# with a non-latin-1 space, one ending in NUL), blank lines of several
-# kinds of whitespace and a row with an extra cell. Each line ends in any
-# line end or none, which joins it to the next.
+# Lines of small NSL-KDD files whose two features are column `col` (0 to
+# 39) and column 40, next to the label: padded, non-finite, non-numeric
+# and empty cells, label spellings (one padded with a non-latin-1 space,
+# one ending in NUL), blank lines of several kinds of whitespace and a
+# row with an extra cell after the label, plain or holding a NUL. Each
+# line ends in any line end or none, which joins it to the next.
 _FUZZ_CELL = st.sampled_from(["0", "1.5", " -2e3 ", "\u00a07", "nan", "inf",
                               "x", ""])
 _FUZZ_LABEL = st.sampled_from(["normal", " Normal. ", "\u2003neptune",
@@ -298,47 +299,49 @@ _FUZZ_LABEL = st.sampled_from(["normal", " Normal. ", "\u2003neptune",
                                "normal\x00"])
 _FUZZ_LINE = (st.tuples(_FUZZ_CELL, _FUZZ_LABEL, _FUZZ_CELL)
               | st.sampled_from(["", "  ", "\t", "\u00a0", "\x0c",
-                                 "1,normal,2,3"]))
+                                 _nsl_line(level="3"),
+                                 _nsl_line(level="3\x00")]))
 
 
 @settings(max_examples=300, deadline=None)
 # Two unknown labels: the first in the file, not in sort order, is named.
-@example(False, False, [(("0", "normal", "0"), "\n"),
-                        (("0", "zzz", "0"), "\n"), (("0", "", "0"), "\n")], 64)
-@example(False, True, [(("0", "normal\x00", "0"), "\r\n")], 64)
+@example(False, 0, [(("0", "normal", "0"), "\n"),
+                    (("0", "zzz", "0"), "\n"), (("0", "", "0"), "\n")], 64)
+@example(False, 0, [(("0", "normal\x00", "0"), "\r\n")], 64)
 # A blank line makes the reader strip each line, which leaves the NUL last
 # in the label cell "normal\x00  " for numpy to drop.
-@example(False, True, [(("0", "normal\x00", "0"), ""), ("  ", "\n"),
-                       ("", "\n"), (("0", "normal", "0"), "\n")], 64)
-@given(st.booleans(), st.booleans(),
+@example(False, 0, [(("0", "normal\x00", "0"), ""), ("  ", "\n"),
+                    ("", "\n"), (("0", "normal", "0"), "\n")], 64)
+@given(st.booleans(), st.integers(0, 39),
        st.lists(st.tuples(_FUZZ_LINE,
                           st.sampled_from(["\n", "\r\n", "\r", ""])),
                 max_size=12),
        st.sampled_from([1, 2, 5, 64]))
 def test_load_dataset_matches_parser_oracle_on_random_text(
-        header, label_last, lines, chunk_bytes):
+        header, col, lines, chunk_bytes):
     """Small chunks put line ends, and the \\r and \\n of a \\r\\n, on
     either side of a chunk boundary."""
-    columns = ["a", "b", "label"] if label_last else ["a", "label", "b"]
-    cells = (lambda a, lab, b: (a, b, lab)) if label_last else (
-        lambda a, lab, b: (a, lab, b))
-    text = (",".join(columns) + "\n" if header else "") + "".join(
-        (line if isinstance(line, str) else ",".join(cells(*line))) + end
-        for line, end in lines)
-    layout = {"feature_list": ["a", "b"], "columns": columns,
-              "label_column": columns.index("label")}
+    features = [NSL_KDD_COLUMNS[col], NSL_KDD_COLUMNS[40]]
+
+    def row(line):
+        if isinstance(line, str):
+            return line
+        a, label, b = line
+        return _nsl_line(label, **dict(zip(features, (a, b))))
+    text = (",".join(NSL_KDD_COLUMNS + ["label"]) + "\n" if header else ""
+            ) + "".join(row(line) + end for line, end in lines)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(data_module, "_CHUNK_BYTES", chunk_bytes):
         path = os.path.join(tmp, "f.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
         try:
-            values, labels, rows = parse_records(path, **layout)
+            values, labels, rows = parse_records(path, features)
         except FedsgError as want:
             with pytest.raises(type(want), match=re.escape(str(want))):
-                load_dataset(path, **layout)
+                load_dataset(path, features)
             return
-        data = load_dataset(path, **layout)
+        data = load_dataset(path, features)
     assert data.values.tobytes() == values.tobytes()
     assert data.labels.tolist() == labels
 

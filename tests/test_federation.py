@@ -14,7 +14,6 @@ from fedsg.federation import (FedConfig, aggregate, load_checkpoint,
                               local_update, procrustes_rotation, run_fedsg,
                               save_checkpoint, write_trace_csv)
 from fedsg.grassmann import GrassmannPoint
-from fedsg.linalg import frobenius_norm
 from fedsg.objective import FactorPair, loss
 
 from oracles import (random_orthonormal, sequential_fedsg, shard_layouts,
@@ -81,8 +80,8 @@ def test_local_update_stationary_at_exact_rank():
     v0 = random_orthonormal(rng, 5, 2)
     x = u0 @ t_core @ v0.T
     u, v, _ = local_update([x], _stack(u0), _stack(v0), 3, 0.01)
-    assert frobenius_norm(u[0] - u0) <= 1e-8
-    assert frobenius_norm(v[0] - v0) <= 1e-8
+    assert np.linalg.norm(u[0] - u0) <= 1e-8
+    assert np.linalg.norm(v[0] - v0) <= 1e-8
     assert loss(u[0], v[0], [x]) <= 1e-16
 
 
@@ -132,7 +131,7 @@ def test_aggregate_alignment_cancels_sign_flip():
     out = aggregate(_stack(pair.u, flipped.u), _stack(pair.v, flipped.v),
                     pair, align=True)
     # aligned mean returns the previous subspace, not a collapsed mix
-    assert frobenius_norm(out.u.basis @ out.u.basis.T
+    assert np.linalg.norm(out.u.basis @ out.u.basis.T
                           - pair.u.basis @ pair.u.basis.T) <= 1e-9
 
 
@@ -142,8 +141,8 @@ def test_aggregate_output_feasible():
     us = _stack(*[random_orthonormal(rng, 8, 3) for _ in range(5)])
     vs = _stack(*[random_orthonormal(rng, 6, 3) for _ in range(5)])
     out = aggregate(us, vs, prev, align=True)
-    assert frobenius_norm(out.u.basis.T @ out.u.basis - np.eye(3)) <= 1e-8
-    assert frobenius_norm(out.v.basis.T @ out.v.basis - np.eye(3)) <= 1e-8
+    assert np.linalg.norm(out.u.basis.T @ out.u.basis - np.eye(3)) <= 1e-8
+    assert np.linalg.norm(out.v.basis.T @ out.v.basis - np.eye(3)) <= 1e-8
 
 
 def test_procrustes_rotation_is_orthogonal_and_optimal():
@@ -153,7 +152,7 @@ def test_procrustes_rotation_is_orthogonal_and_optimal():
     b = a @ q_true
     q = procrustes_rotation(a, b)
     assert np.allclose(q.T @ q, np.eye(3), atol=1e-10)
-    assert frobenius_norm(a @ q - b) <= 1e-9
+    assert np.linalg.norm(a @ q - b) <= 1e-9
 
 
 def test_aggregate_unaligned_cancellation_raises():
@@ -195,8 +194,8 @@ def _assert_matches_sequential_reference(cfg, shards):
     per-client loop on the gradient that is exact at any point."""
     pair, traces = run_fedsg(cfg, shards)
     ref, losses, skips, aborts = sequential_fedsg(cfg, shards)
-    assert frobenius_norm(pair.u.basis - ref.u.basis) <= 1e-10
-    assert frobenius_norm(pair.v.basis - ref.v.basis) <= 1e-10
+    assert np.linalg.norm(pair.u.basis - ref.u.basis) <= 1e-10
+    assert np.linalg.norm(pair.v.basis - ref.v.basis) <= 1e-10
     assert np.allclose([t.global_loss for t in traces], losses,
                        rtol=1e-10, atol=0.0)
     assert [t.skipped_steps for t in traces] == skips
@@ -253,7 +252,7 @@ def test_trace_loss_is_never_negative_on_exact_rank_data(seed):
     cfg = FedConfig(n_clients=4, rounds=150, local_steps=5,
                     sample_fraction=0.5, k=3, eta=0.015, seed=seed)
     _, traces = run_fedsg(cfg, shards)
-    energy = sum(frobenius_norm(x) ** 2 for x in shards)
+    energy = sum(np.linalg.norm(x) ** 2 for x in shards)
     assert min(t.global_loss for t in traces) >= 0.0
     assert traces[-1].global_loss <= 1e-14 * energy
 
@@ -371,7 +370,7 @@ def test_run_fedsg_exact_rank_data_converges():
     cfg = FedConfig(n_clients=1, rounds=200, local_steps=5,
                     sample_fraction=1.0, k=3, eta=0.015, seed=0)
     _, traces = run_fedsg(cfg, [x])
-    assert traces[-1].global_loss <= 1e-6 * frobenius_norm(x) ** 2
+    assert traces[-1].global_loss <= 1e-6 * np.linalg.norm(x) ** 2
 
 
 def test_run_fedsg_reaches_eckart_young_tail():

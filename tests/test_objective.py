@@ -3,7 +3,7 @@ import pytest
 
 from fedsg.errors import ShapeMismatch
 from fedsg.grassmann import GrassmannPoint
-from fedsg.linalg import frobenius_norm, truncated_svd
+from fedsg.linalg import truncated_svd
 from fedsg.objective import (FactorPair, _shard_products, captured_energy,
                              grad_u, grad_v, loss, optimal_sigma)
 
@@ -49,7 +49,7 @@ def test_optimal_sigma_beats_random_perturbations():
     sigma = optimal_sigma(u, x, v)
 
     def with_sigma(s):
-        return frobenius_norm(x - u.basis @ s @ v.basis.T) ** 2
+        return np.linalg.norm(x - u.basis @ s @ v.basis.T) ** 2
 
     best = with_sigma(sigma)
     for _ in range(1000):
@@ -62,7 +62,7 @@ def test_loss_matches_reconstruction_residual():
     rng = np.random.default_rng(6)
     u, v = _uv(rng, 6, 5, 2)
     x = rng.standard_normal((6, 5))
-    res = frobenius_norm(x - u.basis @ optimal_sigma(u, x, v) @ v.basis.T)
+    res = np.linalg.norm(x - u.basis @ optimal_sigma(u, x, v) @ v.basis.T)
     assert loss(u, v, [x]) == pytest.approx(res ** 2, rel=1e-12)
 
 
@@ -112,8 +112,8 @@ def test_tangent_gradient_vanishes_at_optimum():
     gu, gv = grad_u(u, v, [x]), grad_v(u, v, [x])
     gu -= u.basis @ (u.basis.T @ gu)  # (I - U U^T) g
     gv -= v.basis @ (v.basis.T @ gv)
-    assert frobenius_norm(gu) <= 1e-8
-    assert frobenius_norm(gv) <= 1e-8
+    assert np.linalg.norm(gu) <= 1e-8
+    assert np.linalg.norm(gv) <= 1e-8
 
 
 def test_gradients_match_finite_differences():
@@ -154,8 +154,8 @@ def test_reference_gradients_match_finite_differences_off_the_manifold():
 def _assert_close_and_tangent(g, ref, basis):
     """g equals ref to 1e-12 relative and is tangent at basis:
     ||A^T g|| <= 1e-12 ||g||."""
-    assert frobenius_norm(g - ref) <= 1e-12 * frobenius_norm(ref)
-    assert frobenius_norm(basis.T @ g) <= 1e-12 * frobenius_norm(g)
+    assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(basis.T @ g) <= 1e-12 * np.linalg.norm(g)
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
@@ -187,7 +187,7 @@ def test_captured_energy_is_energy_minus_loss():
     rng = np.random.default_rng(14)
     u, v = _uv(rng, 6, 5, 2)
     shards = [rng.standard_normal((6, 5)) for _ in range(4)]
-    energy = sum(frobenius_norm(x) ** 2 for x in shards)
+    energy = sum(np.linalg.norm(x) ** 2 for x in shards)
     assert energy - captured_energy(u, v, shards) == pytest.approx(
         loss(u, v, shards), rel=1e-12, abs=0.0)
 
