@@ -44,7 +44,7 @@ from .data import (DEFAULT_FEATURES, STD_FLOOR, SynthSpec, filter_slice,
                    read_feature_list, zscore_fit_apply, zscore_round_robin)
 from .detection import (evaluate, fit_threshold, fit_thresholds, roc_and_pr,
                         score, score_matrix, write_curve, write_metrics)
-from .errors import DimensionMismatch, FedsgError, InputError
+from .errors import FedsgError, InputError
 from .federation import (CHECKPOINT_HEADER_BYTES, FedConfig, load_checkpoint,
                          run_fedsg, save_checkpoint, write_trace_csv)
 
@@ -142,8 +142,6 @@ def _fed_config_values(args):
     for key, val in overrides.items():
         if val is not None:
             values[key] = val
-    if args.no_align:
-        values["align_before_average"] = False
     return values
 
 
@@ -301,7 +299,7 @@ def _stored(checkpoint, name, d=None):
     # smaller one would overflow the z-scores.
     if not (stds >= STD_FLOOR).all():
         raise UsageError(f"{path}: a value below {STD_FLOOR} in 'stds'")
-    return means, stds, _check(path, "'features'", features, "U", ("n",))
+    return means, stds, _check(path, "'features'", features, "U", (d,))
 
 
 def _scorable(errors, source):
@@ -324,10 +322,6 @@ def _load_eval_inputs(args):
         _input_file(args.data, "data path")
         means, stds, features = _stored(args.checkpoint, "prep.npz", d)
         data = load_dataset(args.data, feature_list=[str(f) for f in features])
-        if data.values.shape[0] != d:
-            raise DimensionMismatch(
-                f"checkpoint d={d}, test records have "
-                f"{data.values.shape[0]} features")
         # Round-robin test assignment: record i is normalised with the
         # statistics of client i % n_clients.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -504,7 +498,6 @@ def build_parser():
     tr.add_argument("--sample-fraction", type=float)
     tr.add_argument("--rank", type=int)
     tr.add_argument("--eta", type=float)
-    tr.add_argument("--no-align", action="store_true")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a test set")

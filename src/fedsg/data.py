@@ -132,8 +132,9 @@ def load_dataset(path, feature_list=None) -> Dataset:
         raise MissingFeature("empty feature list")
     try:
         idx = [NSL_KDD_COLUMNS.index(f) for f in features]
-    except ValueError as exc:
-        raise MissingFeature(str(exc)) from None
+    except ValueError:
+        bad = next(f for f in features if f not in NSL_KDD_COLUMNS)
+        raise MissingFeature(f"{bad!r} is not an NSL-KDD column") from None
     try:
         values, labels = _read_dataset(path, idx)
     except UnicodeDecodeError as exc:

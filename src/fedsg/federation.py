@@ -1,5 +1,5 @@
 """Simulated federated subspace learning: alternating Riemannian
-updates on every sampled client, server-side averaging with
+updates on every sampled client, a server-side aligned mean with
 re-retraction, and broadcast, with deterministic client sampling and
 exact communication accounting.
 
@@ -56,14 +56,10 @@ class FedConfig:
     k: int = 3
     eta: float = 0.01
     seed: int = 0
-    align_before_average: bool = True
 
     def __post_init__(self):
         check_numbers(self, ("n_clients", "rounds", "local_steps", "k",
                              "seed"), ("sample_fraction", "eta"))
-        if not isinstance(self.align_before_average, bool):
-            raise ValueError(f"align_before_average must be true or false, "
-                             f"got {self.align_before_average!r}")
         if min(self.n_clients, self.rounds + 1, self.local_steps + 1, self.k) <= 0:
             raise ValueError("counts must be positive (rounds/local_steps >= 0)")
         if self.seed < 0:
@@ -126,14 +122,12 @@ def procrustes_rotation(a, b) -> np.ndarray:
     return t.u @ np.swapaxes(t.v, -1, -2)
 
 
-def aggregate(u, v, previous: FactorPair, align: bool) -> FactorPair:
-    """Entrywise mean of the stacked client bases u (s, d, k) and
-    v (s, B, k), summed in stack order (ascending client id), then
-    re-retraction onto the manifolds.
-
-    With align=True each basis is first rotated by its orthogonal
-    Procrustes factor toward the previous global point, removing the
-    sign/rotation ambiguity that can cancel terms in a raw mean.
+def aggregate(u, v, previous: FactorPair) -> FactorPair:
+    """Aligned mean of the stacked client bases u (s, d, k) and
+    v (s, B, k): each basis is rotated by its orthogonal Procrustes
+    factor toward the previous global point (a subspace fixes its basis
+    only up to rotation), the entrywise mean is summed in stack order
+    (ascending client id) and re-retracted onto the manifolds.
 
     Raises RankDeficient if a mean collapses; callers keep `previous`.
     """
@@ -144,9 +138,8 @@ def aggregate(u, v, previous: FactorPair, align: bool) -> FactorPair:
         raise ValueError("aggregate needs at least one update")
     if u.shape[1:] != previous.u.basis.shape or v.shape[1:] != previous.v.basis.shape:
         raise ShapeMismatch("update shapes differ from the previous pair")
-    if align:
-        u = u @ procrustes_rotation(u, previous.u.basis)
-        v = v @ procrustes_rotation(v, previous.v.basis)
+    u = u @ procrustes_rotation(u, previous.u.basis)
+    v = v @ procrustes_rotation(v, previous.v.basis)
     return FactorPair(u=retract(u.mean(axis=0)), v=retract(v.mean(axis=0)))
 
 
@@ -226,7 +219,7 @@ def run_fedsg(config: FedConfig, shards):
             config.local_steps, config.eta)
 
         try:
-            pair = aggregate(u, v, pair, config.align_before_average)
+            pair = aggregate(u, v, pair)
             aborted = False
         except RankDeficient:
             aborted = True  # previous global pair retained

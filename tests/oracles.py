@@ -190,7 +190,7 @@ def parse_records(path, feature_list=None):
         raise MissingFeature("empty feature list")
     missing = [f for f in features if f not in NSL_KDD_COLUMNS]
     if missing:
-        raise MissingFeature(f"{missing[0]!r} is not in list")
+        raise MissingFeature(f"{missing[0]!r} is not an NSL-KDD column")
     idx = [NSL_KDD_COLUMNS.index(f) for f in features]
     values, labels, rows = [], [], []
     with open(path) as fh:
@@ -398,12 +398,8 @@ def sequential_fedsg(config, shards):
                                          config.eta)
                 except RankDeficient:
                     skipped += 1
-            bu, bv = u.basis, v.basis
-            if config.align_before_average:
-                bu = bu @ _procrustes(bu, pair.u.basis)
-                bv = bv @ _procrustes(bv, pair.v.basis)
-            sum_u += bu
-            sum_v += bv
+            sum_u += u.basis @ _procrustes(u.basis, pair.u.basis)
+            sum_v += v.basis @ _procrustes(v.basis, pair.v.basis)
         try:
             pair = FactorPair(u=retract(sum_u / n_sample),
                               v=retract(sum_v / n_sample))

@@ -88,15 +88,19 @@ def test_train_requires_source(tmp_path):
                          ("seed", "abc"), ("n_clients", 20.0),
                          ("rounds", True)]],
     (["--synthetic", SYNTH, "--config",
-      json.dumps({"align_before_average": "no"})],
-     "invalid FedConfig: align_before_average must be true or false, "
-     "got 'no'"),
+      json.dumps({"align_before_average": False})],
+     "unexpected keyword argument 'align_before_average'"),
     *[(["--synthetic", json.dumps({key: value})],
        f"invalid SynthSpec: {key} must be an integer, got {value!r}")
       for key, value in [("width", 20.5), ("d", 10.0), ("n_test", 100.5),
                          ("seed", 1.5)]],
     (["--synthetic", SYNTH, "--seed", "-1"],
      "invalid FedConfig: seed must be non-negative, got -1"),
+    *[(["--synthetic", arg], f"--synthetic must be 'default', a JSON file, "
+                             f"or an inline JSON object; got {arg!r}")
+      for arg in ["not json", "[1, 2]"]],
+    (["--synthetic", json.dumps({"anomaly_fraction": 1.0})],
+     "invalid SynthSpec: anomaly_fraction must be in [0, 1)"),
     (["--synthetic", json.dumps({"n_clients": 4, "seed": -2})],
      "invalid SynthSpec: seed must be non-negative, got -2"),
     (["--synthetic", "default", "--rank", "40"],
@@ -120,9 +124,10 @@ def test_train_requires_source(tmp_path):
         "negative_n_test", "zero_n_test", "zero_d", "zero_width",
         "zero_n_clients", "zero_rank", "negative_rank", "float_rounds",
         "float_local_steps", "float_k", "string_seed", "integral_float_clients",
-        "bool_rounds", "string_align", "float_width", "float_d",
+        "bool_rounds", "align_key", "float_width", "float_d",
         "float_n_test", "float_synthetic_seed", "negative_seed",
-        "negative_synthetic_seed", "rank_above_d",
+        "synthetic_not_json", "synthetic_json_list",
+        "synthetic_all_anomalies", "negative_synthetic_seed", "rank_above_d",
         "anomalies_without_an_orthogonal_direction", "bool_eta",
         "bool_sample_fraction", "string_eta", "null_sample_fraction",
         "bool_noise", "bool_anomaly_fraction", "bool_anomaly_offset",
@@ -661,14 +666,19 @@ def test_train_empty_feature_list_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content,message", [
-    (b"count\n\xff\xfe bad\n", "not utf-8 text: invalid start byte"),
+    (b"count\n\xff\xfe bad\n",
+     "ParseError: PATH: not utf-8 text: invalid start byte"),
     (b"count\ndst_bytes\n# again:\ncount\nhot\n",
-     "feature 'count' listed twice"),
-], ids=["undecodable", "duplicate"])
+     "ParseError: PATH: feature 'count' listed twice"),
+    (b"count\nfoo\ndst_bytes\nbar\n",
+     "MissingFeature: 'foo' is not an NSL-KDD column"),
+], ids=["undecodable", "duplicate", "unknown"])
 def test_train_faulty_feature_list_is_input_error(tmp_path, capsys, content,
                                                   message):
-    """A --features file that is not text, or that names a feature twice
-    (which would train on a duplicated column), exits 2 with one line."""
+    """A --features file that is not text, that names a feature twice
+    (which would train on a duplicated column) or that names one outside
+    the NSL-KDD columns, exits 2 with one line; of several unknown names
+    the first is named."""
     rng = np.random.default_rng(1)
     train = tmp_path / "train.csv"
     train.write_text("\n".join(_csv_row(rng, "normal", i)
@@ -679,7 +689,7 @@ def test_train_faulty_feature_list_is_input_error(tmp_path, capsys, content,
     assert main(["train", "--data", str(train), "--features", str(features),
                  "--out", str(out), *CSV_TRAIN_ARGS]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: ParseError: {features}: {message}\n"
+    assert err == f"error: {message.replace('PATH', str(features))}\n"
     assert not (out / "prep.npz").exists()
 
 
@@ -1053,8 +1063,10 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
      SHAPE.format("'stds'", "a non-empty float array", "(4, 34)",
                   "float64", "(3, 34)")),
     ("csv_run", "prep.npz", _resave(features=lambda f: np.array("count")),
-     "eval", SHAPE.format("'features'", "a string array", "(n,)", "<U5",
+     "eval", SHAPE.format("'features'", "a string array", "(34,)", "<U5",
                           "()")),
+    ("csv_run", "prep.npz", _resave(features=lambda f: f[:3]), "sweep",
+     SHAPE.format("'features'", "a string array", "(34,)", "<U27", "(3,)")),
     ("csv_run", "prep.npz", lambda p: p.unlink(), "sweep",
      "no prep.npz next to the checkpoint: PATH"),
 ], ids=["synth_test_junk", "synth_test_without_test", "train_errors_empty",
@@ -1063,7 +1075,8 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
         "train_errors_no_entries", "train_errors_missing", "synth_test_1d",
         "synth_test_nan", "synth_test_short_labels", "synth_test_missing",
         "prep_nan_mean", "prep_zero_std", "prep_tiny_std", "prep_narrow_means",
-        "prep_stds_of_another_shape", "prep_0d_features", "prep_missing"])
+        "prep_stds_of_another_shape", "prep_0d_features", "prep_3_features",
+        "prep_missing"])
 def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
                                             name, write, command, message):
     """A stored run file that is missing, unreadable, of the wrong shape or
@@ -1085,16 +1098,19 @@ def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
 
 def test_prep_with_empty_feature_list_is_input_error(csv_run, tmp_path,
                                                     capsys):
-    """An empty feature list must not score with the default features."""
+    """An empty feature list must not score with the default features:
+    it is refused as a list of another length than the checkpoint's d."""
     with np.load(csv_run / "prep.npz") as prep:
         stats = {key: prep[key] for key in ("means", "stds")}
-    np.savez(csv_run / "prep.npz", **stats,
-             features=np.array([], dtype="<U1"))
+    path = csv_run / "prep.npz"
+    np.savez(path, **stats, features=np.array([], dtype="<U1"))
     test = _attack_mix_csv(tmp_path / "t.csv", 12, 6)
     assert main(["eval", "--checkpoint", str(csv_run / "checkpoint.bin"),
                  "--data", str(test)]) == 2
-    assert capsys.readouterr().err == ("error: MissingFeature: empty "
-                                       "feature list\n")
+    assert capsys.readouterr().err == "error: " + SHAPE.format(
+        "'features'", "a string array", "(34,)", "<U1", "(0,)").replace(
+        "PATH", str(path)) + "\n"
+    assert not (csv_run / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("source", ["csv", "synthetic"])
@@ -1145,6 +1161,7 @@ def test_slice_without_data_is_usage_error(run_dir, capsys, command):
                                         "reversed range: 30 > 1"),
     (["sweep", "--rho-grid", "30:1"], "--rho-grid entry '30:1'"),
     (["sweep", "--rho-grid", "abc"], "--rho-grid entry 'abc'"),
+    (["sweep", "--rho-grid", ","], "empty rho grid"),
     (["sweep", "--rho-grid", "95:101"], "rho must be in [0, 100], got 101.0"),
     (["sweep", "--rho-grid", "0:100000000"],
      "rho must be in [0, 100], got 100000000.0"),
@@ -1155,7 +1172,7 @@ def test_slice_without_data_is_usage_error(run_dir, capsys, command):
     (["bench", "--iters", "-3"], "--iters must be at least 1, got -3"),
 ], ids=["grid_range_not_int", "grid_three_part_range",
         "grid_reversed_range_and_number", "grid_reversed_range",
-        "grid_not_number",
+        "grid_not_number", "grid_empty",
         "grid_above_100", "grid_wide_range", "rho_nan", "rho_above_100",
         "rho_negative",
         "iters_zero", "iters_negative"])

@@ -230,11 +230,14 @@ def _faulty_lines(fault):
     "short_row_before_nan", "nan_after_unknown_label",
     "nul_label_before_short_row", "short_row_before_unknown_label",
     "unknown_label_before_non_numeric", "no_label_column",
-    "header_then_faulty_first_row", "empty_feature_list"])
+    "header_then_faulty_first_row", "empty_feature_list", "unknown_feature"])
 def test_load_dataset_errors_match_parser_oracle(tmp_path, fault):
     """A faulty file, or a clean one read with an empty feature list,
-    which is used as given, never replaced by the defaults."""
-    kwargs = {"feature_list": []} if fault == "empty_feature_list" else {}
+    which is used as given, never replaced by the defaults, or with a
+    list naming a feature that is not an NSL-KDD column."""
+    kwargs = {"empty_feature_list": {"feature_list": []},
+              "unknown_feature": {"feature_list": ["count", "foo", "bar"]},
+              }.get(fault, {})
     path = tmp_path / "bad.csv"
     _write_csv(path, _faulty_lines(fault))
     with pytest.raises(FedsgError) as want:

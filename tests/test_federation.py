@@ -116,8 +116,7 @@ def test_local_update_rank_deficient_client_is_skipped():
 def test_aggregate_identical_updates_is_identity():
     rng = np.random.default_rng(3)
     pair = _pair(rng, 6, 5, 2)
-    out = aggregate(_stack(*[pair.u] * 3), _stack(*[pair.v] * 3), pair,
-                    align=True)
+    out = aggregate(_stack(*[pair.u] * 3), _stack(*[pair.v] * 3), pair)
     assert np.allclose(out.u.basis, pair.u.basis, atol=1e-12)
     assert np.allclose(out.v.basis, pair.v.basis, atol=1e-12)
 
@@ -129,7 +128,7 @@ def test_aggregate_alignment_cancels_sign_flip():
     flipped = FactorPair(u=GrassmannPoint(pair.u.basis @ flip),
                          v=GrassmannPoint(pair.v.basis @ flip))
     out = aggregate(_stack(pair.u, flipped.u), _stack(pair.v, flipped.v),
-                    pair, align=True)
+                    pair)
     # aligned mean returns the previous subspace, not a collapsed mix
     assert np.linalg.norm(out.u.basis @ out.u.basis.T
                           - pair.u.basis @ pair.u.basis.T) <= 1e-9
@@ -140,7 +139,7 @@ def test_aggregate_output_feasible():
     prev = _pair(rng, 8, 6, 3)
     us = _stack(*[random_orthonormal(rng, 8, 3) for _ in range(5)])
     vs = _stack(*[random_orthonormal(rng, 6, 3) for _ in range(5)])
-    out = aggregate(us, vs, prev, align=True)
+    out = aggregate(us, vs, prev)
     assert np.linalg.norm(out.u.basis.T @ out.u.basis - np.eye(3)) <= 1e-8
     assert np.linalg.norm(out.v.basis.T @ out.v.basis - np.eye(3)) <= 1e-8
 
@@ -156,21 +155,23 @@ def test_procrustes_rotation_is_orthogonal_and_optimal():
 
 
 def test_aggregate_unaligned_cancellation_raises():
-    rng = np.random.default_rng(15)
-    pair = _pair(rng, 6, 5, 2)
+    """Bases orthogonal to the previous U have a zero U^T U_0, so the
+    Procrustes alignment leaves them as they are, unaligned: two with
+    opposite signs still cancel in the mean."""
+    eye = np.eye(6)
+    pair = FactorPair(u=GrassmannPoint(eye[:, :2]),
+                      v=GrassmannPoint(np.eye(5)[:, :2]))
     with pytest.raises(RankDeficient):
-        aggregate(_stack(pair.u, -pair.u.basis), _stack(pair.v, pair.v),
-                  pair, align=False)
+        aggregate(_stack(eye[:, 2:4], -eye[:, 2:4]),
+                  _stack(pair.v, pair.v), pair)
 
 
-@pytest.mark.parametrize("align", [True, False])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_run_fedsg_matches_sequential_reference(seed, align):
+def test_run_fedsg_matches_sequential_reference(seed):
     rng = np.random.default_rng(100 + seed)
     shards = [rng.standard_normal((7, 9)) for _ in range(6)]
     cfg = FedConfig(n_clients=6, rounds=8, local_steps=3,
-                    sample_fraction=0.5, k=2, eta=0.05, seed=seed,
-                    align_before_average=align)
+                    sample_fraction=0.5, k=2, eta=0.05, seed=seed)
     _assert_matches_sequential_reference(cfg, shards)
 
 
