@@ -17,7 +17,7 @@ t = truncated_svd(x, k)
 tail = np.linalg.norm(x - t.u @ np.diag(t.sigma) @ t.v.T) ** 2
 print(f"centralized rank-{k} SVD tail energy: {tail:.4f}")
 
-cfg = FedConfig(n_clients=1, rounds=500, local_steps=5, sample_fraction=1.0,
+cfg = FedConfig(rounds=500, local_steps=5, sample_fraction=1.0,
                 k=k, eta=1e-3, seed=0)
 pair, traces = run_fedsg(cfg, [x])
 

@@ -17,7 +17,7 @@ shards, test, labels, _ = generate_synthetic(spec)
 print(f"{spec.n_clients} clients, shards {shards[0].shape}, "
       f"test {test.shape} with {labels.sum()} planted anomalies")
 
-cfg = FedConfig(n_clients=spec.n_clients, rounds=150, local_steps=5,
+cfg = FedConfig(rounds=150, local_steps=5,
                 sample_fraction=0.5, k=3, eta=1e-3, seed=7)
 pair, _ = run_fedsg(cfg, shards)
 fed_auc = roc_and_pr(score_matrix(pair.u, test), labels)[2]

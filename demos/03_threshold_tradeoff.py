@@ -13,7 +13,7 @@ from fedsg.detection import evaluate, fit_threshold, score_matrix
 
 spec = SynthSpec(seed=3)
 shards, test, labels, _ = generate_synthetic(spec)
-cfg = FedConfig(n_clients=spec.n_clients, rounds=100, local_steps=5,
+cfg = FedConfig(rounds=100, local_steps=5,
                 sample_fraction=0.5, k=3, eta=1e-3, seed=3)
 pair, _ = run_fedsg(cfg, shards)
 

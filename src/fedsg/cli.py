@@ -1,6 +1,6 @@
 """Command-line entry point: train / eval / sweep / bench.
 
-A CSV train partitions the benign records into one (n_clients, d, B)
+A CSV train partitions the benign records into one (--clients, d, B)
 stack of equal-width shards, z-scores each with its own statistics and
 trains on that stack. Evaluation assigns test record i to client
 i % n_clients and z-scores it with that client's statistics
@@ -49,9 +49,10 @@ from .federation import (CHECKPOINT_HEADER_BYTES, FedConfig, load_checkpoint,
                          run_fedsg, save_checkpoint, write_trace_csv)
 
 
-# The feature a CSV train partitions its benign records by when
-# --sort-feature is not given.
+# A CSV train partitions its benign records by this feature among this
+# many clients unless --sort-feature or --clients says otherwise.
 DEFAULT_SORT_FEATURE = "dst_bytes"
+DEFAULT_CLIENTS = 100
 
 
 class UsageError(Exception):
@@ -135,9 +136,9 @@ def _fed_config_values(args):
     Unset keys keep FedConfig's defaults; _build rejects unknown keys."""
     values = _load_config_file(args.config) if args.config else {}
     overrides = {
-        "n_clients": args.clients, "rounds": args.rounds,
-        "local_steps": args.local_steps, "sample_fraction": args.sample_fraction,
-        "k": args.rank, "eta": args.eta, "seed": args.seed,
+        "rounds": args.rounds, "local_steps": args.local_steps,
+        "sample_fraction": args.sample_fraction, "k": args.rank,
+        "eta": args.eta, "seed": args.seed,
     }
     for key, val in overrides.items():
         if val is not None:
@@ -176,26 +177,20 @@ def cmd_train(args):
     if args.synthetic and args.data:
         raise UsageError("--data and --synthetic are mutually exclusive")
     if not args.data:
-        for flag, val in (("--features", args.features),
-                          ("--sort-feature", args.sort_feature)):
+        no_names = "synthetic records have no named features"
+        for flag, val, why in (("--features", args.features, no_names),
+                               ("--sort-feature", args.sort_feature, no_names),
+                               ("--clients", args.clients,
+                                "the --synthetic spec sets n_clients")):
             if val is not None:
-                raise UsageError(f"{flag} needs --data: synthetic records "
-                                 f"have no named features")
-    values = _fed_config_values(args)
-    config = _build(FedConfig, values)
+                raise UsageError(f"{flag} needs --data: {why}")
+    config = _build(FedConfig, _fed_config_values(args))
     _output_dir(args.out)
     manifest = {"command": "train",
                 "out_dir": os.path.abspath(args.out)}
 
     if args.synthetic:
         spec = _parse_synth_spec(args.synthetic, config.seed)
-        # The spec sets the client count unless --clients or the config
-        # file does, and then the two must agree.
-        if values.get("n_clients", spec.n_clients) != spec.n_clients:
-            raise UsageError(f"{values['n_clients']} clients requested, "
-                             f"but --synthetic has n_clients "
-                             f"{spec.n_clients}")
-        config = _build(FedConfig, dict(values, n_clients=spec.n_clients))
         # A noise large enough to overflow gives infinite shards, which
         # run_fedsg rejects (NonFiniteShard).
         with np.errstate(over="ignore"):
@@ -208,6 +203,7 @@ def cmd_train(args):
         _input_file(args.data, "data path")
         sort_feature = (DEFAULT_SORT_FEATURE if args.sort_feature is None
                         else args.sort_feature)
+        n_clients = DEFAULT_CLIENTS if args.clients is None else args.clients
         features = list(DEFAULT_FEATURES)
         if args.features is not None:
             features = read_feature_list(_input_file(args.features,
@@ -216,7 +212,7 @@ def cmd_train(args):
         # stack once z-scored, before training allocates.
         shards, dropped = partition_non_iid(
             load_dataset(args.data, feature_list=features),
-            config.n_clients, sort_feature)
+            n_clients, sort_feature)
         # A finite value can still overflow the squares a std sums; the
         # std is then inf or NaN (as it is when a mean overflows).
         with np.errstate(over="ignore", invalid="ignore"):
@@ -231,6 +227,7 @@ def cmd_train(args):
                                "path": os.path.abspath(args.data),
                                "sha256": _sha256_file(args.data),
                                "dropped_records": dropped,
+                               "n_clients": n_clients,
                                "sort_feature": sort_feature}
         manifest["feature_list_sha256"] = _sha256_text("\n".join(features))
         inputs_file, inputs = "prep.npz", {"means": means, "stds": stds,
@@ -256,15 +253,15 @@ def cmd_train(args):
 
 
 def _check(path, what, x, kind, shape):
-    """x, if its dtype kind is `kind` (any, for None) and its shape is
-    `shape`, where a letter stands for any length. A float array must
-    also be non-empty and finite. Else a usage error naming path."""
+    """x, if its dtype kind is `kind` and its shape is `shape`, where a
+    letter stands for any length. A float array must also be non-empty
+    and finite. Else a usage error naming path."""
     fits = x.ndim == len(shape) and all(isinstance(n, str) or n == m
                                         for n, m in zip(shape, x.shape))
     empty = kind == "f" and not x.size
-    if not fits or kind not in (None, x.dtype.kind) or empty:
+    if not fits or kind != x.dtype.kind or empty:
         want = {"f": "a non-empty float array", "U": "a string array",
-                None: "an array"}[kind]
+                "b": "a boolean array"}[kind]
         pattern = str(tuple(shape)).replace("'", "")  # (n, 34), not ('n', 34)
         raise UsageError(f"{path}: {what} must be {want} of shape {pattern}, "
                          f"got dtype {x.dtype} and shape {x.shape}")
@@ -279,8 +276,8 @@ def _stored(checkpoint, name, d=None):
     train_errors.npy, the records (one per column) and labels of
     synth_test.npz, or the per-client means and stds and the feature
     names of prep.npz. A missing file, an array of the wrong dtype or
-    shape, a non-finite value or a std below data.STD_FLOOR is a usage
-    error."""
+    shape, a non-finite value, a std below data.STD_FLOOR or a feature
+    named twice is a usage error."""
     path = os.path.join(os.path.dirname(checkpoint), name)
     if not os.path.isfile(path):
         raise UsageError(f"no {name} next to the checkpoint: {path}")
@@ -290,8 +287,7 @@ def _stored(checkpoint, name, d=None):
     if name == "synth_test.npz":
         test, labels = _load_arrays(path, "test", "labels")
         _check(path, "'test'", test, "f", (d, "m"))
-        _check(path, "'labels'", labels, None, test.shape[1:])
-        return test, labels.astype(bool)
+        return test, _check(path, "'labels'", labels, "b", test.shape[1:])
     means, stds, features = _load_arrays(path, "means", "stds", "features")
     _check(path, "'means'", means, "f", ("n", d))
     _check(path, "'stds'", stds, "f", means.shape)
@@ -299,7 +295,12 @@ def _stored(checkpoint, name, d=None):
     # smaller one would overflow the z-scores.
     if not (stds >= STD_FLOOR).all():
         raise UsageError(f"{path}: a value below {STD_FLOOR} in 'stds'")
-    return means, stds, _check(path, "'features'", features, "U", (d,))
+    _check(path, "'features'", features, "U", (d,))
+    names, counts = np.unique(features, return_counts=True)
+    if (counts > 1).any():
+        raise UsageError(f"{path}: feature {str(names[counts > 1][0])!r} "
+                         f"listed twice in 'features'")
+    return means, stds, features
 
 
 def _scorable(errors, source):
@@ -492,7 +493,8 @@ def build_parser():
                     help=f"feature the CSV partition sorts the benign "
                          f"records by (default {DEFAULT_SORT_FEATURE})")
     tr.add_argument("--seed", type=int)
-    tr.add_argument("--clients", type=int)
+    tr.add_argument("--clients", type=int,
+                    help=f"CSV client count (default {DEFAULT_CLIENTS})")
     tr.add_argument("--rounds", type=int)
     tr.add_argument("--local-steps", type=int)
     tr.add_argument("--sample-fraction", type=float)

@@ -335,8 +335,11 @@ def partition_non_iid(dataset: Dataset, n_clients, sort_feature):
     out, so shards are pure training material.
 
     Returns (shards as one C-contiguous (n_clients, d, width) stack,
-    n_dropped). More clients than benign records is an EmptyShard.
+    n_dropped). Fewer than one client, or more clients than benign
+    records, is an EmptyShard.
     """
+    if n_clients < 1:
+        raise EmptyShard(f"n_clients must be at least 1, got {n_clients}")
     try:
         fpos = dataset.features.index(sort_feature)
     except ValueError:

@@ -78,4 +78,5 @@ class InputOverflow(InputError):
 
 class DimensionMismatch(InputError):
     """Checkpoint and data dimensions disagree, or a training config asks
-    for more than the training shards hold (a rank above min(d, B))."""
+    for more than the training shards hold (a rank above min(d, B), or a
+    sample fraction of the clients below one client)."""

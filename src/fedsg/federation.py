@@ -49,7 +49,6 @@ CHECKPOINT_HEADER_BYTES = len(CHECKPOINT_MAGIC) + 4 * 4
 
 @dataclass(frozen=True)
 class FedConfig:
-    n_clients: int = 100
     rounds: int = 200
     local_steps: int = 5
     sample_fraction: float = 0.2
@@ -58,25 +57,22 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_numbers(self, ("n_clients", "rounds", "local_steps", "k",
-                             "seed"), ("sample_fraction", "eta"))
-        if min(self.n_clients, self.rounds + 1, self.local_steps + 1, self.k) <= 0:
+        check_numbers(self, ("rounds", "local_steps", "k", "seed"),
+                      ("sample_fraction", "eta"))
+        if min(self.rounds + 1, self.local_steps + 1, self.k) <= 0:
             raise ValueError("counts must be positive (rounds/local_steps >= 0)")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
-        if self.sample_fraction * self.n_clients < 1.0:
-            raise ValueError("sample_fraction * n_clients must be >= 1")
         if not 0.0 < self.eta < np.inf:  # also false for nan
             raise ValueError("eta must be positive and finite")
 
-    @property
-    def n_sampled(self) -> int:
+    def n_sampled(self, n_clients: int) -> int:
         """Clients sampled per round: ceil(sample_fraction * n_clients) on
         the decimal given: 0.07 * 100 gives 7, not the 8 of binary floats."""
         return math.ceil(Fraction(repr(float(self.sample_fraction)))
-                         * self.n_clients)
+                         * n_clients)
 
 
 @dataclass(frozen=True)
@@ -155,36 +151,40 @@ def run_fedsg(config: FedConfig, shards):
     """Run the full federated loop and return (final FactorPair, traces).
 
     shards is the (n_clients, d, B) stack of the client shards, taken as
-    it is; a list of d x B shards is stacked once. The start is
-    initial_pair, drawn from the seeded generator that then samples the
-    clients. Each round samples config.n_sampled clients without
-    replacement, runs their local updates as one batch, aggregates, and
-    records the loss over ALL shards as sum_i ||X_i||^2 - captured_energy,
-    clamped at 0. At the orthonormal global pair that is objective.loss
-    up to rounding of about 1e-15 of the total energy, which near a
-    perfect fit could otherwise fall below 0.
+    it is; a list of d x B shards is stacked once. Its length is the
+    client count. The start is initial_pair, drawn from the seeded
+    generator that then samples the clients. Each round samples
+    config.n_sampled(n_clients) clients without replacement, runs their
+    local updates as one batch, aggregates, and records the loss over
+    ALL shards as sum_i ||X_i||^2 - captured_energy, clamped at 0. At
+    the orthonormal global pair that is objective.loss up to rounding of
+    about 1e-15 of the total energy, which near a perfect fit could
+    otherwise fall below 0.
 
-    Raises DimensionMismatch if config.k exceeds min(d, B),
-    NonFiniteShard for a shard with a NaN or infinite value, and
-    InputOverflow when the shards' energy overflows or
-    eta * max_i ||X_i||_F^2 exceeds MAX_STEP_ENERGY.
+    Raises ShapeMismatch for a stack that is not 3-D or is empty,
+    DimensionMismatch if config.k exceeds min(d, B) or sample_fraction *
+    n_clients is below 1, NonFiniteShard for a shard with a NaN or
+    infinite value, and InputOverflow when the shards' energy overflows
+    or eta * max_i ||X_i||_F^2 exceeds MAX_STEP_ENERGY.
     """
     shards = shard_stack(shards)
-    if shards.ndim != 3 or len(shards) != config.n_clients:
-        raise ShapeMismatch(f"shards of shape {shards.shape}, but an "
-                            f"(n_clients={config.n_clients}, d, B) stack "
-                            f"is needed")
+    if shards.ndim != 3 or not shards.size:
+        raise ShapeMismatch(f"shards of shape {shards.shape}, but a "
+                            f"non-empty (n_clients, d, B) stack is needed")
     # min and max propagate NaN and reach +-inf, so they are finite only
     # when every value is, without a temporary the size of the stack.
     if not np.isfinite([shards.min(), shards.max()]).all():
         bad = next(i for i, s in enumerate(shards) if not np.isfinite(s).all())
         raise NonFiniteShard(f"shard {bad} has non-finite values")
 
-    _, d, width = shards.shape
+    n, d, width = shards.shape
     if config.k > min(d, width):
         raise DimensionMismatch(f"rank k={config.k} exceeds min(d, B) = "
                                 f"{min(d, width)} of the {d} x {width} "
                                 f"training shards")
+    if config.sample_fraction * n < 1.0:
+        raise DimensionMismatch(f"sample_fraction * n_clients = "
+                                f"{config.sample_fraction!r} * {n} is below 1")
     energies = [float(np.vdot(s, s)) for s in shards]
     energy = sum(energies)
     if not energy < np.inf:
@@ -197,21 +197,18 @@ def run_fedsg(config: FedConfig, shards):
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
 
-    n_sample = config.n_sampled
+    n_sample = config.n_sampled(n)
     per_client_bytes = config.k * (d + width) * 8
     traces = []
 
     # Each round copies its sampled shards into one buffer, allocated
-    # once; with mode="clip" np.take writes straight into it. A round
-    # that samples every client reads the stack itself.
-    batch = (shards if n_sample == config.n_clients
-             else np.empty((n_sample, d, width)))
+    # once; with mode="clip" np.take writes straight into it.
+    batch = np.empty((n_sample, d, width))
 
     for rnd in range(config.rounds):
         t0 = time.perf_counter()
-        sampled = np.sort(rng.choice(config.n_clients, size=n_sample, replace=False))
-        if batch is not shards:
-            np.take(shards, sampled, axis=0, out=batch, mode="clip")
+        sampled = np.sort(rng.choice(n, size=n_sample, replace=False))
+        np.take(shards, sampled, axis=0, out=batch, mode="clip")
         u, v, skipped = local_update(
             batch,
             np.broadcast_to(pair.u.basis, (n_sample, d, config.k)),

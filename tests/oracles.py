@@ -377,10 +377,10 @@ def sequential_fedsg(config, shards):
     d, width = shards[0].shape
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
-    n_sample = config.n_sampled
+    n_sample = config.n_sampled(len(shards))
     losses, skips, aborts = [], [], []
     for _ in range(config.rounds):
-        sampled = np.sort(rng.choice(config.n_clients, size=n_sample,
+        sampled = np.sort(rng.choice(len(shards), size=n_sample,
                                      replace=False))
         sum_u, sum_v = np.zeros((d, config.k)), np.zeros((width, config.k))
         skipped = 0

@@ -82,7 +82,7 @@ def test_criterion_03_manifold_feasibility():
     # anywhere in the 200 rounds raises.
     spec = SynthSpec(seed=11)
     shards, _, _, _ = generate_synthetic(spec)
-    cfg = FedConfig(n_clients=spec.n_clients, rounds=200, local_steps=5,
+    cfg = FedConfig(rounds=200, local_steps=5,
                     sample_fraction=0.2, k=3, eta=1e-3, seed=11)
     pair, traces = run_fedsg(cfg, shards)
     gram_u = np.linalg.norm(pair.u.basis.T @ pair.u.basis - np.eye(3))
@@ -96,7 +96,7 @@ def test_criterion_03_manifold_feasibility():
 def test_criterion_04_eckart_young_convergence():
     rng = np.random.default_rng(2024)
     x = rng.standard_normal((20, 20))
-    cfg = FedConfig(n_clients=1, rounds=500, local_steps=5,
+    cfg = FedConfig(rounds=500, local_steps=5,
                     sample_fraction=1.0, k=3, eta=1e-3, seed=0)
     _, traces = run_fedsg(cfg, [x])
     tail = svd_tail_energy(x, 3)
@@ -146,7 +146,7 @@ def test_criterion_06_metrics_oracles():
 def test_criterion_07_synthetic_end_to_end():
     spec = SynthSpec()  # d=34, rank 3, 20 clients, 5% anomalies at 10x noise
     shards, test, labels, _ = generate_synthetic(spec)
-    cfg = FedConfig(n_clients=spec.n_clients, rounds=150, local_steps=5,
+    cfg = FedConfig(rounds=150, local_steps=5,
                     sample_fraction=0.5, k=3, eta=1e-3, seed=7)
     pair, _ = run_fedsg(cfg, shards)
     fed_auc = roc_and_pr(score_matrix(pair.u, test), labels)[2]
@@ -254,7 +254,7 @@ def test_criterion_12_cli_determinism(tmp_path):
     synth = json.dumps({"d": 12, "width": 30, "n_clients": 5, "rank": 2,
                         "noise": 0.05, "anomaly_fraction": 0.1,
                         "anomaly_offset": 0.5, "n_test": 200, "seed": 9})
-    args = ["--synthetic", synth, "--clients", "5", "--rounds", "20",
+    args = ["--synthetic", synth, "--rounds", "20",
             "--local-steps", "3", "--sample-fraction", "0.6",
             "--rank", "2", "--eta", "0.001", "--seed", "9"]
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -23,7 +23,7 @@ NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN, Infinity
 SYNTH = json.dumps({"d": 10, "width": 20, "n_clients": 4, "rank": 2,
                     "noise": 0.05, "anomaly_fraction": 0.1,
                     "anomaly_offset": 0.5, "n_test": 200, "seed": 3})
-TRAIN_ARGS = ["--synthetic", SYNTH, "--clients", "4", "--rounds", "8",
+TRAIN_ARGS = ["--synthetic", SYNTH, "--rounds", "8",
               "--local-steps", "2", "--sample-fraction", "1.0",
               "--rank", "2", "--eta", "0.001", "--seed", "3"]
 
@@ -85,15 +85,14 @@ def test_train_requires_source(tmp_path):
     *[(["--synthetic", SYNTH, "--config", json.dumps({key: value})],
        f"invalid FedConfig: {key} must be an integer, got {value!r}")
       for key, value in [("rounds", 2.5), ("local_steps", 1.5), ("k", 2.0),
-                         ("seed", "abc"), ("n_clients", 20.0),
-                         ("rounds", True)]],
+                         ("seed", "abc"), ("rounds", True)]],
     (["--synthetic", SYNTH, "--config",
       json.dumps({"align_before_average": False})],
      "unexpected keyword argument 'align_before_average'"),
     *[(["--synthetic", json.dumps({key: value})],
        f"invalid SynthSpec: {key} must be an integer, got {value!r}")
       for key, value in [("width", 20.5), ("d", 10.0), ("n_test", 100.5),
-                         ("seed", 1.5)]],
+                         ("seed", 1.5), ("n_clients", 20.0)]],
     (["--synthetic", SYNTH, "--seed", "-1"],
      "invalid FedConfig: seed must be non-negative, got -1"),
     *[(["--synthetic", arg], f"--synthetic must be 'default', a JSON file, "
@@ -123,9 +122,9 @@ def test_train_requires_source(tmp_path):
         "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise",
         "negative_n_test", "zero_n_test", "zero_d", "zero_width",
         "zero_n_clients", "zero_rank", "negative_rank", "float_rounds",
-        "float_local_steps", "float_k", "string_seed", "integral_float_clients",
-        "bool_rounds", "align_key", "float_width", "float_d",
-        "float_n_test", "float_synthetic_seed", "negative_seed",
+        "float_local_steps", "float_k", "string_seed", "bool_rounds",
+        "align_key", "float_width", "float_d", "float_n_test",
+        "float_synthetic_seed", "integral_float_clients", "negative_seed",
         "synthetic_not_json", "synthetic_json_list",
         "synthetic_all_anomalies", "negative_synthetic_seed", "rank_above_d",
         "anomalies_without_an_orthogonal_direction", "bool_eta",
@@ -352,7 +351,7 @@ def test_detection_commands_read_only_u(request, tmp_path, monkeypatch,
 
 
 def test_train_samples_the_decimal_fraction_of_clients(tmp_path):
-    """--clients 100 --sample-fraction 0.07 samples 7 clients a round,
+    """100 clients at --sample-fraction 0.07 sample 7 clients a round,
     not the 8 that the binary product 7.000000000000001 rounds up to;
     trace.csv counts 7 clients and their bytes."""
     synth = json.dumps({"d": 6, "width": 8, "n_clients": 100, "rank": 2,
@@ -408,9 +407,9 @@ def test_train_determinism(tmp_path):
 
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rounds": 3, "n_clients": 4, "k": 2,
-                               "eta": 0.001, "local_steps": 1,
-                               "sample_fraction": 1.0, "seed": 3}))
+    cfg.write_text(json.dumps({"rounds": 3, "k": 2, "eta": 0.001,
+                               "local_steps": 1, "sample_fraction": 1.0,
+                               "seed": 3}))
     out = tmp_path / "run"
     # CLI flag overrides the config-file rounds
     assert main(["train", "--config", str(cfg), "--synthetic", SYNTH,
@@ -562,16 +561,18 @@ def csv_run(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--features", "/nonexistent.txt"),
-                                        ("--sort-feature", "nope")])
+                                        ("--sort-feature", "nope"),
+                                        ("--clients", "4")])
 def test_train_csv_flag_without_data_is_usage_error(tmp_path, capsys, flag,
                                                     value):
-    """Synthetic records have no named features, so the flags that pick
-    CSV columns must not be dropped there."""
+    """Synthetic records have no named features, and the spec sets the
+    client count, so the flags that shape a CSV partition must not be
+    dropped there, even when --clients equals the spec's n_clients."""
     out = tmp_path / "o"
     assert main(["train", *TRAIN_ARGS, flag, value, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"error: {flag} needs --data: "
-                                       f"synthetic records have no named "
-                                       f"features\n")
+    reason = ("the --synthetic spec sets n_clients" if flag == "--clients"
+              else "synthetic records have no named features")
+    assert capsys.readouterr().err == f"error: {flag} needs --data: {reason}\n"
     assert not list(out.glob("*"))
 
 
@@ -584,6 +585,8 @@ def test_csv_manifest_records_the_sort_feature(csv_run, tmp_path, flags,
                  "--out", str(out), *CSV_TRAIN_ARGS, *flags]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["dataset"]["sort_feature"] == sort_feature
+    assert manifest["dataset"]["n_clients"] == 4
+    assert "n_clients" not in manifest["config"]
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -591,7 +594,12 @@ def test_csv_manifest_records_the_sort_feature(csv_run, tmp_path, flags,
                        "of the 34 x 10 training shards"),
     (["--clients", "41"], "EmptyShard: 41 clients but only 40 benign "
                           "records"),
-], ids=["rank_above_width", "clients_above_records"])
+    (["--clients", "0"], "EmptyShard: n_clients must be at least 1, got 0"),
+    (["--clients", "-1"], "EmptyShard: n_clients must be at least 1, got -1"),
+    (["--sample-fraction", "0.2"], "DimensionMismatch: sample_fraction * "
+                                   "n_clients = 0.2 * 4 is below 1"),
+], ids=["rank_above_width", "clients_above_records", "zero_clients",
+        "negative_clients", "sample_fraction_below_one_client"])
 def test_train_csv_config_beyond_the_data_is_input_error(csv_run, tmp_path,
                                                          capsys, flags,
                                                          message):
@@ -602,6 +610,15 @@ def test_train_csv_config_beyond_the_data_is_input_error(csv_run, tmp_path,
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list((tmp_path / "o").glob("*"))
+
+
+def test_csv_train_partitions_among_100_clients_by_default(csv_run, tmp_path,
+                                                          capsys):
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "train.csv"),
+                 "--out", str(tmp_path / "o"), *CSV_TRAIN_ARGS[2:]]) == 2
+    assert capsys.readouterr().err == ("error: EmptyShard: 100 clients but "
+                                       "only 40 benign records\n")
 
 
 @pytest.mark.parametrize("kind", ["synthetic", "csv"])
@@ -879,7 +896,8 @@ def test_train_rho_flag_is_gone(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("rho", 18.0),
-                                       ("sort_feature", "src_bytes")])
+                                       ("sort_feature", "src_bytes"),
+                                       ("n_clients", 4)])
 def test_config_key_nothing_reads_is_usage_error(tmp_path, capsys, key,
                                                  value):
     cfg = tmp_path / "cfg.json"
@@ -890,25 +908,15 @@ def test_config_key_nothing_reads_is_usage_error(tmp_path, capsys, key,
     assert err.startswith("error: invalid FedConfig: ") and repr(key) in err
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_train_clients_disagreeing_with_synthetic_is_usage_error(
-        tmp_path, capsys, source):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_clients": 5}))
-    flags = (["--clients", "5"] if source == "flag"
-             else ["--config", str(cfg)])
-    assert main(["train", "--synthetic", SYNTH, *flags, "--rounds", "1",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == ("error: 5 clients requested, but "
-                                       "--synthetic has n_clients 4\n")
-
-
 def test_train_unset_clients_follow_synthetic_spec(tmp_path):
     out = tmp_path / "o"
     assert main(["train", "--synthetic", SYNTH, "--rounds", "1",
                  "--sample-fraction", "1.0", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["n_clients"] == 4
+    assert manifest["dataset"]["spec"]["n_clients"] == 4
+    assert "n_clients" not in manifest["config"]
+    with open(out / "trace.csv") as fh:
+        assert [r["n_sampled"] for r in csv.DictReader(fh)] == ["4"]
 
 
 def _attack_mix_csv(path, n, seed):
@@ -1047,7 +1055,18 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
     ("run_dir", "synth_test.npz", _resave(test=_with(NAN, (3, 7))), "sweep",
      "PATH: a non-finite value in 'test'"),
     ("run_dir", "synth_test.npz", _resave(labels=lambda y: y[:3]), "eval",
-     SHAPE.format("'labels'", "an array", "(200,)", "bool", "(3,)")),
+     SHAPE.format("'labels'", "a boolean array", "(200,)", "bool", "(3,)")),
+    ("run_dir", "synth_test.npz", _resave(labels=lambda y: y.astype(float)),
+     "eval", SHAPE.format("'labels'", "a boolean array", "(200,)",
+                          "float64", "(200,)")),
+    ("run_dir", "synth_test.npz",
+     _resave(labels=lambda y: np.where(y, NAN, 0.0)), "sweep",
+     SHAPE.format("'labels'", "a boolean array", "(200,)", "float64",
+                  "(200,)")),
+    ("run_dir", "synth_test.npz",
+     _resave(labels=lambda y: np.where(y, "yes", "no")), "eval",
+     SHAPE.format("'labels'", "a boolean array", "(200,)", "<U3",
+                  "(200,)")),
     ("run_dir", "synth_test.npz", lambda p: p.unlink(), "sweep",
      "no synth_test.npz next to the checkpoint: PATH"),
     ("csv_run", "prep.npz", _resave(means=_with(NAN, (1, 0))), "eval",
@@ -1067,22 +1086,26 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
                           "()")),
     ("csv_run", "prep.npz", _resave(features=lambda f: f[:3]), "sweep",
      SHAPE.format("'features'", "a string array", "(34,)", "<U27", "(3,)")),
+    ("csv_run", "prep.npz", _resave(features=_with("duration", 1)), "eval",
+     "PATH: feature 'duration' listed twice in 'features'"),
     ("csv_run", "prep.npz", lambda p: p.unlink(), "sweep",
      "no prep.npz next to the checkpoint: PATH"),
 ], ids=["synth_test_junk", "synth_test_without_test", "train_errors_empty",
         "train_errors_npz", "prep_junk", "prep_without_features",
         "train_errors_2d", "train_errors_strings", "train_errors_nan",
         "train_errors_no_entries", "train_errors_missing", "synth_test_1d",
-        "synth_test_nan", "synth_test_short_labels", "synth_test_missing",
-        "prep_nan_mean", "prep_zero_std", "prep_tiny_std", "prep_narrow_means",
+        "synth_test_nan", "synth_test_short_labels",
+        "synth_test_float_labels", "synth_test_nan_labels",
+        "synth_test_string_labels", "synth_test_missing", "prep_nan_mean",
+        "prep_zero_std", "prep_tiny_std", "prep_narrow_means",
         "prep_stds_of_another_shape", "prep_0d_features", "prep_3_features",
-        "prep_missing"])
+        "prep_duplicate_feature", "prep_missing"])
 def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
                                             name, write, command, message):
     """A stored run file that is missing, unreadable, of the wrong shape or
-    dtype, or holds a non-finite value or a std below train's 1e-12 floor
-    exits 2 with one line naming it, and writes no metrics, curve or
-    sweep file."""
+    dtype, or holds a non-finite value, a std below train's 1e-12 floor
+    or a feature named twice exits 2 with one line naming it, and writes
+    no metrics, curve or sweep file."""
     out = request.getfixturevalue(run)
     write(out / name)
     argv = [command, "--checkpoint", str(out / "checkpoint.bin")]

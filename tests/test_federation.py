@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fedsg import federation
 from fedsg.data import SynthSpec, generate_synthetic
-from fedsg.errors import (InputError, InputOverflow, NonFiniteShard,
-                          RankDeficient, ShapeMismatch)
+from fedsg.errors import (DimensionMismatch, InputError, InputOverflow,
+                          NonFiniteShard, RankDeficient, ShapeMismatch)
 from fedsg.federation import (FedConfig, aggregate, load_checkpoint,
                               local_update, procrustes_rotation, run_fedsg,
                               save_checkpoint, write_trace_csv)
@@ -38,10 +38,18 @@ def _layouts(rng, n, d, width):
 def test_config_validation():
     with pytest.raises(ValueError):
         FedConfig(sample_fraction=0.0)
-    with pytest.raises(ValueError):
-        FedConfig(n_clients=4, sample_fraction=0.1)
+    with pytest.raises(DimensionMismatch, match=r"0\.1 \* 4 is below 1"):
+        run_fedsg(FedConfig(sample_fraction=0.1, k=2), np.ones((4, 3, 3)))
     with pytest.raises(ValueError):
         FedConfig(eta=-1.0)
+
+
+@pytest.mark.parametrize("shards", [np.zeros((0, 4, 5)), [],
+                                    np.zeros((3, 4))],
+                         ids=["empty_stack", "empty_list", "2d"])
+def test_run_fedsg_needs_a_non_empty_3d_stack(shards):
+    with pytest.raises(ShapeMismatch, match="non-empty"):
+        run_fedsg(FedConfig(k=1), shards)
 
 
 @pytest.mark.parametrize("fraction,n_clients,n_sampled", [
@@ -53,9 +61,9 @@ def test_sampled_count_is_the_ceiling_of_the_decimal(fraction, n_clients,
     """ceil(sample_fraction * n_clients) on the decimal that was given:
     0.07 * 100 is 7, although the binary product is 7.000000000000001.
     Every round samples that many clients and counts their bytes."""
-    config = FedConfig(n_clients=n_clients, rounds=2, local_steps=1,
-                       sample_fraction=fraction, k=2, eta=1e-3)
-    assert config.n_sampled == n_sampled
+    config = FedConfig(rounds=2, local_steps=1, sample_fraction=fraction,
+                       k=2, eta=1e-3)
+    assert config.n_sampled(n_clients) == n_sampled
     shards = np.random.default_rng(5).standard_normal((n_clients, 4, 5))
     _, traces = run_fedsg(config, shards)
     for t in traces:
@@ -170,14 +178,14 @@ def test_aggregate_unaligned_cancellation_raises():
 def test_run_fedsg_matches_sequential_reference(seed):
     rng = np.random.default_rng(100 + seed)
     shards = [rng.standard_normal((7, 9)) for _ in range(6)]
-    cfg = FedConfig(n_clients=6, rounds=8, local_steps=3,
+    cfg = FedConfig(rounds=8, local_steps=3,
                     sample_fraction=0.5, k=2, eta=0.05, seed=seed)
     _assert_matches_sequential_reference(cfg, shards)
 
 
 def test_run_fedsg_matches_sequential_reference_at_criterion_7_shapes():
     shards, *_ = generate_synthetic(SynthSpec(n_clients=6, seed=7))
-    cfg = FedConfig(n_clients=6, rounds=5, local_steps=3,
+    cfg = FedConfig(rounds=5, local_steps=3,
                     sample_fraction=0.5, k=3, eta=0.001, seed=7)
     _assert_matches_sequential_reference(cfg, shards)
 
@@ -206,7 +214,7 @@ def _assert_matches_sequential_reference(cfg, shards):
 def test_run_fedsg_records_skipped_and_aborted_rounds(monkeypatch):
     rng = np.random.default_rng(16)
     rank1 = np.outer(rng.standard_normal(6), rng.standard_normal(5))
-    cfg = FedConfig(n_clients=1, rounds=2, local_steps=2,
+    cfg = FedConfig(rounds=2, local_steps=2,
                     sample_fraction=1.0, k=2, eta=1e15, seed=0)
     _, traces = run_fedsg(cfg, [rank1])
     assert [(t.skipped_steps, t.aborted) for t in traces] == [(4, False)] * 2
@@ -226,7 +234,7 @@ def test_run_fedsg_records_skipped_and_aborted_rounds(monkeypatch):
 def test_trace_loss_matches_exact_loss_on_random_shards(seed):
     rng = np.random.default_rng(200 + seed)
     shards = [rng.standard_normal((7, 9)) for _ in range(6)]
-    cfg = FedConfig(n_clients=6, rounds=5, local_steps=2,
+    cfg = FedConfig(rounds=5, local_steps=2,
                     sample_fraction=0.5, k=2, eta=0.05, seed=seed)
     pair, traces = run_fedsg(cfg, shards)
     assert traces[-1].global_loss == pytest.approx(
@@ -250,7 +258,7 @@ def test_trace_loss_is_never_negative_on_exact_rank_data(seed):
     u = random_orthonormal(rng, 10, 3)
     v = random_orthonormal(rng, 12, 3)
     shards = [u @ np.diag(rng.uniform(1.0, 5.0, 3)) @ v.T for _ in range(4)]
-    cfg = FedConfig(n_clients=4, rounds=150, local_steps=5,
+    cfg = FedConfig(rounds=150, local_steps=5,
                     sample_fraction=0.5, k=3, eta=0.015, seed=seed)
     _, traces = run_fedsg(cfg, shards)
     energy = sum(np.linalg.norm(x) ** 2 for x in shards)
@@ -260,8 +268,7 @@ def test_trace_loss_is_never_negative_on_exact_rank_data(seed):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_run_fedsg_rejects_non_finite_shard(bad):
-    config = FedConfig(n_clients=3, rounds=2, local_steps=1,
-                       sample_fraction=1.0, k=2)
+    config = FedConfig(rounds=2, local_steps=1, sample_fraction=1.0, k=2)
     for shards in _layouts(np.random.default_rng(6), 3, 6, 8).values():
         shards[1][2, 5] = bad
         with pytest.raises(NonFiniteShard, match="shard 1") as err:
@@ -275,8 +282,7 @@ def test_run_fedsg_rejects_overflowing_energy_and_step():
     errors; an eta just inside the bound trains without a warning and
     without a skipped step, although every step's squared norm
     overflows."""
-    config = FedConfig(n_clients=3, rounds=1, local_steps=2,
-                       sample_fraction=1.0, k=2)
+    config = FedConfig(rounds=1, local_steps=2, sample_fraction=1.0, k=2)
     shards = np.random.default_rng(7).standard_normal((3, 6, 8))
     with pytest.raises(InputOverflow, match="energy .* overflows"):
         run_fedsg(config, shards * 1e160)
@@ -298,7 +304,7 @@ def test_run_fedsg_trains_shards_whose_squares_overflow(eta):
     so no step is skipped, without a floating-point warning."""
     shards, *_ = generate_synthetic(SynthSpec(noise=1e100, d=12, width=40,
                                               n_clients=6))
-    config = FedConfig(n_clients=6, rounds=2, local_steps=2,
+    config = FedConfig(rounds=2, local_steps=2,
                        sample_fraction=0.5, k=3, eta=eta)
     _, traces = run_fedsg(config, shards)
     assert [(t.skipped_steps, t.aborted) for t in traces] == [(0, False)] * 2
@@ -311,8 +317,7 @@ def test_run_fedsg_on_a_list_and_on_stacks():
     for bit too; only its per-round loss reads the whole stack, whose
     products BLAS may round differently at 34 x 80."""
     shards = _layouts(np.random.default_rng(300), 20, 34, 80)
-    cfg = FedConfig(n_clients=20, rounds=4, local_steps=2,
-                    sample_fraction=0.5, k=3, seed=3)
+    cfg = FedConfig(rounds=4, local_steps=2, sample_fraction=0.5, k=3, seed=3)
     runs = {name: run_fedsg(cfg, s) for name, s in shards.items()}
     (a, a_traces), (b, b_traces) = runs["list"], runs["rows"]
     assert a.u.basis.tobytes() == b.u.basis.tobytes()
@@ -330,9 +335,9 @@ def test_run_fedsg_on_a_list_and_on_stacks():
 @pytest.mark.parametrize("layout", ["rows", "cols"])
 def test_run_fedsg_rounds_see_their_shards_in_their_memory_order(
         monkeypatch, layout, fraction):
-    """Each round's batch holds the sampled shards' values: a C-order
-    buffer when the round samples some clients, the stack itself when it
-    samples them all."""
+    """Each round's batch is a C-order buffer, not the stack, that holds
+    the sampled shards' values, whether the round samples some clients
+    or all of them."""
     shards = _layouts(np.random.default_rng(301), 6, 34, 80)[layout]
     batches = []
 
@@ -341,24 +346,20 @@ def test_run_fedsg_rounds_see_their_shards_in_their_memory_order(
                         batch.flags["C_CONTIGUOUS"]))
         return local_update(batch, *args)
     monkeypatch.setattr(federation, "local_update", spy)
-    cfg = FedConfig(n_clients=6, rounds=3, local_steps=1,
+    cfg = FedConfig(rounds=3, local_steps=1,
                     sample_fraction=fraction, k=3, seed=4)
     _, traces = run_fedsg(cfg, shards)
     assert len(batches) == len(traces) == 3
     for (values, is_stack, c_order), t in zip(batches, traces):
         np.testing.assert_array_equal(values, shards[list(t.sampled)])
-        if fraction == 1.0:
-            assert is_stack
-        else:
-            assert c_order and not is_stack
+        assert c_order and not is_stack
 
 
 def test_run_fedsg_ragged_list_names_the_shard():
     rng = np.random.default_rng(302)
     shards = [rng.standard_normal((6, 8)) for _ in range(3)]
     shards[2] = shards[2][:, :7]
-    config = FedConfig(n_clients=3, rounds=1, local_steps=1,
-                       sample_fraction=1.0, k=2)
+    config = FedConfig(rounds=1, local_steps=1, sample_fraction=1.0, k=2)
     with pytest.raises(ShapeMismatch, match="shard 2 has shape"):
         run_fedsg(config, shards)
 
@@ -368,7 +369,7 @@ def test_run_fedsg_exact_rank_data_converges():
     u = random_orthonormal(rng, 10, 3)
     v = random_orthonormal(rng, 12, 3)
     x = u @ np.diag([5.0, 3.0, 2.0]) @ v.T
-    cfg = FedConfig(n_clients=1, rounds=200, local_steps=5,
+    cfg = FedConfig(rounds=200, local_steps=5,
                     sample_fraction=1.0, k=3, eta=0.015, seed=0)
     _, traces = run_fedsg(cfg, [x])
     assert traces[-1].global_loss <= 1e-6 * np.linalg.norm(x) ** 2
@@ -377,7 +378,7 @@ def test_run_fedsg_exact_rank_data_converges():
 def test_run_fedsg_reaches_eckart_young_tail():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((12, 12))
-    cfg = FedConfig(n_clients=1, rounds=500, local_steps=5,
+    cfg = FedConfig(rounds=500, local_steps=5,
                     sample_fraction=1.0, k=3, eta=1e-3, seed=0)
     _, traces = run_fedsg(cfg, [x])
     tail = svd_tail_energy(x, 3)
@@ -387,7 +388,7 @@ def test_run_fedsg_reaches_eckart_young_tail():
 def test_run_fedsg_deterministic():
     rng = np.random.default_rng(9)
     shards = [rng.standard_normal((6, 8)) for _ in range(5)]
-    cfg = FedConfig(n_clients=5, rounds=10, local_steps=2,
+    cfg = FedConfig(rounds=10, local_steps=2,
                     sample_fraction=0.4, k=2, eta=1e-3, seed=123)
     pair1, traces1 = run_fedsg(cfg, shards)
     pair2, traces2 = run_fedsg(cfg, shards)
@@ -402,7 +403,7 @@ def test_run_fedsg_communication_accounting():
     rng = np.random.default_rng(10)
     d, width, k = 6, 8, 2
     shards = [rng.standard_normal((d, width)) for _ in range(5)]
-    cfg = FedConfig(n_clients=5, rounds=3, local_steps=1,
+    cfg = FedConfig(rounds=3, local_steps=1,
                     sample_fraction=0.4, k=k, eta=1e-3, seed=0)
     _, traces = run_fedsg(cfg, shards)
     for t in traces:
@@ -414,7 +415,7 @@ def test_run_fedsg_communication_accounting():
 def test_run_fedsg_monotone_trend():
     rng = np.random.default_rng(11)
     shards = [rng.standard_normal((8, 10)) for _ in range(10)]
-    cfg = FedConfig(n_clients=10, rounds=60, local_steps=3,
+    cfg = FedConfig(rounds=60, local_steps=3,
                     sample_fraction=0.5, k=2, eta=1e-3, seed=0)
     _, traces = run_fedsg(cfg, shards)
     losses = np.array([t.global_loss for t in traces])
@@ -454,7 +455,7 @@ def test_checkpoint_round_trip_property(d, width, k, round_index, seed):
 def test_trace_csv_columns(tmp_path):
     rng = np.random.default_rng(13)
     shards = [rng.standard_normal((4, 5)) for _ in range(2)]
-    cfg = FedConfig(n_clients=2, rounds=2, local_steps=1,
+    cfg = FedConfig(rounds=2, local_steps=1,
                     sample_fraction=1.0, k=1, eta=1e-3, seed=0)
     _, traces = run_fedsg(cfg, shards)
     path = tmp_path / "trace.csv"
