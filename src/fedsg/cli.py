@@ -1,11 +1,15 @@
 """Command-line entry point: train / eval / sweep / bench.
 
-A CSV train partitions the benign records into one (--clients, d, B)
-stack of equal-width shards, z-scores each with its own statistics and
-trains on that stack. Evaluation assigns test record i to client
-i % n_clients and z-scores it with that client's statistics
-(data.zscore_round_robin, which gathers no per-record statistics) into
-one C-ordered d x m matrix, which one score_matrix call scores.
+train takes each input one way: the FedConfig values as flags, and
+the synthetic spec as 'default' or an inline JSON object. A CSV train
+sorts the benign records by data.SORT_FEATURE (dst_bytes), partitions
+them into one (--clients, d, B) stack of equal-width shards, z-scores
+each with its own statistics and trains on that stack. train makes
+--out only once training succeeds, so a refused train leaves none
+behind. Evaluation assigns test record i to client i % n_clients and
+z-scores it with that client's statistics (data.zscore_round_robin,
+which gathers no per-record statistics) into one C-ordered d x m
+matrix, which one score_matrix call scores.
 
 eval, sweep and bench read only the checkpoint's U; the checkpoint's
 layout is federation's alone. bench reports the payload as the file
@@ -39,9 +43,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .data import (DEFAULT_FEATURES, STD_FLOOR, SynthSpec, filter_slice,
-                   generate_synthetic, load_dataset, partition_non_iid,
-                   read_feature_list, zscore_fit_apply, zscore_round_robin)
+from .data import (DEFAULT_FEATURES, SORT_FEATURE, STD_FLOOR, SynthSpec,
+                   filter_slice, generate_synthetic, load_dataset,
+                   partition_non_iid, read_feature_list, zscore_fit_apply,
+                   zscore_round_robin)
 from .detection import (evaluate, fit_threshold, fit_thresholds, roc_and_pr,
                         score, score_matrix, write_curve, write_metrics)
 from .errors import FedsgError, InputError
@@ -49,9 +54,8 @@ from .federation import (CHECKPOINT_HEADER_BYTES, FedConfig, load_checkpoint,
                          run_fedsg, save_checkpoint, write_trace_csv)
 
 
-# A CSV train partitions its benign records by this feature among this
-# many clients unless --sort-feature or --clients says otherwise.
-DEFAULT_SORT_FEATURE = "dst_bytes"
+# A CSV train partitions its benign records among this many clients
+# unless --clients says otherwise.
 DEFAULT_CLIENTS = 100
 
 
@@ -108,20 +112,6 @@ def _load_arrays(path, *names):
                      if names else f"{path}: not an .npy file")
 
 
-def _load_config_file(path):
-    """The JSON object in a config file; a missing file, malformed JSON
-    or another JSON value is a usage error."""
-    with open(_input_file(path, "config file")) as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise UsageError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise UsageError(f"{path}: expected a JSON object, got "
-                         f"{type(raw).__name__}")
-    return raw
-
-
 def _build(cls, values):
     """cls(**values); an unknown key or an out-of-range value in user
     input is a usage error."""
@@ -132,35 +122,25 @@ def _build(cls, values):
 
 
 def _fed_config_values(args):
-    """The FedConfig values set explicitly: CLI flags > config file.
-    Unset keys keep FedConfig's defaults; _build rejects unknown keys."""
-    values = _load_config_file(args.config) if args.config else {}
-    overrides = {
-        "rounds": args.rounds, "local_steps": args.local_steps,
-        "sample_fraction": args.sample_fraction, "k": args.rank,
-        "eta": args.eta, "seed": args.seed,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    return values
+    """The FedConfig values of the flags that were set; the others keep
+    FedConfig's defaults."""
+    values = {"rounds": args.rounds, "local_steps": args.local_steps,
+              "sample_fraction": args.sample_fraction, "k": args.rank,
+              "eta": args.eta, "seed": args.seed}
+    return {key: val for key, val in values.items() if val is not None}
 
 
-def _parse_synth_spec(arg, fallback_seed):
-    if arg == "default":
-        raw = {}
-    elif os.path.exists(arg):
-        raw = _load_config_file(arg)
-    else:
-        try:
-            raw = json.loads(arg)
-        except json.JSONDecodeError:
-            raw = None
+def _parse_synth_spec(arg, seed):
+    """The SynthSpec of --synthetic, 'default' or an inline JSON object;
+    its seed is `seed` unless the object sets one."""
+    try:
+        raw = {} if arg == "default" else json.loads(arg)
+    except json.JSONDecodeError:
+        raw = None
     if not isinstance(raw, dict):
-        raise UsageError(f"--synthetic must be 'default', a JSON file, "
-                         f"or an inline JSON object; got {arg!r}")
-    if fallback_seed is not None and "seed" not in raw:
-        raw["seed"] = fallback_seed
+        raise UsageError(f"--synthetic must be 'default' or an inline JSON "
+                         f"object; got {arg!r}")
+    raw.setdefault("seed", seed)
     return _build(SynthSpec, raw)
 
 
@@ -177,15 +157,18 @@ def cmd_train(args):
     if args.synthetic and args.data:
         raise UsageError("--data and --synthetic are mutually exclusive")
     if not args.data:
-        no_names = "synthetic records have no named features"
-        for flag, val, why in (("--features", args.features, no_names),
-                               ("--sort-feature", args.sort_feature, no_names),
+        for flag, val, why in (("--features", args.features,
+                                "synthetic records have no named features"),
                                ("--clients", args.clients,
                                 "the --synthetic spec sets n_clients")):
             if val is not None:
                 raise UsageError(f"{flag} needs --data: {why}")
     config = _build(FedConfig, _fed_config_values(args))
-    _output_dir(args.out)
+    # A file named --out is refused before training; the directory is
+    # made only after it (below).
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise UsageError(f"cannot use {args.out} as output directory: "
+                         f"not a directory")
     manifest = {"command": "train",
                 "out_dir": os.path.abspath(args.out)}
 
@@ -201,8 +184,6 @@ def cmd_train(args):
                                                  "labels": labels}
     elif args.data:
         _input_file(args.data, "data path")
-        sort_feature = (DEFAULT_SORT_FEATURE if args.sort_feature is None
-                        else args.sort_feature)
         n_clients = DEFAULT_CLIENTS if args.clients is None else args.clients
         features = list(DEFAULT_FEATURES)
         if args.features is not None:
@@ -211,8 +192,7 @@ def cmd_train(args):
         # The parsed records are freed once partitioned, and the raw
         # stack once z-scored, before training allocates.
         shards, dropped = partition_non_iid(
-            load_dataset(args.data, feature_list=features),
-            n_clients, sort_feature)
+            load_dataset(args.data, feature_list=features), n_clients)
         # A finite value can still overflow the squares a std sums; the
         # std is then inf or NaN (as it is when a mean overflows).
         with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +208,7 @@ def cmd_train(args):
                                "sha256": _sha256_file(args.data),
                                "dropped_records": dropped,
                                "n_clients": n_clients,
-                               "sort_feature": sort_feature}
+                               "sort_feature": SORT_FEATURE}
         manifest["feature_list_sha256"] = _sha256_text("\n".join(features))
         inputs_file, inputs = "prep.npz", {"means": means, "stds": stds,
                                            "features": np.array(features)}
@@ -239,8 +219,9 @@ def cmd_train(args):
     pair, traces = run_fedsg(config, shards)
     train_errors = np.concatenate([score_matrix(pair.u, s) for s in shards])
 
-    # Nothing is written before training succeeds, so a train that fails
-    # leaves an earlier run in --out as it was.
+    # Nothing is made or written before training succeeds, so a train
+    # that fails leaves --out absent, or an earlier run in it as it was.
+    _output_dir(args.out)
     np.savez(os.path.join(args.out, inputs_file), **inputs)
     save_checkpoint(pair, config.rounds,
                     os.path.join(args.out, "checkpoint.bin"))
@@ -442,12 +423,9 @@ def cmd_bench(args):
     if args.iters < 1:
         raise UsageError(f"--iters must be at least 1, got {args.iters}")
     u = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))[0].u
-    if args.data:
-        samples, = _load_arrays(_input_file(args.data, "data path"), "test")
-        _check(args.data, "'test'", samples, "f", (u.n, "m"))
-    else:
-        # One fixed pool, cycled as --data's is.
-        samples = np.random.default_rng(0).standard_normal((u.n, 1024))
+    # score's cost does not depend on the sample's values, so one fixed
+    # pool of samples, cycled, times it whatever --iters is.
+    samples = np.random.default_rng(0).standard_normal((u.n, 1024))
     score(u, samples[:, 0])  # warm-up, discarded
     lat = _LatencyHistogram()
     for i in range(args.iters):
@@ -483,15 +461,11 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("train", help="run federated training")
-    tr.add_argument("--config", help="JSON config file")
     tr.add_argument("--data", help="training CSV (NSL-KDD column order)")
     tr.add_argument("--synthetic",
-                    help="'default', JSON file, or inline JSON generator spec")
+                    help="'default' or an inline JSON generator spec")
     tr.add_argument("--out", required=True, help="output directory")
     tr.add_argument("--features", help="plain-text feature list file")
-    tr.add_argument("--sort-feature",
-                    help=f"feature the CSV partition sorts the benign "
-                         f"records by (default {DEFAULT_SORT_FEATURE})")
     tr.add_argument("--seed", type=int)
     tr.add_argument("--clients", type=int,
                     help=f"CSV client count (default {DEFAULT_CLIENTS})")
@@ -521,7 +495,6 @@ def build_parser():
 
     be = sub.add_parser("bench", help="per-sample scoring latency")
     be.add_argument("--checkpoint", required=True)
-    be.add_argument("--data")
     be.add_argument("--iters", type=int, default=10000)
     be.add_argument("--out")
     be.set_defaults(func=cmd_bench)

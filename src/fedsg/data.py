@@ -1,6 +1,6 @@
 """Dataset ingestion and shard preparation: NSL-KDD style CSV parsing,
-feature selection, non-i.i.d. partitioning of the benign records by a
-sort feature into equal-width shards, per-client z-score normalization,
+feature selection, non-i.i.d. partitioning of the benign records by
+dst_bytes into equal-width shards, per-client z-score normalization,
 and a seeded synthetic low-rank generator with planted anomalies.
 
 Feature matrices are d x B with columns as samples. The training shards,
@@ -328,22 +328,27 @@ def _raise_first_fault(path, header, idx):
     raise ParseError(f"{path}: cannot be parsed")  # a backstop
 
 
-def partition_non_iid(dataset: Dataset, n_clients, sort_feature):
-    """Sort the benign records by one feature (stable, so ties keep file
+# The feature partition_non_iid sorts the benign records by.
+SORT_FEATURE = "dst_bytes"
+
+
+def partition_non_iid(dataset: Dataset, n_clients):
+    """Sort the benign records by SORT_FEATURE (stable, so ties keep file
     order) and slice them into n_clients contiguous shards of equal
     width; the trailing remainder is dropped. Attack records are left
     out, so shards are pure training material.
 
     Returns (shards as one C-contiguous (n_clients, d, width) stack,
     n_dropped). Fewer than one client, or more clients than benign
-    records, is an EmptyShard.
+    records, is an EmptyShard; a dataset without SORT_FEATURE is a
+    MissingFeature.
     """
     if n_clients < 1:
         raise EmptyShard(f"n_clients must be at least 1, got {n_clients}")
     try:
-        fpos = dataset.features.index(sort_feature)
+        fpos = dataset.features.index(SORT_FEATURE)
     except ValueError:
-        raise MissingFeature(f"sort feature {sort_feature!r} not in feature list")
+        raise MissingFeature(f"sort feature {SORT_FEATURE!r} not in feature list")
     pool = np.flatnonzero(dataset.labels == "normal")
     if n_clients > pool.size:
         raise EmptyShard(f"{n_clients} clients but only {pool.size} benign "

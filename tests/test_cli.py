@@ -82,21 +82,14 @@ def test_train_requires_source(tmp_path):
       for key, value in [("n_test", -1), ("n_test", 0), ("d", 0),
                          ("width", 0), ("n_clients", 0), ("rank", 0),
                          ("rank", -2)]],
-    *[(["--synthetic", SYNTH, "--config", json.dumps({key: value})],
-       f"invalid FedConfig: {key} must be an integer, got {value!r}")
-      for key, value in [("rounds", 2.5), ("local_steps", 1.5), ("k", 2.0),
-                         ("seed", "abc"), ("rounds", True)]],
-    (["--synthetic", SYNTH, "--config",
-      json.dumps({"align_before_average": False})],
-     "unexpected keyword argument 'align_before_average'"),
     *[(["--synthetic", json.dumps({key: value})],
        f"invalid SynthSpec: {key} must be an integer, got {value!r}")
       for key, value in [("width", 20.5), ("d", 10.0), ("n_test", 100.5),
                          ("seed", 1.5), ("n_clients", 20.0)]],
     (["--synthetic", SYNTH, "--seed", "-1"],
      "invalid FedConfig: seed must be non-negative, got -1"),
-    *[(["--synthetic", arg], f"--synthetic must be 'default', a JSON file, "
-                             f"or an inline JSON object; got {arg!r}")
+    *[(["--synthetic", arg], f"--synthetic must be 'default' or an inline "
+                             f"JSON object; got {arg!r}")
       for arg in ["not json", "[1, 2]"]],
     (["--synthetic", json.dumps({"anomaly_fraction": 1.0})],
      "invalid SynthSpec: anomaly_fraction must be in [0, 1)"),
@@ -108,39 +101,35 @@ def test_train_requires_source(tmp_path):
     (["--synthetic", json.dumps({"d": 3, "rank": 3, "width": 10,
                                  "n_clients": 5}), "--rank", "3"],
      "invalid SynthSpec: anomaly_fraction must be 0 when rank == d"),
-    *[(["--synthetic", SYNTH, "--config", json.dumps({key: value})],
-       f"invalid FedConfig: {key} must be a number, got {value!r}")
-      for key, value in [("eta", True), ("sample_fraction", True),
-                         ("eta", "0.01"), ("sample_fraction", None)]],
     *[(["--synthetic", json.dumps({"n_clients": 4, key: value})],
        f"invalid SynthSpec: {key} must be a number, got {value!r}")
       for key, value in [("noise", True), ("anomaly_fraction", True),
                          ("anomaly_offset", True), ("noise", "0.05"),
                          ("anomaly_offset", None), ("noise", [0.05])]],
+    (["--synthetic", "default", "--sample-fraction", "0.01"],
+     "DimensionMismatch: sample_fraction * n_clients = 0.01 * 20 is below 1"),
 ], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
         "unknown_synthetic_key", "data_and_synthetic", "nan_eta", "inf_eta",
         "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise",
         "negative_n_test", "zero_n_test", "zero_d", "zero_width",
-        "zero_n_clients", "zero_rank", "negative_rank", "float_rounds",
-        "float_local_steps", "float_k", "string_seed", "bool_rounds",
-        "align_key", "float_width", "float_d", "float_n_test",
-        "float_synthetic_seed", "integral_float_clients", "negative_seed",
-        "synthetic_not_json", "synthetic_json_list",
-        "synthetic_all_anomalies", "negative_synthetic_seed", "rank_above_d",
-        "anomalies_without_an_orthogonal_direction", "bool_eta",
-        "bool_sample_fraction", "string_eta", "null_sample_fraction",
-        "bool_noise", "bool_anomaly_fraction", "bool_anomaly_offset",
-        "string_noise", "null_anomaly_offset", "list_noise"])
+        "zero_n_clients", "zero_rank", "negative_rank", "float_width",
+        "float_d", "float_n_test", "float_synthetic_seed",
+        "integral_float_clients", "negative_seed", "synthetic_not_json",
+        "synthetic_json_list", "synthetic_all_anomalies",
+        "negative_synthetic_seed", "rank_above_d",
+        "anomalies_without_an_orthogonal_direction", "bool_noise",
+        "bool_anomaly_fraction", "bool_anomaly_offset", "string_noise",
+        "null_anomaly_offset", "list_noise",
+        "sample_fraction_below_one_client"])
 def test_train_bad_value_is_usage_error(tmp_path, capsys, flags, message):
-    if "--config" in flags:  # given as JSON text, passed as a file
-        i = flags.index("--config") + 1
-        (tmp_path / "c.json").write_text(flags[i])
-        flags = [*flags[:i], str(tmp_path / "c.json"), *flags[i + 1:]]
-    assert main(["train", *flags, "--out", str(tmp_path / "o")]) == 2
+    """A refused train writes one error line and leaves --out, and its
+    missing parent, absent."""
+    out = tmp_path / "e" / "o"
+    assert main(["train", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
-    assert not list((tmp_path / "o").glob("*"))
+    assert not out.parent.exists()
 
 
 def test_eval_synthetic(run_dir, capsys):
@@ -405,30 +394,18 @@ def test_train_determinism(tmp_path):
         rows_without_timing(out2 / "trace.csv")
 
 
-def test_config_file_precedence(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rounds": 3, "k": 2, "eta": 0.001,
-                               "local_steps": 1, "sample_fraction": 1.0,
-                               "seed": 3}))
-    out = tmp_path / "run"
-    # CLI flag overrides the config-file rounds
-    assert main(["train", "--config", str(cfg), "--synthetic", SYNTH,
-                 "--rounds", "5", "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["rounds"] == 5
-    assert manifest["config"]["local_steps"] == 1
-
-
-@pytest.mark.parametrize("flag,text", [
-    ("--synthetic", "{bad"), ("--config", "{bad"), ("--config", "5")],
-    ids=["synthetic_malformed", "config_malformed", "config_not_object"])
-def test_train_bad_json_file_is_usage_error(tmp_path, capsys, flag, text):
-    path = tmp_path / "bad.json"
+@pytest.mark.parametrize("text", ["{bad", SYNTH],
+                         ids=["synthetic_malformed", "synthetic_spec"])
+def test_train_bad_json_file_is_usage_error(tmp_path, capsys, text):
+    """--synthetic takes its JSON inline: the path of a file holding it,
+    even a valid spec, is refused as text that is not JSON."""
+    path = tmp_path / "spec.json"
     path.write_text(text)
-    source = [] if flag == "--synthetic" else ["--synthetic", SYNTH]
-    assert main(["train", flag, str(path), *source,
+    assert main(["train", "--synthetic", str(path),
                  "--out", str(tmp_path / "o")]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: --synthetic must be 'default' or an inline JSON object; "
+        f"got {str(path)!r}\n")
 
 
 def _csv_row(rng, label, dst, count=None):
@@ -561,7 +538,6 @@ def csv_run(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--features", "/nonexistent.txt"),
-                                        ("--sort-feature", "nope"),
                                         ("--clients", "4")])
 def test_train_csv_flag_without_data_is_usage_error(tmp_path, capsys, flag,
                                                     value):
@@ -573,11 +549,10 @@ def test_train_csv_flag_without_data_is_usage_error(tmp_path, capsys, flag,
     reason = ("the --synthetic spec sets n_clients" if flag == "--clients"
               else "synthetic records have no named features")
     assert capsys.readouterr().err == f"error: {flag} needs --data: {reason}\n"
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,sort_feature", [
-    ([], "dst_bytes"), (["--sort-feature", "src_bytes"], "src_bytes")])
+@pytest.mark.parametrize("flags,sort_feature", [([], "dst_bytes")])
 def test_csv_manifest_records_the_sort_feature(csv_run, tmp_path, flags,
                                                sort_feature):
     out = tmp_path / "sorted"
@@ -603,13 +578,32 @@ def test_csv_manifest_records_the_sort_feature(csv_run, tmp_path, flags,
 def test_train_csv_config_beyond_the_data_is_input_error(csv_run, tmp_path,
                                                          capsys, flags,
                                                          message):
-    """csv_run's 40 benign records give 4 shards of 10 at --clients 4."""
+    """csv_run's 40 benign records give 4 shards of 10 at --clients 4.
+    A refused train leaves --out, and its missing parent, absent."""
     capsys.readouterr()
+    out = tmp_path / "e" / "o"
     argv = ["train", "--data", str(tmp_path / "train.csv"),
-            "--out", str(tmp_path / "o"), *CSV_TRAIN_ARGS, *flags]
+            "--out", str(out), *CSV_TRAIN_ARGS, *flags]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not list((tmp_path / "o").glob("*"))
+    assert not out.parent.exists()
+
+
+def test_feature_list_without_the_sort_feature_is_input_error(csv_run,
+                                                             tmp_path,
+                                                             capsys):
+    """The CSV partition sorts by dst_bytes, so a --features list
+    without it exits 2 naming it, and --out is not made."""
+    features = tmp_path / "features.txt"
+    features.write_text("count\nsrc_bytes\nhot\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "train.csv"),
+                 "--features", str(features), "--out", str(out),
+                 *CSV_TRAIN_ARGS]) == 2
+    assert capsys.readouterr().err == ("error: MissingFeature: sort feature "
+                                       "'dst_bytes' not in feature list\n")
+    assert not out.exists()
 
 
 def test_csv_train_partitions_among_100_clients_by_default(csv_run, tmp_path,
@@ -801,7 +795,7 @@ def test_train_overflow_is_input_error(tmp_path, capsys, flags, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_train_step_whose_squared_norm_overflows_trains(tmp_path):
@@ -833,13 +827,10 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "error: MemoryError: Unable to allocate 2.18 TiB for an array\n")
-    out = tmp_path / "o"
-    assert not out.exists() or not any(out.iterdir())
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["train", "--config", "TMP/nope.json", "--synthetic", SYNTH,
-      "--out", "TMP/o"], "config file not found: TMP/nope.json"),
     (["train", "--data", "TMP/train.csv", "--features", "TMP/nope.txt",
       "--out", "TMP/o"], "feature list not found: TMP/nope.txt"),
     (["train", "--data", "TMP/train.csv", "--features", "",
@@ -850,7 +841,7 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
      "checkpoint not found: TMP/nope.bin"),
     (["bench", "--checkpoint", "TMP/nope.bin", "--iters", "10"],
      "checkpoint not found: TMP/nope.bin"),
-], ids=["config", "features", "empty_features", "eval_checkpoint",
+], ids=["features", "empty_features", "eval_checkpoint",
         "sweep_checkpoint", "bench_checkpoint"])
 def test_missing_input_file_is_usage_error(csv_run, tmp_path, capsys, argv,
                                            message):
@@ -888,24 +879,19 @@ def test_undecodable_csv_is_input_error(csv_run, tmp_path, capsys, where):
     assert capsys.readouterr().err.startswith(message)
 
 
-def test_train_rho_flag_is_gone(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["train", *TRAIN_ARGS, "--rho", "18"],
+    ["train", *TRAIN_ARGS, "--config", "f.json"],
+    ["train", "--data", "train.csv", "--sort-feature", "dst_bytes"],
+    ["bench", "--checkpoint", "checkpoint.bin", "--data", "x.npz"],
+], ids=["rho", "config", "sort_feature", "bench_data"])
+def test_train_rho_flag_is_gone(tmp_path, argv):
+    """A flag removed from the CLI is an argparse usage error (exit 2),
+    raised before any file is read."""
     with pytest.raises(SystemExit) as exc:
-        main(["train", *TRAIN_ARGS, "--rho", "18",
-              "--out", str(tmp_path / "o")])
+        main([*argv, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("key,value", [("rho", 18.0),
-                                       ("sort_feature", "src_bytes"),
-                                       ("n_clients", 4)])
-def test_config_key_nothing_reads_is_usage_error(tmp_path, capsys, key,
-                                                 value):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rounds": 2, key: value}))
-    assert main(["train", "--config", str(cfg), "--synthetic", SYNTH,
-                 "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid FedConfig: ") and repr(key) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_unset_clients_follow_synthetic_spec(tmp_path):
@@ -960,36 +946,6 @@ def test_unknown_slice_class_is_usage_error(csv_run, tmp_path, capsys,
                  "--data", str(test), "--slice", "r2l,r2lx"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: UnknownLabel: ") and "'r2lx'" in err
-
-
-@pytest.mark.parametrize("name,write,message", [
-    ("nope.npz", None, "data path not found"),
-    ("test.csv", lambda p: p.write_text("1,2\n"),
-     "not an .npz file with a 'test' array"),
-    ("other.npz", lambda p: np.savez(p, other=np.zeros((10, 3))),
-     "not an .npz file with a 'test' array"),
-    ("empty.npz", lambda p: p.write_bytes(b""),
-     "not an .npz file with a 'test' array"),
-    ("rows.npz", lambda p: np.savez(p, test=np.zeros((3, 5))),
-     "'test' must be a non-empty float array of shape (10, m), got dtype "
-     "float64 and shape (3, 5)"),
-    ("ints.npz", lambda p: np.savez(p, test=np.zeros((10, 5), np.int64)),
-     "'test' must be a non-empty float array of shape (10, m), got dtype "
-     "int64 and shape (10, 5)"),
-    ("nan.npz", lambda p: np.savez(p, test=np.full((10, 5), NAN)),
-     "a non-finite value in 'test'"),
-], ids=["missing", "csv", "npz_without_test", "empty", "wrong_rows",
-        "integers", "non_finite"])
-def test_bench_bad_data_is_usage_error(run_dir, tmp_path, capsys, name,
-                                       write, message):
-    path = tmp_path / name
-    if write:
-        write(path)
-    assert main(["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                 "--data", str(path), "--iters", "10"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert not (run_dir / "bench.json").exists()
 
 
 def _resave(**change):
@@ -1158,13 +1114,6 @@ def test_one_class_test_set_is_input_error(request, tmp_path, capsys,
                  *argv]) == 2
     assert capsys.readouterr().err == ("error: AllOneClass: both classes "
                                        "required for ROC/PR\n")
-
-
-def test_bench_data_times_the_stored_test_set(run_dir, capsys):
-    assert main(["bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                 "--data", str(run_dir / "synth_test.npz"),
-                 "--iters", "50"]) == 0
-    assert json.loads(capsys.readouterr().out)["iters"] == 50
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from fedsg import data as data_module
-from fedsg.data import (DEFAULT_FEATURES, NSL_KDD_COLUMNS, SynthSpec,
-                        apply_zscore, filter_slice, generate_synthetic,
-                        load_dataset, partition_non_iid, read_feature_list,
-                        zscore_fit_apply, zscore_round_robin)
+from fedsg.data import (DEFAULT_FEATURES, NSL_KDD_COLUMNS, SORT_FEATURE,
+                        SynthSpec, apply_zscore, filter_slice,
+                        generate_synthetic, load_dataset, partition_non_iid,
+                        read_feature_list, zscore_fit_apply,
+                        zscore_round_robin)
 from fedsg.detection import score_matrix
 from fedsg.errors import (EmptyShard, FedsgError, MissingFeature,
                           ParseError, ShapeMismatch, UnknownLabel)
@@ -158,7 +159,7 @@ def test_load_dataset_and_partition_match_parser_oracle(tmp_path, variant,
     data = load_dataset(path)
     assert data.values.tobytes() == values.tobytes()
     assert data.labels.tolist() == labels
-    shards, dropped = partition_non_iid(data, 5, "dst_bytes")
+    shards, dropped = partition_non_iid(data, 5)
     fpos = DEFAULT_FEATURES.index("dst_bytes")
     expect = sorted_partition(values, labels, rows, 5, fpos)
     assert dropped == 43 - 5 * 8
@@ -351,7 +352,7 @@ def test_load_dataset_matches_parser_oracle_on_random_text(
 
 def test_partition_sorted_by_feature(toy_csv):
     data = load_dataset(toy_csv)
-    shards, dropped = partition_non_iid(data, 3, "dst_bytes")
+    shards, dropped = partition_non_iid(data, 3)
     assert dropped == 0
     assert all(s.shape == (34, 10) for s in shards)
     # contiguous slices of the dst_bytes-sorted benign pool
@@ -363,14 +364,14 @@ def test_partition_sorted_by_feature(toy_csv):
 
 def test_partition_drops_remainder(toy_csv):
     data = load_dataset(toy_csv)
-    shards, dropped = partition_non_iid(data, 4, "dst_bytes")
+    shards, dropped = partition_non_iid(data, 4)
     assert dropped == 30 - 4 * 7
     assert all(s.shape[1] == 7 for s in shards)
 
 
 def test_partition_excludes_attacks(toy_csv):
     data = load_dataset(toy_csv)
-    shards, dropped = partition_non_iid(data, 3, "dst_bytes")
+    shards, dropped = partition_non_iid(data, 3)
     assert dropped == 0
     # The shards' columns are exactly the 30 benign records' features.
     benign = data.values[:, data.labels == "normal"]
@@ -379,24 +380,24 @@ def test_partition_excludes_attacks(toy_csv):
 
 
 def test_partition_missing_feature(toy_csv):
-    data = load_dataset(toy_csv)
-    with pytest.raises(MissingFeature):
-        partition_non_iid(data, 3, "no_such_feature")
+    data = load_dataset(toy_csv, feature_list=["duration", "src_bytes"])
+    with pytest.raises(MissingFeature, match="^sort feature 'dst_bytes' not "
+                                             "in feature list$"):
+        partition_non_iid(data, 3)
 
 
 def test_partition_constant_feature_stable(toy_csv):
     data = load_dataset(toy_csv)
-    data.values[DEFAULT_FEATURES.index("duration")] = 1.0
-    shards, _ = partition_non_iid(data, 3, "duration")
+    data.values[DEFAULT_FEATURES.index(SORT_FEATURE)] = 1.0
+    shards, _ = partition_non_iid(data, 3)
     # a stable sort keeps tied records in file order
-    pos = DEFAULT_FEATURES.index("dst_bytes")
-    first = shards[0][pos]
-    assert np.array_equal(first, np.sort(first))
+    benign = data.values[:, data.labels == "normal"]
+    assert np.array_equal(np.hstack(list(shards)), benign)
 
 
 def test_zscore_normalizes_training_rows(toy_csv):
     data = load_dataset(toy_csv)
-    shards, _ = partition_non_iid(data, 2, "dst_bytes")
+    shards, _ = partition_non_iid(data, 2)
     z, _, std = zscore_fit_apply(shards[:1])
     nondeg = std[0] > 0
     means = z[0][nondeg].mean(axis=1)
@@ -408,7 +409,7 @@ def test_zscore_normalizes_training_rows(toy_csv):
 def test_zscore_stack_matches_per_shard_statistics(toy_csv):
     """The stacked statistics round as one row-major reduction per shard
     does, and the z-scored stack is C-order, as the training stacks are."""
-    shards, _ = partition_non_iid(load_dataset(toy_csv), 3, "dst_bytes")
+    shards, _ = partition_non_iid(load_dataset(toy_csv), 3)
     assert shards.shape == (3, 34, 10) and shards.flags["C_CONTIGUOUS"]
     z, means, stds = zscore_fit_apply(shards)
     assert z.flags["C_CONTIGUOUS"]
@@ -512,14 +513,15 @@ def test_read_feature_list(tmp_path):
 
 
 def test_partition_sorts_by_the_loaded_feature_order(toy_csv):
-    features = ["dst_bytes", "duration"]
+    features = ["duration", "dst_bytes"]
     data = load_dataset(toy_csv, feature_list=features)
     assert data.features == tuple(features)
-    shards, _ = partition_non_iid(data, 3, "dst_bytes")
-    assert np.array_equal(np.hstack(list(shards))[0],
+    shards, _ = partition_non_iid(data, 3)
+    assert np.array_equal(np.hstack(list(shards))[1],
                           np.arange(30.0))
+    without = load_dataset(toy_csv, feature_list=["duration"])
     with pytest.raises(MissingFeature):
-        partition_non_iid(data, 3, "src_bytes")
+        partition_non_iid(without, 3)
 
 
 def test_synthetic_noiseless_benign_on_subspace():

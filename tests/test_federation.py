@@ -44,6 +44,24 @@ def test_config_validation():
         FedConfig(eta=-1.0)
 
 
+@pytest.mark.parametrize("key,value,what", [
+    *[(key, value, "an integer") for key, value in [
+        ("rounds", 2.5), ("local_steps", 1.5), ("k", 2.0), ("seed", "abc"),
+        ("rounds", True)]],
+    *[(key, value, "a number") for key, value in [
+        ("eta", True), ("sample_fraction", True), ("eta", "0.01"),
+        ("sample_fraction", None)]],
+], ids=["float_rounds", "float_local_steps", "float_k", "string_seed",
+        "bool_rounds", "bool_eta", "bool_sample_fraction", "string_eta",
+        "null_sample_fraction"])
+def test_config_refuses_a_mistyped_value(key, value, what):
+    """A library caller's value of the wrong type is a ValueError; a bool
+    is no number, and an integral float no integer."""
+    with pytest.raises(ValueError) as exc:
+        FedConfig(**{key: value})
+    assert str(exc.value) == f"{key} must be {what}, got {value!r}"
+
+
 @pytest.mark.parametrize("shards", [np.zeros((0, 4, 5)), [],
                                     np.zeros((3, 4))],
                          ids=["empty_stack", "empty_list", "2d"])
