@@ -82,6 +82,28 @@ def _input_file(path, what):
     return path
 
 
+def _check_output_dir(path):
+    """path, if its nearest existing ancestor (path itself, if it exists)
+    is a directory; an empty path, or one at or below a file, is a usage
+    error. Commands check --out with this before their work and make it
+    with _output_dir after it, so a refused run leaves nothing behind."""
+    probe = os.path.abspath(path) if path else ""
+    while probe and not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise UsageError(f"cannot use {path} as output directory: "
+                         f"{'not a directory' if path else 'empty path'}")
+    return path
+
+
+def _out_or_checkpoint_dir(args):
+    """The checked --out of eval, sweep or bench, or without it the
+    checkpoint's directory."""
+    if args.out is None:
+        return os.path.dirname(os.path.abspath(args.checkpoint))
+    return _check_output_dir(args.out)
+
+
 def _output_dir(path):
     """path, created with its parents if missing; a path that cannot be
     a directory (an existing file, or no permission) is a usage error."""
@@ -164,11 +186,8 @@ def cmd_train(args):
             if val is not None:
                 raise UsageError(f"{flag} needs --data: {why}")
     config = _build(FedConfig, _fed_config_values(args))
-    # A file named --out is refused before training; the directory is
-    # made only after it (below).
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise UsageError(f"cannot use {args.out} as output directory: "
-                         f"not a directory")
+    # The directory is made only after training (below).
+    _check_output_dir(args.out)
     manifest = {"command": "train",
                 "out_dir": os.path.abspath(args.out)}
 
@@ -333,12 +352,12 @@ def _check_rho(rho):
 
 def cmd_eval(args):
     _check_rho(args.rho)
+    out = _out_or_checkpoint_dir(args)
     errors, labels, train_errors = _load_eval_inputs(args)
     tau = fit_threshold(train_errors, args.rho)
     roc, pr, auc = roc_and_pr(errors, labels)
     report = dataclasses.replace(evaluate(errors, labels, tau), auc=auc)
-    out = _output_dir(args.out
-                      or os.path.dirname(os.path.abspath(args.checkpoint)))
+    _output_dir(out)
     write_metrics(report, os.path.join(out, "metrics.json"),
                   os.path.join(out, "metrics.csv"))
     write_curve(*roc, os.path.join(out, "roc.csv"), ["fpr", "tpr"])
@@ -376,9 +395,9 @@ def _parse_grid(text):
 
 def cmd_sweep(args):
     grid = _parse_grid(args.rho_grid)
+    out = _out_or_checkpoint_dir(args)
     errors, labels, train_errors = _load_eval_inputs(args)
-    out = _output_dir(args.out
-                      or os.path.dirname(os.path.abspath(args.checkpoint)))
+    _output_dir(out)
     rows = []
     for rho, tau in zip(grid, fit_thresholds(train_errors, grid).tolist()):
         rep = evaluate(errors, labels, tau)
@@ -422,6 +441,7 @@ class _LatencyHistogram:
 def cmd_bench(args):
     if args.iters < 1:
         raise UsageError(f"--iters must be at least 1, got {args.iters}")
+    out = _out_or_checkpoint_dir(args)
     u = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))[0].u
     # score's cost does not depend on the sample's values, so one fixed
     # pool of samples, cycled, times it whatever --iters is.
@@ -445,8 +465,7 @@ def cmd_bench(args):
         "header_bytes": CHECKPOINT_HEADER_BYTES,
         "payload_matches": True,
     }
-    out = _output_dir(args.out
-                      or os.path.dirname(os.path.abspath(args.checkpoint)))
+    _output_dir(out)
     with open(os.path.join(out, "bench.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

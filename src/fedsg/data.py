@@ -1,7 +1,9 @@
-"""Dataset ingestion and shard preparation: NSL-KDD style CSV parsing,
-feature selection, non-i.i.d. partitioning of the benign records by
-dst_bytes into equal-width shards, per-client z-score normalization,
-and a seeded synthetic low-rank generator with planted anomalies.
+"""Dataset ingestion and shard preparation: NSL-KDD style CSV parsing
+(np.loadtxt also checks the column counts; only a file it refuses is
+parsed line by line), feature selection, non-i.i.d. partitioning of the
+benign records by dst_bytes into equal-width shards, per-client z-score
+normalization, and a seeded synthetic low-rank generator with planted
+anomalies.
 
 Feature matrices are d x B with columns as samples. The training shards,
 synthetic or parsed, are one (n_clients, d, B) stack. Parsed shards hold
@@ -9,6 +11,8 @@ only benign records, and their z-score statistics are (n_clients, d)
 arrays.
 """
 
+import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,18 +117,22 @@ def load_dataset(path, feature_list=None) -> Dataset:
     with the given feature subset, DEFAULT_FEATURES when None (an empty
     list is refused, never replaced).
 
-    Valid input takes no per-row Python. A pass over the file's bytes
-    finds the data rows (blank lines and a header on line 0 are skipped)
-    and checks their layout. np.loadtxt then parses the path in one C
-    pass into a record per row (the features as float64 plus the raw
-    label), and each distinct label is mapped once. values is a view of
-    those records.
+    Blank lines and a header on line 0 are skipped. Valid input takes no
+    per-row Python: np.loadtxt parses the path in one C pass into a
+    record per row (the features as float64, the raw label as bytes and
+    a byte of each other column), checking that every row has the column
+    count of the first, and each distinct label is mapped once. values
+    is a view of those records. Valid files that these fixed-width
+    records cannot hold exactly are parsed line by line instead: one
+    with a NUL byte outside a label, a label that is not ASCII (such as
+    "\u2003neptune") or one that fills its field (_LABEL_BYTES), and a
+    cell outside the features that is not latin-1 text.
 
     Raises ParseError with the offending row/column (a non-numeric or
-    non-finite value, a short row, or a file without data rows) or for a
-    file that is not text in the locale's encoding, UnknownLabel for
-    labels outside the map, MissingFeature for an empty feature list or
-    unknown feature names. Of several faulty rows, the first in the file
+    non-finite value, a row whose column count is not the first row's,
+    or a file without data rows) or for a file that is not text in the
+    locale's encoding, UnknownLabel for labels outside the map,
+    MissingFeature for an empty feature list or unknown feature names. Of several faulty rows, the first in the file
     is named. The CLI exits 2 for each of these.
     """
     features = list(DEFAULT_FEATURES if feature_list is None else feature_list)
@@ -144,142 +152,109 @@ def load_dataset(path, feature_list=None) -> Dataset:
 
 def _read_dataset(path, idx):
     """load_dataset on resolved columns: idx are the feature columns'
-    positions. Returns the m x d values and the m class names."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")[0] == NSL_KDD_COLUMNS[0]
-        encoding = fh.encoding
-    # Every rejection below goes to the per-line pass, which names it.
-    n_rows, gaps, width, ascii_text, faulty = _check_layout(path, encoding,
-                                                            header)
-    if faulty:
-        _raise_first_fault(path, header, idx)
+    positions. Returns the m x d values and the m class names.
 
-    # Bytes labels take a quarter of the memory of str ones; loadtxt
-    # stores them as latin-1, which holds ASCII text exactly.
-    dtype = np.dtype([("values", np.float64, (len(idx),)),
-                      ("label", ("S" if ascii_text else "U", max(width, 1)))],
-                     align=True)
-    # max_rows lets loadtxt allocate the table once. It parses fastest
-    # from the path, but takes a line of whitespace for a row and warns
-    # of an empty one once max_rows is set, so a file with blank lines
-    # between its rows is read as stripped lines without the empty ones.
+    A file with a line of whitespace, which np.loadtxt takes for a row,
+    is read again as its stripped non-empty lines. Anything else either
+    read refuses goes to _read_line_by_line, as do a NUL byte, a label
+    that is not ASCII or fills its field, an unmapped label and a
+    non-finite value."""
     with open(path) as fh:
-        try:
-            table = np.loadtxt(filter(None, map(str.strip, fh)) if gaps
-                               else path, delimiter=",", dtype=dtype,
-                               usecols=idx + [LABEL_COLUMN],
-                               skiprows=int(header), max_rows=n_rows,
-                               comments=None, ndmin=1)
-        except ValueError:
-            _raise_first_fault(path, header, idx)
+        lines = ((i, s) for i, line in enumerate(fh) if (s := line.strip()))
+        row_no, first = next(lines, (0, ""))
+        header = row_no == 0 and first.split(",")[0] == NSL_KDD_COLUMNS[0]
+        if header:
+            first = next(lines, (0, ""))[1]
+    # One pass over the bytes. loadtxt's fixed-width bytes would drop a
+    # NUL that ends a label, so a file with a NUL takes the per-line pass.
+    # The line ends bound the row count, which lets loadtxt allocate the
+    # table once; the bound must not fall short, or loadtxt would stop
+    # early and drop rows, so each \r of a \r\n counts as a line end too.
+    n_lines, nul = 1, False
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_CHUNK_BYTES), b""):
+            codes = np.frombuffer(chunk, np.uint8)
+            n_lines += np.count_nonzero((codes == 10) | (codes == 13))
+            nul = nul or b"\0" in chunk
+    n_cols = first.count(",") + 1
+    if nul or n_cols <= LABEL_COLUMN:  # no data rows, or no label column
+        return _read_line_by_line(path, header, idx)
 
-    raw = table["label"]
+    cols = list(dict.fromkeys(idx))
+    # An empty line does not count towards max_rows, and loadtxt warns
+    # that it does not.
+    read = dict(delimiter=",", dtype=_row_dtype(n_cols, cols),
+                skiprows=int(header), max_rows=n_lines - header,
+                comments=None, ndmin=1)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Input line", UserWarning)
+            table = np.loadtxt(path, **read)
+    except ValueError:
+        with open(path) as fh:
+            try:
+                table = np.loadtxt(filter(None, map(str.strip, fh)), **read)
+            except ValueError:
+                return _read_line_by_line(path, header, idx)
+
+    records = table.view({"names": ["values", "label"],
+                          "formats": [("f8", (len(cols),)),
+                                      f"S{_LABEL_BYTES}"],
+                          "itemsize": table.itemsize})
+    values, raw = records["values"], records["label"]
+    if len(cols) < len(idx):  # a feature named twice
+        values = values[:, [cols.index(c) for c in idx]]
     # np.unique copies its input; 8192 rows at a time keep the copy small.
     keys = np.unique(np.concatenate([np.unique(raw[i:i + 8192])
                                      for i in range(0, raw.size, 8192)]))
-    names = [DEFAULT_LABEL_MAP.get(k.strip().lower().rstrip("."))
-             for k in keys.astype(str)]
-    values = table["values"]
+    # loadtxt stores a label as latin-1 and cuts a longer one to the
+    # field's width, so only an ASCII label shorter than the field is
+    # mapped here.
+    names = [DEFAULT_LABEL_MAP.get(k.decode().strip().lower().rstrip("."))
+             if k.isascii() and len(k) < _LABEL_BYTES else None
+             for k in keys.tolist()]
     # min and max propagate NaN and reach +-inf, so they are finite only
     # when every value is, without a temporary the size of values.
     if None in names or not np.isfinite([values.min(), values.max()]).all():
-        _raise_first_fault(path, header, idx)
+        return _read_line_by_line(path, header, idx)
     return values, np.array(names)[np.searchsorted(keys, raw)]
 
 
-# Bytes read at a time by the layout checks, which keep no copy of the
-# whole file.
+# Bytes read at a time by the pass over the file's bytes.
 _CHUNK_BYTES = 1 << 18
 
-
-def _check_layout(path, encoding, header):
-    """Whole-file layout checks, one chunk of bytes at a time: split the
-    file into lines as text mode does (at \\n, \\r\\n or a lone \\r),
-    skip blank lines (empty or all whitespace; a line without commas is
-    decoded with `encoding` to tell) and the header, and check that each
-    data row has the column count of the first and that no label cell
-    (column LABEL_COLUMN) holds a NUL. (np.loadtxt rejects rows too short
-    to hold the label; every feature column comes before it.)
-
-    Returns (the number of data rows, whether blank lines fall between
-    them, the widest label cell in bytes, whether the file is ASCII,
-    whether a check failed; the scan stops at the chunk that fails one).
-    Raises ParseError for a file without data rows.
-    """
-    n_rows, last, n_cols, faulty = 0, -1, None, False
-    width, ascii_text, line0, tail = 0, True, 0, b""
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(_CHUNK_BYTES)
-            buf = tail + chunk
-            if not chunk:
-                if not buf:
-                    break
-                buf += b"\n"  # the last line has no line end
-            # Cut after the last line end; a final \r may start a \r\n.
-            cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
-            tail = buf[cut:]
-            ascii_text = ascii_text and buf.isascii()
-            whole = np.frombuffer(buf, np.uint8)
-            a = whole[:cut]
-            ends = np.flatnonzero(a == 10)
-            if b"\r" in buf:
-                cr = np.flatnonzero(a == 13)
-                ends = np.sort(np.r_[ends, cr[whole[cr + 1] != 10]])
-            # Line i is buf[starts[i]:ends[i]], with the \r of a \r\n.
-            starts = np.r_[0, ends + 1][:-1]
-            cpos = np.flatnonzero(a == 44)
-            first = np.searchsorted(cpos, starts)
-            n = np.searchsorted(cpos, ends) - first
-            data = (n > 0) | (ends > starts)
-            # Only a line without commas can be all whitespace; valid
-            # files have such lines only as blank lines.
-            for i in np.flatnonzero((n == 0) & data):
-                data[i] = not buf[starts[i]:ends[i]].decode(encoding).isspace()
-            data[:int(header and not line0)] = False
-            lines = np.flatnonzero(data)
-            if lines.size:
-                n_cols = n_cols or int(n[lines[0]]) + 1
-                faulty = faulty or bool((n[lines] != n_cols - 1).any())
-                n_rows += lines.size
-                last = line0 + int(lines[-1])
-            # Each label cell runs from after the comma before it to the
-            # comma after it or the line end.
-            has = np.flatnonzero(n >= LABEL_COLUMN)
-            k = first[has] + LABEL_COLUMN
-            lo = cpos[k - 1] + 1
-            hi = ends[has]
-            after = n[has] > LABEL_COLUMN
-            hi[after] = cpos[k[after]]
-            if has.size:
-                width = max(width, int((hi - lo).max()))
-            # numpy's fixed-width strings drop trailing NULs, and a NUL
-            # that only whitespace follows becomes trailing when a file
-            # with blank lines is read as stripped lines. So a label cell
-            # holding a NUL byte anywhere, never a label-map key, is a
-            # fault found here.
-            if not faulty and buf.find(b"\0", 0, cut) >= 0:
-                zeros = np.flatnonzero(a == 0)
-                faulty = bool(((np.searchsorted(zeros, hi)
-                                > np.searchsorted(zeros, lo))
-                               & data[has]).any())
-            line0 += ends.size
-            if faulty or not chunk:
-                break
-    if n_cols is None:
-        raise ParseError(f"{path}: no data rows")
-    return n_rows, last + 1 - header != n_rows, width, ascii_text, faulty
+# Width of the label field: every DEFAULT_LABEL_MAP key with a trailing
+# "." fits with room for padding.
+_LABEL_BYTES = 48
 
 
-def _raise_first_fault(path, header, idx):
-    """The one per-line pass, run only after a check on the fast path
-    failed: raise the file's first fault, in file order. Each data row
-    must have the column count of the first, which must hold the label
-    column (and so every feature column before it), and a mapped label;
-    np.loadtxt then parses the rows that pass as stripped lines and
-    names the first unparsable cell. The first non-finite value comes
-    last."""
-    rows, parts = [], None
+def _row_dtype(n_cols, cols):
+    """The record dtype np.loadtxt reads a row of n_cols columns into: one
+    field per column, in column order. The feature columns `cols` are
+    float64 fields packed in their order from offset 0, the label a
+    _LABEL_BYTES-byte field after them, and every other column a 1-byte
+    field after that (loadtxt cuts a string to its field)."""
+    d = len(cols)
+    spare = itertools.count(8 * d + _LABEL_BYTES)
+    formats, offsets = zip(*[
+        ("f8", 8 * cols.index(c)) if c in cols
+        else (f"S{_LABEL_BYTES}", 8 * d) if c == LABEL_COLUMN
+        else ("S1", next(spare)) for c in range(n_cols)])
+    return np.dtype({"names": [f"c{c}" for c in range(n_cols)],
+                     "formats": formats, "offsets": offsets,
+                     # whole float64s keep every row's values aligned
+                     "itemsize": -(-next(spare) // 8) * 8})
+
+
+def _read_line_by_line(path, header, idx):
+    """The one per-line pass, for a file the fast read refuses: raise the
+    file's first fault, in file order, or return (values, labels) as
+    _read_dataset does when there is none. Each data row must have the
+    column count of the first, which must hold the label column (and so
+    every feature column before it), and a mapped label; np.loadtxt then
+    parses the rows that pass as stripped lines and names the first
+    unparsable cell. The first non-finite value comes last."""
+    rows, names, parts = [], [], None
 
     def checked_lines(fh):
         nonlocal parts
@@ -301,12 +276,18 @@ def _raise_first_fault(path, header, idx):
             if raw_label not in DEFAULT_LABEL_MAP:
                 raise UnknownLabel(f"row {row_no}: label {raw_label!r}")
             rows.append(row_no)
+            names.append(DEFAULT_LABEL_MAP[raw_label])
             yield line
 
     with open(path) as fh:
+        lines = checked_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(f"{path}: no data rows")
         try:
-            values = np.loadtxt(checked_lines(fh), delimiter=",", usecols=idx,
-                                comments=None, ndmin=2)
+            values = np.loadtxt(itertools.chain([first], lines),
+                                delimiter=",", usecols=idx, comments=None,
+                                ndmin=2)
         except UnicodeDecodeError:
             raise  # the file's fault, not a cell's: load_dataset names it
         except ValueError as exc:
@@ -325,7 +306,7 @@ def _raise_first_fault(path, header, idx):
         i, j = bad[0]
         raise ParseError(f"row {rows[i]}, column {NSL_KDD_COLUMNS[idx[j]]!r}: "
                          f"non-finite value {float(values[i, j])!r}")
-    raise ParseError(f"{path}: cannot be parsed")  # a backstop
+    return values, np.array(names)
 
 
 # The feature partition_non_iid sorts the benign records by.

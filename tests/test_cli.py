@@ -638,18 +638,34 @@ def test_failed_train_leaves_an_earlier_run_byte_identical(request, tmp_path,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "sweep", "bench"])
+def _never(*args, **kwargs):
+    raise AssertionError("the command did its work before checking --out")
+
+
+@pytest.mark.parametrize("command,kind", [
+    pytest.param(command, kind,
+                 id=command if kind == "file" else f"{command}-{kind}")
+    for kind in ("file", "below_file", "empty")
+    for command in ("train", "eval", "sweep", "bench")])
 def test_out_naming_a_file_is_usage_error(run_dir, tmp_path, capsys,
-                                          command):
+                                          monkeypatch, command, kind):
+    """An --out that is a file, below a file or empty is refused before
+    the command trains or reads the checkpoint, and nothing is made."""
     taken = tmp_path / "taken"
     taken.write_text("")
+    out = {"file": str(taken), "below_file": str(taken / "sub"),
+           "empty": ""}[kind]
     args = (TRAIN_ARGS if command == "train"
             else ["--checkpoint", str(run_dir / "checkpoint.bin")])
+    monkeypatch.setattr("fedsg.cli.run_fedsg", _never)
+    monkeypatch.setattr("fedsg.cli.load_checkpoint", _never)
+    before = sorted(tmp_path.iterdir())
     capsys.readouterr()
-    assert main([command, *args, "--out", str(taken)]) == 2
+    assert main([command, *args, "--out", out]) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: cannot use {taken} as output directory: ")
+        f"error: cannot use {out} as output directory: ")
     assert taken.read_text() == ""
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_train_unknown_label_is_input_error(tmp_path, capsys):

@@ -103,10 +103,10 @@ def _shout_labels(lines):
     return out
 
 
-def _relabel(row, label):
+def _recell(row, col, value):
     def rewrite(lines):
         parts = lines[row].split(",")
-        parts[41] = label
+        parts[41 if col == "label" else NSL_KDD_COLUMNS.index(col)] = value
         return lines[:row] + [",".join(parts)] + lines[row + 1:]
     return rewrite
 
@@ -133,10 +133,23 @@ INGEST_VARIANTS = {
     "no_trailing_newline": lambda lines, newline: newline.join(lines),
     "nbsp_lines": _joined(lambda lines: ["\u00a0"] + lines[:5]
                           + ["\u00a0\u2003 "] + lines[5:]),
-    "long_padded_label": _joined(_relabel(7, "normal" + " " * 40)),
-    "long_label": _joined(_relabel(7, "normal" + " " * 40 + "x")),
+    "long_padded_label": _joined(_recell(7, "label", "normal" + " " * 40)),
+    "long_label": _joined(_recell(7, "label", "normal" + " " * 40 + "x")),
+    "nul_in_service": _joined(_recell(9, "service", "ht\x00tp")),
+    "label_fills_field": _joined(_recell(
+        7, "label", "normal".ljust(data_module._LABEL_BYTES))),
+    "nbsp_label": _joined(_recell(7, "label", "\u00a0normal")),
+    # np.loadtxt would cut this label to a valid one.
+    "label_past_field": _joined(_recell(
+        7, "label", "normal".ljust(data_module._LABEL_BYTES) + "x")),
 }
-WELL_FORMED = sorted(set(INGEST_VARIANTS) - {"long_label"})
+# long_label and label_past_field are faults. The other variants left out
+# are valid, but the fast read refuses them and the per-line pass reads
+# them: a NUL anywhere, a label that is not ASCII, or one as wide as the
+# label field.
+WELL_FORMED = sorted(set(INGEST_VARIANTS) - {
+    "long_label", "label_past_field", "nul_in_service", "nbsp_label",
+    "label_fills_field"})
 
 
 def _write_variant(path, variant, crlf):
@@ -174,7 +187,7 @@ def test_load_dataset_well_formed_file_skips_fault_scan(tmp_path, monkeypatch,
                                                         variant, crlf):
     def scan(*args):
         raise AssertionError("the per-line fault scan ran on valid input")
-    monkeypatch.setattr(data_module, "_raise_first_fault", scan)
+    monkeypatch.setattr(data_module, "_read_line_by_line", scan)
     path = tmp_path / "in.csv"
     _write_variant(path, variant, crlf)
     assert len(load_dataset(path)) == 48
@@ -247,6 +260,14 @@ def test_load_dataset_errors_match_parser_oracle(tmp_path, fault):
         load_dataset(path, **kwargs)
 
 
+def test_load_dataset_reads_a_feature_named_twice(toy_csv):
+    features = ["count", "dst_bytes", "count"]
+    values, labels, _ = parse_records(toy_csv, features)
+    data = load_dataset(toy_csv, features)
+    assert data.values.tobytes() == values.tobytes()
+    assert data.labels.tolist() == labels
+
+
 def test_load_dataset_non_numeric_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     _write_csv(path, _faulty_lines("non_numeric"))
@@ -266,7 +287,9 @@ def _nsl_line(label="normal", level=None, **cells):
 @pytest.mark.parametrize("lines,message", [
     ([_nsl_line(level="21"), _nsl_line()], "row 1: expected 43 columns"),
     ([_nsl_line(src_bytes="1_000")], "row 0: "),
-], ids=["ragged_row", "cell_only_float_accepts"])
+    ([_nsl_line(level="21"), _nsl_line(level="21,7")],
+     "row 1: expected 43 columns, got 44"),
+], ids=["ragged_row", "cell_only_float_accepts", "extra_cell_row"])
 def test_load_dataset_cell_layout_errors(tmp_path, lines, message):
     path = tmp_path / "bad.csv"
     _write_csv(path, lines)
