@@ -5,9 +5,8 @@ __version__ = "0.1.0"
 
 from .errors import (AllOneClass, ConvergenceFailure, DimensionMismatch,
                      EmptyInput, EmptyShard, FedsgError, InputError,
-                     InputOverflow, LengthMismatch, MissingFeature,
-                     NonFiniteShard, ParseError, RankDeficient, ShapeMismatch,
-                     UnknownLabel)
+                     InputOverflow, LengthMismatch, NonFiniteShard,
+                     ParseError, RankDeficient, ShapeMismatch, UnknownLabel)
 from .linalg import SvdTriple, truncated_svd
 from .grassmann import GrassmannPoint, retract, riemannian_step
 from .objective import FactorPair, grad_u, grad_v, loss, optimal_sigma

@@ -1,15 +1,18 @@
 """Command-line entry point: train / eval / sweep / bench.
 
 train takes each input one way: the FedConfig values as flags, and
-the synthetic spec as 'default' or an inline JSON object. A CSV train
-sorts the benign records by data.SORT_FEATURE (dst_bytes), partitions
-them into one (--clients, d, B) stack of equal-width shards, z-scores
-each with its own statistics and trains on that stack. train makes
---out only once training succeeds, so a refused train leaves none
-behind. Evaluation assigns test record i to client i % n_clients and
-z-scores it with that client's statistics (data.zscore_round_robin,
-which gathers no per-record statistics) into one C-ordered d x m
-matrix, which one score_matrix call scores.
+the synthetic spec as 'default' or an inline JSON object. Every CSV,
+for train, eval and sweep alike, is read into the 34 columns of
+data.DEFAULT_FEATURES. A CSV train sorts the benign records by
+data.SORT_FEATURE (dst_bytes), partitions them into one
+(--clients, 34, B) stack of equal-width shards, z-scores each with its
+own statistics and trains on that stack. train makes --out only once
+training succeeds, so a refused train leaves none behind. Evaluation
+assigns test record i to client i % n_clients and z-scores it with that
+client's statistics (data.zscore_round_robin, which gathers no
+per-record statistics) into one C-ordered d x m matrix, which one
+score_matrix call scores; a CSV eval of a checkpoint whose d is not 34
+is refused before the CSV is parsed.
 
 eval, sweep and bench read only the checkpoint's U; the checkpoint's
 layout is federation's alone. bench reports the payload as the file
@@ -45,11 +48,10 @@ import numpy as np
 from . import __version__
 from .data import (DEFAULT_FEATURES, SORT_FEATURE, STD_FLOOR, SynthSpec,
                    filter_slice, generate_synthetic, load_dataset,
-                   partition_non_iid, read_feature_list, zscore_fit_apply,
-                   zscore_round_robin)
+                   partition_non_iid, zscore_fit_apply, zscore_round_robin)
 from .detection import (evaluate, fit_threshold, fit_thresholds, roc_and_pr,
                         score, score_matrix, write_curve, write_metrics)
-from .errors import FedsgError, InputError
+from .errors import DimensionMismatch, FedsgError, InputError
 from .federation import (CHECKPOINT_HEADER_BYTES, FedConfig, load_checkpoint,
                          run_fedsg, save_checkpoint, write_trace_csv)
 
@@ -69,10 +71,6 @@ def _sha256_file(path):
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _sha256_text(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _input_file(path, what):
@@ -176,22 +174,18 @@ def _write_manifest(out_dir, payload):
 
 
 def cmd_train(args):
-    if args.synthetic and args.data:
+    if args.synthetic is not None and args.data is not None:
         raise UsageError("--data and --synthetic are mutually exclusive")
-    if not args.data:
-        for flag, val, why in (("--features", args.features,
-                                "synthetic records have no named features"),
-                               ("--clients", args.clients,
-                                "the --synthetic spec sets n_clients")):
-            if val is not None:
-                raise UsageError(f"{flag} needs --data: {why}")
+    if args.data is None and args.clients is not None:
+        raise UsageError("--clients needs --data: the --synthetic spec sets "
+                         "n_clients")
     config = _build(FedConfig, _fed_config_values(args))
     # The directory is made only after training (below).
     _check_output_dir(args.out)
     manifest = {"command": "train",
                 "out_dir": os.path.abspath(args.out)}
 
-    if args.synthetic:
+    if args.synthetic is not None:
         spec = _parse_synth_spec(args.synthetic, config.seed)
         # A noise large enough to overflow gives infinite shards, which
         # run_fedsg rejects (NonFiniteShard).
@@ -201,17 +195,13 @@ def cmd_train(args):
                                "spec": dataclasses.asdict(spec)}
         inputs_file, inputs = "synth_test.npz", {"test": test,
                                                  "labels": labels}
-    elif args.data:
+    elif args.data is not None:
         _input_file(args.data, "data path")
         n_clients = DEFAULT_CLIENTS if args.clients is None else args.clients
-        features = list(DEFAULT_FEATURES)
-        if args.features is not None:
-            features = read_feature_list(_input_file(args.features,
-                                                     "feature list"))
         # The parsed records are freed once partitioned, and the raw
         # stack once z-scored, before training allocates.
-        shards, dropped = partition_non_iid(
-            load_dataset(args.data, feature_list=features), n_clients)
+        shards, dropped = partition_non_iid(load_dataset(args.data),
+                                            n_clients)
         # A finite value can still overflow the squares a std sums; the
         # std is then inf or NaN (as it is when a mean overflows).
         with np.errstate(over="ignore", invalid="ignore"):
@@ -228,9 +218,7 @@ def cmd_train(args):
                                "dropped_records": dropped,
                                "n_clients": n_clients,
                                "sort_feature": SORT_FEATURE}
-        manifest["feature_list_sha256"] = _sha256_text("\n".join(features))
-        inputs_file, inputs = "prep.npz", {"means": means, "stds": stds,
-                                           "features": np.array(features)}
+        inputs_file, inputs = "prep.npz", {"means": means, "stds": stds}
     else:
         raise UsageError("either --data or --synthetic is required")
 
@@ -260,8 +248,7 @@ def _check(path, what, x, kind, shape):
                                         for n, m in zip(shape, x.shape))
     empty = kind == "f" and not x.size
     if not fits or kind != x.dtype.kind or empty:
-        want = {"f": "a non-empty float array", "U": "a string array",
-                "b": "a boolean array"}[kind]
+        want = {"f": "a non-empty float array", "b": "a boolean array"}[kind]
         pattern = str(tuple(shape)).replace("'", "")  # (n, 34), not ('n', 34)
         raise UsageError(f"{path}: {what} must be {want} of shape {pattern}, "
                          f"got dtype {x.dtype} and shape {x.shape}")
@@ -274,10 +261,9 @@ def _stored(checkpoint, name, d=None):
     """The checked arrays of the file `name` that train wrote beside the
     checkpoint file, for a checkpoint of dimension d: the errors of
     train_errors.npy, the records (one per column) and labels of
-    synth_test.npz, or the per-client means and stds and the feature
-    names of prep.npz. A missing file, an array of the wrong dtype or
-    shape, a non-finite value, a std below data.STD_FLOOR or a feature
-    named twice is a usage error."""
+    synth_test.npz, or the per-client means and stds of prep.npz. A
+    missing file, an array of the wrong dtype or shape, a non-finite
+    value or a std below data.STD_FLOOR is a usage error."""
     path = os.path.join(os.path.dirname(checkpoint), name)
     if not os.path.isfile(path):
         raise UsageError(f"no {name} next to the checkpoint: {path}")
@@ -288,19 +274,14 @@ def _stored(checkpoint, name, d=None):
         test, labels = _load_arrays(path, "test", "labels")
         _check(path, "'test'", test, "f", (d, "m"))
         return test, _check(path, "'labels'", labels, "b", test.shape[1:])
-    means, stds, features = _load_arrays(path, "means", "stds", "features")
+    means, stds = _load_arrays(path, "means", "stds")
     _check(path, "'means'", means, "f", ("n", d))
     _check(path, "'stds'", stds, "f", means.shape)
     # Train records a std below STD_FLOOR as 1 (data.zscore_fit_apply); a
     # smaller one would overflow the z-scores.
     if not (stds >= STD_FLOOR).all():
         raise UsageError(f"{path}: a value below {STD_FLOOR} in 'stds'")
-    _check(path, "'features'", features, "U", (d,))
-    names, counts = np.unique(features, return_counts=True)
-    if (counts > 1).any():
-        raise UsageError(f"{path}: feature {str(names[counts > 1][0])!r} "
-                         f"listed twice in 'features'")
-    return means, stds, features
+    return means, stds
 
 
 def _scorable(errors, source):
@@ -319,17 +300,22 @@ def _load_eval_inputs(args):
     errors) for the U of the checkpoint file."""
     u = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))[0].u
     d = u.n
-    if args.data:
+    if args.data is not None:
         _input_file(args.data, "data path")
-        means, stds, features = _stored(args.checkpoint, "prep.npz", d)
-        data = load_dataset(args.data, feature_list=[str(f) for f in features])
+        if d != len(DEFAULT_FEATURES):
+            raise DimensionMismatch(f"checkpoint d={d}, but a CSV is read "
+                                    f"into the {len(DEFAULT_FEATURES)} "
+                                    f"default features")
+        means, stds = _stored(args.checkpoint, "prep.npz", d)
+        data = load_dataset(args.data)
         # Round-robin test assignment: record i is normalised with the
         # statistics of client i % n_clients.
         with np.errstate(over="ignore", invalid="ignore"):
             records = zscore_round_robin(means, stds, data.values)
-        labels = data.labels if args.slice else data.labels != "normal"
+        labels = (data.labels if args.slice is not None
+                  else data.labels != "normal")
         source = args.data
-    elif args.slice:
+    elif args.slice is not None:
         raise UsageError("--slice needs --data: the stored synthetic test "
                          "set has no attack classes")
     else:
@@ -338,7 +324,7 @@ def _load_eval_inputs(args):
                               "synth_test.npz")
     with np.errstate(over="ignore", invalid="ignore"):
         errors = _scorable(score_matrix(u, records), source)
-    if args.slice:
+    if args.slice is not None:
         errors, labels = filter_slice(errors, labels, args.slice.split(","))
     return errors, labels, _stored(args.checkpoint, "train_errors.npy")
 
@@ -484,7 +470,6 @@ def build_parser():
     tr.add_argument("--synthetic",
                     help="'default' or an inline JSON generator spec")
     tr.add_argument("--out", required=True, help="output directory")
-    tr.add_argument("--features", help="plain-text feature list file")
     tr.add_argument("--seed", type=int)
     tr.add_argument("--clients", type=int,
                     help=f"CSV client count (default {DEFAULT_CLIENTS})")

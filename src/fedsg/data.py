@@ -1,9 +1,9 @@
 """Dataset ingestion and shard preparation: NSL-KDD style CSV parsing
-(np.loadtxt also checks the column counts; only a file it refuses is
-parsed line by line), feature selection, non-i.i.d. partitioning of the
-benign records by dst_bytes into equal-width shards, per-client z-score
-normalization, and a seeded synthetic low-rank generator with planted
-anomalies.
+into the 34 DEFAULT_FEATURES columns (np.loadtxt also checks the column
+counts; only a file it refuses is parsed line by line), non-i.i.d.
+partitioning of the benign records by dst_bytes into equal-width
+shards, per-client z-score normalization, and a seeded synthetic
+low-rank generator with planted anomalies.
 
 Feature matrices are d x B with columns as samples. The training shards,
 synthetic or parsed, are one (n_clients, d, B) stack. Parsed shards hold
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EmptyShard, MissingFeature, ParseError, ShapeMismatch,
-                     UnknownLabel, check_numbers)
+from .errors import (EmptyShard, ParseError, ShapeMismatch, UnknownLabel,
+                     check_numbers)
 
 # The one layout of every NSL-KDD and KDD'99 file: 41 features, then the
 # label in column 41, then (NSL-KDD only) a difficulty level.
@@ -38,15 +38,17 @@ NSL_KDD_COLUMNS = [
 ]
 LABEL_COLUMN = 41
 
-# Default 34-feature subset: the numeric NSL-KDD features minus the
-# categorical columns and four near-constant binary flags. Editable via a
-# plain-text feature list (one name per line).
+# The 34 features every CSV is read into: the numeric NSL-KDD features
+# minus the categorical columns and four near-constant binary flags.
 DEFAULT_FEATURES = [
     c for c in NSL_KDD_COLUMNS
     if c not in ("protocol_type", "service", "flag",
                  "land", "urgent", "num_outbound_cmds", "is_host_login")
 ]
 assert len(DEFAULT_FEATURES) == 34
+
+# Their positions among NSL_KDD_COLUMNS, in the same order.
+_FEATURE_COLUMNS = [NSL_KDD_COLUMNS.index(f) for f in DEFAULT_FEATURES]
 
 # Raw NSL-KDD attack names grouped into the four intrusion classes.
 DEFAULT_LABEL_MAP = {
@@ -75,47 +77,19 @@ LABEL_CLASSES = ("normal", "dos", "probe", "r2l", "u2r")
 @dataclass(frozen=True)
 class Dataset:
     """Parsed records in columns, in file order: values[:, i] holds the
-    selected features of record i, in the order of `features`, and
-    labels[i] its class name."""
+    DEFAULT_FEATURES of record i, in that order, and labels[i] its class
+    name."""
     values: np.ndarray = field(repr=False)  # d x m, a transposed view
     labels: np.ndarray = field(repr=False)  # m class names
-    features: tuple
 
     def __len__(self):
         return self.labels.shape[0]
 
 
-def _not_text(path, exc):
-    """The ParseError for a file that is not text in exc's encoding."""
-    return ParseError(f"{path}: not {exc.encoding} text: {exc.reason}")
-
-
-def read_feature_list(path):
-    """Plain-text feature config: one name per line; blanks and '#'
-    comment lines ignored. A file without names, one that names a
-    feature twice or one that is not text in the locale's encoding is a
-    ParseError."""
-    names = {}  # a dict keeps the file's order and finds a name in O(1)
-    try:
-        with open(path) as fh:
-            for line in fh:
-                name = line.strip()
-                if name in names:
-                    raise ParseError(f"{path}: feature {name!r} listed twice")
-                if name and not name.startswith("#"):
-                    names[name] = None
-    except UnicodeDecodeError as exc:
-        raise _not_text(path, exc) from None
-    if not names:
-        raise ParseError(f"{path}: no feature names")
-    return list(names)
-
-
-def load_dataset(path, feature_list=None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Parse an NSL-KDD CSV (NSL_KDD_COLUMNS, then the label in column
     LABEL_COLUMN, mapped by DEFAULT_LABEL_MAP) into a columnar Dataset
-    with the given feature subset, DEFAULT_FEATURES when None (an empty
-    list is refused, never replaced).
+    of its DEFAULT_FEATURES.
 
     Blank lines and a header on line 0 are skipped. Valid input takes no
     per-row Python: np.loadtxt parses the path in one C pass into a
@@ -131,28 +105,21 @@ def load_dataset(path, feature_list=None) -> Dataset:
     Raises ParseError with the offending row/column (a non-numeric or
     non-finite value, a row whose column count is not the first row's,
     or a file without data rows) or for a file that is not text in the
-    locale's encoding, UnknownLabel for labels outside the map,
-    MissingFeature for an empty feature list or unknown feature names. Of several faulty rows, the first in the file
-    is named. The CLI exits 2 for each of these.
+    locale's encoding, and UnknownLabel for labels outside the map. Of
+    several faulty rows, the first in the file is named. The CLI exits 2
+    for each of these.
     """
-    features = list(DEFAULT_FEATURES if feature_list is None else feature_list)
-    if not features:
-        raise MissingFeature("empty feature list")
     try:
-        idx = [NSL_KDD_COLUMNS.index(f) for f in features]
-    except ValueError:
-        bad = next(f for f in features if f not in NSL_KDD_COLUMNS)
-        raise MissingFeature(f"{bad!r} is not an NSL-KDD column") from None
-    try:
-        values, labels = _read_dataset(path, idx)
+        values, labels = _read_dataset(path)
     except UnicodeDecodeError as exc:
-        raise _not_text(path, exc) from None
-    return Dataset(values=values.T, labels=labels, features=tuple(features))
+        raise ParseError(f"{path}: not {exc.encoding} text: "
+                         f"{exc.reason}") from None
+    return Dataset(values=values.T, labels=labels)
 
 
-def _read_dataset(path, idx):
-    """load_dataset on resolved columns: idx are the feature columns'
-    positions. Returns the m x d values and the m class names.
+def _read_dataset(path):
+    """load_dataset's parse: returns the m x d values and the m class
+    names.
 
     A file with a line of whitespace, which np.loadtxt takes for a row,
     is read again as its stripped non-empty lines. Anything else either
@@ -178,12 +145,11 @@ def _read_dataset(path, idx):
             nul = nul or b"\0" in chunk
     n_cols = first.count(",") + 1
     if nul or n_cols <= LABEL_COLUMN:  # no data rows, or no label column
-        return _read_line_by_line(path, header, idx)
+        return _read_line_by_line(path, header)
 
-    cols = list(dict.fromkeys(idx))
     # An empty line does not count towards max_rows, and loadtxt warns
     # that it does not.
-    read = dict(delimiter=",", dtype=_row_dtype(n_cols, cols),
+    read = dict(delimiter=",", dtype=_row_dtype(n_cols),
                 skiprows=int(header), max_rows=n_lines - header,
                 comments=None, ndmin=1)
     try:
@@ -195,15 +161,13 @@ def _read_dataset(path, idx):
             try:
                 table = np.loadtxt(filter(None, map(str.strip, fh)), **read)
             except ValueError:
-                return _read_line_by_line(path, header, idx)
+                return _read_line_by_line(path, header)
 
     records = table.view({"names": ["values", "label"],
-                          "formats": [("f8", (len(cols),)),
+                          "formats": [("f8", (len(_FEATURE_COLUMNS),)),
                                       f"S{_LABEL_BYTES}"],
                           "itemsize": table.itemsize})
     values, raw = records["values"], records["label"]
-    if len(cols) < len(idx):  # a feature named twice
-        values = values[:, [cols.index(c) for c in idx]]
     # np.unique copies its input; 8192 rows at a time keep the copy small.
     keys = np.unique(np.concatenate([np.unique(raw[i:i + 8192])
                                      for i in range(0, raw.size, 8192)]))
@@ -216,7 +180,7 @@ def _read_dataset(path, idx):
     # min and max propagate NaN and reach +-inf, so they are finite only
     # when every value is, without a temporary the size of values.
     if None in names or not np.isfinite([values.min(), values.max()]).all():
-        return _read_line_by_line(path, header, idx)
+        return _read_line_by_line(path, header)
     return values, np.array(names)[np.searchsorted(keys, raw)]
 
 
@@ -228,12 +192,13 @@ _CHUNK_BYTES = 1 << 18
 _LABEL_BYTES = 48
 
 
-def _row_dtype(n_cols, cols):
+def _row_dtype(n_cols):
     """The record dtype np.loadtxt reads a row of n_cols columns into: one
-    field per column, in column order. The feature columns `cols` are
-    float64 fields packed in their order from offset 0, the label a
+    field per column, in column order. The _FEATURE_COLUMNS are float64
+    fields packed in their order from offset 0, the label a
     _LABEL_BYTES-byte field after them, and every other column a 1-byte
     field after that (loadtxt cuts a string to its field)."""
+    cols = _FEATURE_COLUMNS
     d = len(cols)
     spare = itertools.count(8 * d + _LABEL_BYTES)
     formats, offsets = zip(*[
@@ -246,7 +211,7 @@ def _row_dtype(n_cols, cols):
                      "itemsize": -(-next(spare) // 8) * 8})
 
 
-def _read_line_by_line(path, header, idx):
+def _read_line_by_line(path, header):
     """The one per-line pass, for a file the fast read refuses: raise the
     file's first fault, in file order, or return (values, labels) as
     _read_dataset does when there is none. Each data row must have the
@@ -286,14 +251,14 @@ def _read_line_by_line(path, header, idx):
             raise ParseError(f"{path}: no data rows")
         try:
             values = np.loadtxt(itertools.chain([first], lines),
-                                delimiter=",", usecols=idx, comments=None,
-                                ndmin=2)
+                                delimiter=",", usecols=_FEATURE_COLUMNS,
+                                comments=None, ndmin=2)
         except UnicodeDecodeError:
             raise  # the file's fault, not a cell's: load_dataset names it
         except ValueError as exc:
             # loadtxt converts each line as it reads it, so the failing
             # cell is in the last line the generator yielded.
-            for col_i in idx:
+            for col_i in _FEATURE_COLUMNS:
                 try:
                     float(parts[col_i])
                 except ValueError:
@@ -304,7 +269,8 @@ def _read_line_by_line(path, header, idx):
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
-        raise ParseError(f"row {rows[i]}, column {NSL_KDD_COLUMNS[idx[j]]!r}: "
+        raise ParseError(f"row {rows[i]}, "
+                         f"column {NSL_KDD_COLUMNS[_FEATURE_COLUMNS[j]]!r}: "
                          f"non-finite value {float(values[i, j])!r}")
     return values, np.array(names)
 
@@ -321,15 +287,11 @@ def partition_non_iid(dataset: Dataset, n_clients):
 
     Returns (shards as one C-contiguous (n_clients, d, width) stack,
     n_dropped). Fewer than one client, or more clients than benign
-    records, is an EmptyShard; a dataset without SORT_FEATURE is a
-    MissingFeature.
+    records, is an EmptyShard.
     """
     if n_clients < 1:
         raise EmptyShard(f"n_clients must be at least 1, got {n_clients}")
-    try:
-        fpos = dataset.features.index(SORT_FEATURE)
-    except ValueError:
-        raise MissingFeature(f"sort feature {SORT_FEATURE!r} not in feature list")
+    fpos = DEFAULT_FEATURES.index(SORT_FEATURE)
     pool = np.flatnonzero(dataset.labels == "normal")
     if n_clients > pool.size:
         raise EmptyShard(f"{n_clients} clients but only {pool.size} benign "

@@ -42,7 +42,7 @@ class LengthMismatch(FedsgError):
 
 class InputError(FedsgError):
     """Base class for faults in input from outside the program (files,
-    labels, feature names); the CLI exits 2 for them, not 1."""
+    labels, values); the CLI exits 2 for them, not 1."""
 
 
 class AllOneClass(InputError):
@@ -56,10 +56,6 @@ class ParseError(InputError):
 
 class UnknownLabel(InputError):
     """A record label is outside the configured label map."""
-
-
-class MissingFeature(InputError):
-    """A named feature is absent from the loaded records."""
 
 
 class EmptyShard(InputError):

@@ -42,8 +42,7 @@ import numpy as np
 from fedsg.data import (DEFAULT_FEATURES, DEFAULT_LABEL_MAP, LABEL_COLUMN,
                         NSL_KDD_COLUMNS, apply_zscore)
 from fedsg.detection import confusion_counts, score_matrix
-from fedsg.errors import (MissingFeature, ParseError, RankDeficient,
-                          UnknownLabel)
+from fedsg.errors import ParseError, RankDeficient, UnknownLabel
 from fedsg.federation import initial_pair
 from fedsg.grassmann import retract
 from fedsg.objective import FactorPair, loss
@@ -180,18 +179,12 @@ def thinned_sweep(errors, labels):
             sweep_roc_and_pr(errors, labels)[2])
 
 
-def parse_records(path, feature_list=None):
+def parse_records(path):
     """load_dataset one row and one cell at a time with float().
 
     Returns (d x m values, list of class names, list of row numbers) and
     raises the same errors, in file order, with the same messages."""
-    features = list(DEFAULT_FEATURES if feature_list is None else feature_list)
-    if not features:
-        raise MissingFeature("empty feature list")
-    missing = [f for f in features if f not in NSL_KDD_COLUMNS]
-    if missing:
-        raise MissingFeature(f"{missing[0]!r} is not an NSL-KDD column")
-    idx = [NSL_KDD_COLUMNS.index(f) for f in features]
+    idx = [NSL_KDD_COLUMNS.index(f) for f in DEFAULT_FEATURES]
     values, labels, rows = [], [], []
     with open(path) as fh:
         n_cols = None

@@ -68,6 +68,8 @@ def test_train_requires_source(tmp_path):
      "no_such_key"),
     (["--data", "nope.csv", "--synthetic", SYNTH],
      "--data and --synthetic are mutually exclusive"),
+    (["--data", "", "--synthetic", SYNTH],
+     "--data and --synthetic are mutually exclusive"),
     (["--synthetic", SYNTH, "--eta", "nan"], "eta must be positive and finite"),
     (["--synthetic", SYNTH, "--eta", "inf"], "eta must be positive and finite"),
     (["--synthetic", json.dumps({"n_clients": 4, "anomaly_offset": NAN})],
@@ -109,7 +111,8 @@ def test_train_requires_source(tmp_path):
     (["--synthetic", "default", "--sample-fraction", "0.01"],
      "DimensionMismatch: sample_fraction * n_clients = 0.01 * 20 is below 1"),
 ], ids=["negative_eta", "zero_sample_fraction", "rank_above_width",
-        "unknown_synthetic_key", "data_and_synthetic", "nan_eta", "inf_eta",
+        "unknown_synthetic_key", "data_and_synthetic",
+        "empty_data_and_synthetic", "nan_eta", "inf_eta",
         "nan_anomaly_offset", "inf_anomaly_offset", "nan_noise",
         "negative_n_test", "zero_n_test", "zero_d", "zero_width",
         "zero_n_clients", "zero_rank", "negative_rank", "float_width",
@@ -537,18 +540,16 @@ def csv_run(tmp_path):
     return out
 
 
-@pytest.mark.parametrize("flag,value", [("--features", "/nonexistent.txt"),
-                                        ("--clients", "4")])
+@pytest.mark.parametrize("flag,value", [("--clients", "4")])
 def test_train_csv_flag_without_data_is_usage_error(tmp_path, capsys, flag,
                                                     value):
-    """Synthetic records have no named features, and the spec sets the
-    client count, so the flags that shape a CSV partition must not be
-    dropped there, even when --clients equals the spec's n_clients."""
+    """The spec sets the client count, so the flag that shapes a CSV
+    partition must not be dropped there, even when --clients equals the
+    spec's n_clients."""
     out = tmp_path / "o"
     assert main(["train", *TRAIN_ARGS, flag, value, "--out", str(out)]) == 2
-    reason = ("the --synthetic spec sets n_clients" if flag == "--clients"
-              else "synthetic records have no named features")
-    assert capsys.readouterr().err == f"error: {flag} needs --data: {reason}\n"
+    assert capsys.readouterr().err == (f"error: {flag} needs --data: the "
+                                       f"--synthetic spec sets n_clients\n")
     assert not out.exists()
 
 
@@ -587,23 +588,6 @@ def test_train_csv_config_beyond_the_data_is_input_error(csv_run, tmp_path,
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.parent.exists()
-
-
-def test_feature_list_without_the_sort_feature_is_input_error(csv_run,
-                                                             tmp_path,
-                                                             capsys):
-    """The CSV partition sorts by dst_bytes, so a --features list
-    without it exits 2 naming it, and --out is not made."""
-    features = tmp_path / "features.txt"
-    features.write_text("count\nsrc_bytes\nhot\n")
-    out = tmp_path / "o"
-    capsys.readouterr()
-    assert main(["train", "--data", str(tmp_path / "train.csv"),
-                 "--features", str(features), "--out", str(out),
-                 *CSV_TRAIN_ARGS]) == 2
-    assert capsys.readouterr().err == ("error: MissingFeature: sort feature "
-                                       "'dst_bytes' not in feature list\n")
-    assert not out.exists()
 
 
 def test_csv_train_partitions_among_100_clients_by_default(csv_run, tmp_path,
@@ -674,50 +658,6 @@ def test_train_unknown_label_is_input_error(tmp_path, capsys):
     assert main(["train", "--data", str(bad), "--out", str(tmp_path / "o"),
                  *CSV_TRAIN_ARGS]) == 2
     assert "UnknownLabel" in capsys.readouterr().err
-
-
-def test_train_empty_feature_list_is_input_error(tmp_path, capsys):
-    """A list without names must not train on the default features."""
-    rng = np.random.default_rng(1)
-    train = tmp_path / "train.csv"
-    train.write_text("\n".join(_csv_row(rng, "normal", i)
-                               for i in range(40)) + "\n")
-    features = tmp_path / "empty.txt"
-    features.write_text("# no names\n\n")
-    out = tmp_path / "run"
-    assert main(["train", "--data", str(train), "--features", str(features),
-                 "--out", str(out), *CSV_TRAIN_ARGS]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: ParseError: {features}: no feature names\n"
-    assert not (out / "prep.npz").exists()
-
-
-@pytest.mark.parametrize("content,message", [
-    (b"count\n\xff\xfe bad\n",
-     "ParseError: PATH: not utf-8 text: invalid start byte"),
-    (b"count\ndst_bytes\n# again:\ncount\nhot\n",
-     "ParseError: PATH: feature 'count' listed twice"),
-    (b"count\nfoo\ndst_bytes\nbar\n",
-     "MissingFeature: 'foo' is not an NSL-KDD column"),
-], ids=["undecodable", "duplicate", "unknown"])
-def test_train_faulty_feature_list_is_input_error(tmp_path, capsys, content,
-                                                  message):
-    """A --features file that is not text, that names a feature twice
-    (which would train on a duplicated column) or that names one outside
-    the NSL-KDD columns, exits 2 with one line; of several unknown names
-    the first is named."""
-    rng = np.random.default_rng(1)
-    train = tmp_path / "train.csv"
-    train.write_text("\n".join(_csv_row(rng, "normal", i)
-                               for i in range(40)) + "\n")
-    features = tmp_path / "features.txt"
-    features.write_bytes(content)
-    out = tmp_path / "run"
-    assert main(["train", "--data", str(train), "--features", str(features),
-                 "--out", str(out), *CSV_TRAIN_ARGS]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {message.replace('PATH', str(features))}\n"
-    assert not (out / "prep.npz").exists()
 
 
 def test_eval_empty_csv_is_input_error(csv_run, tmp_path, capsys):
@@ -847,25 +787,28 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["train", "--data", "TMP/train.csv", "--features", "TMP/nope.txt",
-      "--out", "TMP/o"], "feature list not found: TMP/nope.txt"),
-    (["train", "--data", "TMP/train.csv", "--features", "",
-      "--out", "TMP/o"], "feature list not found: "),
     (["eval", "--checkpoint", "TMP/nope.bin"],
      "checkpoint not found: TMP/nope.bin"),
     (["sweep", "--checkpoint", "TMP/nope.bin"],
      "checkpoint not found: TMP/nope.bin"),
     (["bench", "--checkpoint", "TMP/nope.bin", "--iters", "10"],
      "checkpoint not found: TMP/nope.bin"),
-], ids=["features", "empty_features", "eval_checkpoint",
-        "sweep_checkpoint", "bench_checkpoint"])
+    (["train", "--data", "", "--out", "TMP/o"], "data path not found: "),
+    (["eval", "--checkpoint", "TMP/run/checkpoint.bin", "--data", "",
+      "--out", "TMP/o"], "data path not found: "),
+    (["sweep", "--checkpoint", "TMP/run/checkpoint.bin", "--data", "",
+      "--out", "TMP/o"], "data path not found: "),
+], ids=["eval_checkpoint", "sweep_checkpoint", "bench_checkpoint",
+        "train_empty_data", "eval_empty_data", "sweep_empty_data"])
 def test_missing_input_file_is_usage_error(csv_run, tmp_path, capsys, argv,
                                            message):
-    """csv_run writes TMP/train.csv, a valid training file."""
+    """csv_run writes TMP/train.csv, a valid training file, and its run
+    in TMP/run. An empty --data is a path, not a missing flag."""
     def fill(text):
         return text.replace("TMP", str(tmp_path))
     assert main([fill(a) for a in argv]) == 2
     assert capsys.readouterr().err == f"error: {fill(message)}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def _undecodable_rows(rng, where):
@@ -900,7 +843,8 @@ def test_undecodable_csv_is_input_error(csv_run, tmp_path, capsys, where):
     ["train", *TRAIN_ARGS, "--config", "f.json"],
     ["train", "--data", "train.csv", "--sort-feature", "dst_bytes"],
     ["bench", "--checkpoint", "checkpoint.bin", "--data", "x.npz"],
-], ids=["rho", "config", "sort_feature", "bench_data"])
+    ["train", "--data", "train.csv", "--features", "f.txt"],
+], ids=["rho", "config", "sort_feature", "bench_data", "features"])
 def test_train_rho_flag_is_gone(tmp_path, argv):
     """A flag removed from the CLI is an argparse usage error (exit 2),
     raised before any file is read."""
@@ -948,20 +892,29 @@ def test_round_robin_zscore_matches_per_client_loop(csv_run, tmp_path,
                               slice=None)
     errors, _, _ = _load_eval_inputs(args)
     prep = np.load(csv_run / "prep.npz")
-    features = [str(f) for f in prep["features"]]
-    values = load_dataset(test, feature_list=features).values
+    values = load_dataset(test).values
     want = round_robin_errors(pair.u, prep["means"], prep["stds"], values)
     np.testing.assert_array_max_ulp(errors, want, maxulp=0)
 
 
-@pytest.mark.parametrize("command", ["eval", "sweep"])
+# An empty --slice is one empty class name, not a missing flag.
+SLICES = [pytest.param(command, value, id=command + suffix)
+          for suffix, value in (("", "r2l,r2lx"), ("-empty", ""))
+          for command in ("eval", "sweep")]
+
+
+@pytest.mark.parametrize("command,value", SLICES)
 def test_unknown_slice_class_is_usage_error(csv_run, tmp_path, capsys,
-                                            command):
+                                            command, value):
     test = _attack_mix_csv(tmp_path / "test.csv", 12, seed=6)
+    out = tmp_path / "o"
     assert main([command, "--checkpoint", str(csv_run / "checkpoint.bin"),
-                 "--data", str(test), "--slice", "r2l,r2lx"]) == 2
+                 "--data", str(test), "--slice", value,
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: UnknownLabel: ") and "'r2lx'" in err
+    unknown = repr(value.split(",")[-1])
+    assert err.startswith("error: UnknownLabel: ") and unknown in err
+    assert not out.exists()
 
 
 def _resave(**change):
@@ -1001,12 +954,9 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
      lambda p: p.write_bytes((p.parent / "synth_test.npz").read_bytes()),
      "eval", NOT_NPY),
     ("csv_run", "prep.npz", lambda p: p.write_text("junk\n"), "eval",
-     "PATH: not an .npz file with a 'means' and a 'stds' and a 'features' "
-     "array"),
-    ("csv_run", "prep.npz",
-     lambda p: np.savez(p, means=np.zeros((4, 34)), stds=np.ones((4, 34))),
-     "sweep", "PATH: not an .npz file with a 'means' and a 'stds' and a "
-              "'features' array"),
+     "PATH: not an .npz file with a 'means' and a 'stds' array"),
+    ("csv_run", "prep.npz", lambda p: np.savez(p, means=np.zeros((4, 34))),
+     "sweep", "PATH: not an .npz file with a 'means' and a 'stds' array"),
     ("run_dir", "train_errors.npy", lambda p: np.save(p, np.zeros((3, 3))),
      "eval", SHAPE.format("the training errors", "a non-empty float array",
                           "(n,)", "float64", "(3, 3)")),
@@ -1053,31 +1003,23 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
     ("csv_run", "prep.npz", _resave(stds=lambda s: s[:3]), "eval",
      SHAPE.format("'stds'", "a non-empty float array", "(4, 34)",
                   "float64", "(3, 34)")),
-    ("csv_run", "prep.npz", _resave(features=lambda f: np.array("count")),
-     "eval", SHAPE.format("'features'", "a string array", "(34,)", "<U5",
-                          "()")),
-    ("csv_run", "prep.npz", _resave(features=lambda f: f[:3]), "sweep",
-     SHAPE.format("'features'", "a string array", "(34,)", "<U27", "(3,)")),
-    ("csv_run", "prep.npz", _resave(features=_with("duration", 1)), "eval",
-     "PATH: feature 'duration' listed twice in 'features'"),
     ("csv_run", "prep.npz", lambda p: p.unlink(), "sweep",
      "no prep.npz next to the checkpoint: PATH"),
 ], ids=["synth_test_junk", "synth_test_without_test", "train_errors_empty",
-        "train_errors_npz", "prep_junk", "prep_without_features",
+        "train_errors_npz", "prep_junk", "prep_without_stds",
         "train_errors_2d", "train_errors_strings", "train_errors_nan",
         "train_errors_no_entries", "train_errors_missing", "synth_test_1d",
         "synth_test_nan", "synth_test_short_labels",
         "synth_test_float_labels", "synth_test_nan_labels",
         "synth_test_string_labels", "synth_test_missing", "prep_nan_mean",
         "prep_zero_std", "prep_tiny_std", "prep_narrow_means",
-        "prep_stds_of_another_shape", "prep_0d_features", "prep_3_features",
-        "prep_duplicate_feature", "prep_missing"])
+        "prep_stds_of_another_shape", "prep_missing"])
 def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
                                             name, write, command, message):
     """A stored run file that is missing, unreadable, of the wrong shape or
-    dtype, or holds a non-finite value, a std below train's 1e-12 floor
-    or a feature named twice exits 2 with one line naming it, and writes
-    no metrics, curve or sweep file."""
+    dtype, or holds a non-finite value or a std below train's 1e-12 floor
+    exits 2 with one line naming it, and writes no metrics, curve or
+    sweep file."""
     out = request.getfixturevalue(run)
     write(out / name)
     argv = [command, "--checkpoint", str(out / "checkpoint.bin")]
@@ -1091,21 +1033,30 @@ def test_unreadable_artifact_is_usage_error(request, tmp_path, capsys, run,
                 "sweep.csv"} & {p.name for p in out.iterdir()}
 
 
-def test_prep_with_empty_feature_list_is_input_error(csv_run, tmp_path,
-                                                    capsys):
-    """An empty feature list must not score with the default features:
-    it is refused as a list of another length than the checkpoint's d."""
-    with np.load(csv_run / "prep.npz") as prep:
-        stats = {key: prep[key] for key in ("means", "stds")}
-    path = csv_run / "prep.npz"
-    np.savez(path, **stats, features=np.array([], dtype="<U1"))
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_csv_eval_of_a_checkpoint_whose_d_is_not_34_is_input_error(
+        tmp_path, capsys, monkeypatch, command):
+    """A CSV is read into the 34 default features, so a d=4 checkpoint
+    beside a (n, 4) prep.npz is refused before the CSV is parsed."""
+    run = tmp_path / "run"
+    spec = json.dumps({"d": 4, "width": 20, "n_clients": 4, "rank": 2,
+                       "n_test": 50})
+    assert main(["train", "--synthetic", spec, "--rounds", "2",
+                 "--sample-fraction", "1.0", "--rank", "2",
+                 "--out", str(run)]) == 0
+    np.savez(run / "prep.npz", means=np.zeros((4, 4)), stds=np.ones((4, 4)))
     test = _attack_mix_csv(tmp_path / "t.csv", 12, 6)
-    assert main(["eval", "--checkpoint", str(csv_run / "checkpoint.bin"),
-                 "--data", str(test)]) == 2
-    assert capsys.readouterr().err == "error: " + SHAPE.format(
-        "'features'", "a string array", "(34,)", "<U1", "(0,)").replace(
-        "PATH", str(path)) + "\n"
-    assert not (csv_run / "metrics.json").exists()
+
+    def parse(*args):
+        raise AssertionError("the CSV was parsed")
+    monkeypatch.setattr("fedsg.cli.load_dataset", parse)
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(test), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: DimensionMismatch: checkpoint d=4, but a CSV is read into "
+        "the 34 default features\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("source", ["csv", "synthetic"])
@@ -1132,11 +1083,11 @@ def test_one_class_test_set_is_input_error(request, tmp_path, capsys,
                                        "required for ROC/PR\n")
 
 
-@pytest.mark.parametrize("command", ["eval", "sweep"])
-def test_slice_without_data_is_usage_error(run_dir, capsys, command):
+@pytest.mark.parametrize("command,value", SLICES)
+def test_slice_without_data_is_usage_error(run_dir, capsys, command, value):
     """The stored synthetic test set has boolean labels, no classes."""
     assert main([command, "--checkpoint", str(run_dir / "checkpoint.bin"),
-                 "--slice", "r2l,u2r"]) == 2
+                 "--slice", value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --slice needs --data")
     assert not (run_dir / "metrics.json").exists()

@@ -13,11 +13,10 @@ from fedsg import data as data_module
 from fedsg.data import (DEFAULT_FEATURES, NSL_KDD_COLUMNS, SORT_FEATURE,
                         SynthSpec, apply_zscore, filter_slice,
                         generate_synthetic, load_dataset, partition_non_iid,
-                        read_feature_list, zscore_fit_apply,
-                        zscore_round_robin)
+                        zscore_fit_apply, zscore_round_robin)
 from fedsg.detection import score_matrix
-from fedsg.errors import (EmptyShard, FedsgError, MissingFeature,
-                          ParseError, ShapeMismatch, UnknownLabel)
+from fedsg.errors import (EmptyShard, FedsgError, ParseError, ShapeMismatch,
+                          UnknownLabel)
 from fedsg.grassmann import GrassmannPoint
 
 from oracles import (parse_records, per_client_synthetic_shards,
@@ -244,28 +243,14 @@ def _faulty_lines(fault):
     "short_row_before_nan", "nan_after_unknown_label",
     "nul_label_before_short_row", "short_row_before_unknown_label",
     "unknown_label_before_non_numeric", "no_label_column",
-    "header_then_faulty_first_row", "empty_feature_list", "unknown_feature"])
+    "header_then_faulty_first_row"])
 def test_load_dataset_errors_match_parser_oracle(tmp_path, fault):
-    """A faulty file, or a clean one read with an empty feature list,
-    which is used as given, never replaced by the defaults, or with a
-    list naming a feature that is not an NSL-KDD column."""
-    kwargs = {"empty_feature_list": {"feature_list": []},
-              "unknown_feature": {"feature_list": ["count", "foo", "bar"]},
-              }.get(fault, {})
     path = tmp_path / "bad.csv"
     _write_csv(path, _faulty_lines(fault))
     with pytest.raises(FedsgError) as want:
-        parse_records(path, **kwargs)
+        parse_records(path)
     with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-        load_dataset(path, **kwargs)
-
-
-def test_load_dataset_reads_a_feature_named_twice(toy_csv):
-    features = ["count", "dst_bytes", "count"]
-    values, labels, _ = parse_records(toy_csv, features)
-    data = load_dataset(toy_csv, features)
-    assert data.values.tobytes() == values.tobytes()
-    assert data.labels.tolist() == labels
+        load_dataset(path)
 
 
 def test_load_dataset_non_numeric_names_row_and_column(tmp_path):
@@ -307,18 +292,20 @@ def test_load_dataset_round_trips_repr(mat):
         with open(path, "w") as fh:
             for row in mat:
                 fh.write(_nsl_line(**{c: repr(float(x)) for c, x
-                                      in zip(NSL_KDD_COLUMNS, row)}) + "\n")
-        data = load_dataset(path, feature_list=NSL_KDD_COLUMNS[:d])
-    assert data.values.tobytes() == mat.T.tobytes()
+                                      in zip(DEFAULT_FEATURES, row)}) + "\n")
+        data = load_dataset(path)
+    assert data.values[:d].tobytes() == mat.T.tobytes()
+    assert not data.values[d:].any()
     assert data.labels.tolist() == ["normal"] * m
 
 
-# Lines of small NSL-KDD files whose two features are column `col` (0 to
-# 39) and column 40, next to the label: padded, non-finite, non-numeric
-# and empty cells, label spellings (one padded with a non-latin-1 space,
-# one ending in NUL), blank lines of several kinds of whitespace and a
-# row with an extra cell after the label, plain or holding a NUL. Each
-# line ends in any line end or none, which joins it to the next.
+# Lines of small NSL-KDD files that vary column `col` (0 to 39, a default
+# feature or not) and column 40, a default feature, next to the label:
+# padded, non-finite, non-numeric and empty cells, label spellings (one
+# padded with a non-latin-1 space, one ending in NUL), blank lines of
+# several kinds of whitespace and a row with an extra cell after the
+# label, plain or holding a NUL. Each line ends in any line end or none,
+# which joins it to the next.
 _FUZZ_CELL = st.sampled_from(["0", "1.5", " -2e3 ", "\u00a07", "nan", "inf",
                               "x", ""])
 _FUZZ_LABEL = st.sampled_from(["normal", " Normal. ", "\u2003neptune",
@@ -348,13 +335,13 @@ def test_load_dataset_matches_parser_oracle_on_random_text(
         header, col, lines, chunk_bytes):
     """Small chunks put line ends, and the \\r and \\n of a \\r\\n, on
     either side of a chunk boundary."""
-    features = [NSL_KDD_COLUMNS[col], NSL_KDD_COLUMNS[40]]
+    varied = [NSL_KDD_COLUMNS[col], NSL_KDD_COLUMNS[40]]
 
     def row(line):
         if isinstance(line, str):
             return line
         a, label, b = line
-        return _nsl_line(label, **dict(zip(features, (a, b))))
+        return _nsl_line(label, **dict(zip(varied, (a, b))))
     text = (",".join(NSL_KDD_COLUMNS + ["label"]) + "\n" if header else ""
             ) + "".join(row(line) + end for line, end in lines)
     with tempfile.TemporaryDirectory() as tmp, \
@@ -363,12 +350,12 @@ def test_load_dataset_matches_parser_oracle_on_random_text(
         with open(path, "w", newline="") as fh:
             fh.write(text)
         try:
-            values, labels, rows = parse_records(path, features)
+            values, labels, rows = parse_records(path)
         except FedsgError as want:
             with pytest.raises(type(want), match=re.escape(str(want))):
-                load_dataset(path, features)
+                load_dataset(path)
             return
-        data = load_dataset(path, features)
+        data = load_dataset(path)
     assert data.values.tobytes() == values.tobytes()
     assert data.labels.tolist() == labels
 
@@ -400,13 +387,6 @@ def test_partition_excludes_attacks(toy_csv):
     benign = data.values[:, data.labels == "normal"]
     got = np.hstack(list(shards))
     assert sorted(map(tuple, got.T)) == sorted(map(tuple, benign.T))
-
-
-def test_partition_missing_feature(toy_csv):
-    data = load_dataset(toy_csv, feature_list=["duration", "src_bytes"])
-    with pytest.raises(MissingFeature, match="^sort feature 'dst_bytes' not "
-                                             "in feature list$"):
-        partition_non_iid(data, 3)
 
 
 def test_partition_constant_feature_stable(toy_csv):
@@ -527,24 +507,6 @@ def test_filter_slice_rejects_unknown_class():
     labels = ("normal", "dos", "r2l")
     with pytest.raises(UnknownLabel, match="r2lx"):
         filter_slice(np.zeros(3), labels, ["r2l", "r2lx"])
-
-
-def test_read_feature_list(tmp_path):
-    path = tmp_path / "features.txt"
-    path.write_text("# comment\nduration\n\nsrc_bytes\n")
-    assert read_feature_list(path) == ["duration", "src_bytes"]
-
-
-def test_partition_sorts_by_the_loaded_feature_order(toy_csv):
-    features = ["duration", "dst_bytes"]
-    data = load_dataset(toy_csv, feature_list=features)
-    assert data.features == tuple(features)
-    shards, _ = partition_non_iid(data, 3)
-    assert np.array_equal(np.hstack(list(shards))[1],
-                          np.arange(30.0))
-    without = load_dataset(toy_csv, feature_list=["duration"])
-    with pytest.raises(MissingFeature):
-        partition_non_iid(without, 3)
 
 
 def test_synthetic_noiseless_benign_on_subspace():
