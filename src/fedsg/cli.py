@@ -23,12 +23,15 @@ not grow with --iters.
 
 Outputs per run directory: manifest.json, trace.csv, checkpoint.bin,
 train_errors.npy, prep.npz (normalization stats) or synth_test.npz,
-and from evaluation: metrics.json, metrics.csv, roc.csv, pr.csv,
-sweep.csv, bench.json.
+and from evaluation: metrics.json, roc.csv, pr.csv, sweep.csv,
+bench.json. eval and bench each write their report through _write_json
+and print the same object: eval's names rho and its threshold tau
+beside the metrics.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage or input
-error, a MemoryError included (an input too large for memory);
-README's "Exit codes" section lists the input errors by command.
+error, a MemoryError included (an input too large for memory), as is
+an OSError (an artifact that cannot be written); README's "Exit codes"
+section lists the input errors by command.
 """
 
 import argparse
@@ -50,7 +53,7 @@ from .data import (DEFAULT_FEATURES, SORT_FEATURE, STD_FLOOR, SynthSpec,
                    filter_slice, generate_synthetic, load_dataset,
                    partition_non_iid, zscore_fit_apply, zscore_round_robin)
 from .detection import (evaluate, fit_threshold, fit_thresholds, roc_and_pr,
-                        score, score_matrix, write_curve, write_metrics)
+                        score, score_matrix, write_curve)
 from .errors import DimensionMismatch, FedsgError, InputError
 from .federation import (CHECKPOINT_HEADER_BYTES, FedConfig, load_checkpoint,
                          run_fedsg, save_checkpoint, write_trace_csv)
@@ -164,12 +167,10 @@ def _parse_synth_spec(arg, seed):
     return _build(SynthSpec, raw)
 
 
-def _write_manifest(out_dir, payload):
-    payload = dict(payload)
-    payload["created_utc"] = datetime.now(timezone.utc).isoformat()
-    payload["fedsg_version"] = __version__
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _write_json(path, obj):
+    """Write obj as JSON with sorted keys, indented, and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -182,7 +183,7 @@ def cmd_train(args):
     config = _build(FedConfig, _fed_config_values(args))
     # The directory is made only after training (below).
     _check_output_dir(args.out)
-    manifest = {"command": "train",
+    manifest = {"command": "train", "fedsg_version": __version__,
                 "out_dir": os.path.abspath(args.out)}
 
     if args.synthetic is not None:
@@ -234,7 +235,8 @@ def cmd_train(args):
                     os.path.join(args.out, "checkpoint.bin"))
     write_trace_csv(traces, os.path.join(args.out, "trace.csv"))
     np.save(os.path.join(args.out, "train_errors.npy"), train_errors)
-    _write_manifest(args.out, manifest)
+    manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
     final = f"; final loss {traces[-1].global_loss:.6g}" if traces else ""
     print(f"trained {config.rounds} rounds{final}; artifacts in {args.out}")
     return 0
@@ -342,14 +344,13 @@ def cmd_eval(args):
     errors, labels, train_errors = _load_eval_inputs(args)
     tau = fit_threshold(train_errors, args.rho)
     roc, pr, auc = roc_and_pr(errors, labels)
-    report = dataclasses.replace(evaluate(errors, labels, tau), auc=auc)
+    metrics = dataclasses.replace(evaluate(errors, labels, tau), auc=auc)
+    report = {"rho": args.rho, "tau": tau, **dataclasses.asdict(metrics)}
     _output_dir(out)
-    write_metrics(report, os.path.join(out, "metrics.json"),
-                  os.path.join(out, "metrics.csv"))
+    _write_json(os.path.join(out, "metrics.json"), report)
     write_curve(*roc, os.path.join(out, "roc.csv"), ["fpr", "tpr"])
     write_curve(*pr, os.path.join(out, "pr.csv"), ["recall", "precision"])
-    print(json.dumps({"rho": args.rho, "tau": tau,
-                      **dataclasses.asdict(report)}, sort_keys=True))
+    print(json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -441,20 +442,15 @@ def cmd_bench(args):
         lat.add(time.perf_counter() - t0)
     # load_checkpoint refuses a file whose size is not the header plus
     # the payload its header declares.
-    size = os.path.getsize(args.checkpoint)
     report = {
         "iters": args.iters,
         "median_us": lat.percentile(50) * 1e6,
         "p99_us": lat.percentile(99) * 1e6,
-        "checkpoint_bytes": size,
-        "payload_bytes": size - CHECKPOINT_HEADER_BYTES,
-        "header_bytes": CHECKPOINT_HEADER_BYTES,
-        "payload_matches": True,
+        "payload_bytes": (os.path.getsize(args.checkpoint)
+                          - CHECKPOINT_HEADER_BYTES),
     }
     _output_dir(out)
-    with open(os.path.join(out, "bench.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "bench.json"), report)
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -519,6 +515,12 @@ def main(argv=None):
         # numpy names the size and shape it could not allocate.
         print(f"error: MemoryError: {exc or 'out of memory'}",
               file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # An artifact that cannot be written: a directory in its place,
+        # no permission, a full disk. A write to an open file names none.
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 2
 
 

@@ -96,11 +96,12 @@ def load_dataset(path) -> Dataset:
     record per row (the features as float64, the raw label as bytes and
     a byte of each other column), checking that every row has the column
     count of the first, and each distinct label is mapped once. values
-    is a view of those records. Valid files that these fixed-width
-    records cannot hold exactly are parsed line by line instead: one
-    with a NUL byte outside a label, a label that is not ASCII (such as
-    "\u2003neptune") or one that fills its field (_LABEL_BYTES), and a
-    cell outside the features that is not latin-1 text.
+    is a view of those records. Valid files that np.loadtxt refuses or
+    that these fixed-width records cannot hold exactly are parsed line
+    by line instead: one with a line of whitespace, a NUL byte outside a
+    label, a label that is not ASCII (such as "\u2003neptune") or one
+    that fills its field (_LABEL_BYTES), and a cell outside the features
+    that is not latin-1 text.
 
     Raises ParseError with the offending row/column (a non-numeric or
     non-finite value, a row whose column count is not the first row's,
@@ -121,11 +122,10 @@ def _read_dataset(path):
     """load_dataset's parse: returns the m x d values and the m class
     names.
 
-    A file with a line of whitespace, which np.loadtxt takes for a row,
-    is read again as its stripped non-empty lines. Anything else either
-    read refuses goes to _read_line_by_line, as do a NUL byte, a label
-    that is not ASCII or fills its field, an unmapped label and a
-    non-finite value."""
+    np.loadtxt reads the path once. A file it refuses goes to
+    _read_line_by_line, as do a NUL byte, a label that is not ASCII or
+    fills its field, an unmapped label and a non-finite value; so does a
+    file with a line of whitespace, which np.loadtxt takes for a row."""
     with open(path) as fh:
         lines = ((i, s) for i, line in enumerate(fh) if (s := line.strip()))
         row_no, first = next(lines, (0, ""))
@@ -157,11 +157,7 @@ def _read_dataset(path):
             warnings.filterwarnings("ignore", "Input line", UserWarning)
             table = np.loadtxt(path, **read)
     except ValueError:
-        with open(path) as fh:
-            try:
-                table = np.loadtxt(filter(None, map(str.strip, fh)), **read)
-            except ValueError:
-                return _read_line_by_line(path, header)
+        return _read_line_by_line(path, header)
 
     records = table.view({"names": ["values", "label"],
                           "formats": [("f8", (len(_FEATURE_COLUMNS),)),

@@ -10,8 +10,7 @@ samples and has no meaning for one new record.
 """
 
 import csv
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,18 +205,6 @@ def self_svd_baseline(train_shards, test_sets, k: int, rho: float):
     _, _, auc = roc_and_pr(np.concatenate(pooled_errs),
                            np.concatenate(pooled_labels))
     return replace(metrics_from_counts(*totals), auc=auc)
-
-
-def write_metrics(report: MetricsReport, json_path, csv_path):
-    flat = asdict(report)
-    with open(json_path, "w") as fh:
-        json.dump(flat, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "value"])
-        for key, val in sorted(flat.items()):
-            w.writerow([key, val])
 
 
 def write_curve(x, y, path, header):

@@ -70,9 +70,14 @@ class FedConfig:
 
     def n_sampled(self, n_clients: int) -> int:
         """Clients sampled per round: ceil(sample_fraction * n_clients) on
-        the decimal given: 0.07 * 100 gives 7, not the 8 of binary floats."""
-        return math.ceil(Fraction(repr(float(self.sample_fraction)))
-                         * n_clients)
+        the decimal given: 0.07 * 100 gives 7, not the 8 of binary floats.
+        A product below 1 is a DimensionMismatch."""
+        share = Fraction(repr(float(self.sample_fraction))) * n_clients
+        if share < 1:
+            raise DimensionMismatch(f"sample_fraction * n_clients = "
+                                    f"{self.sample_fraction!r} * "
+                                    f"{n_clients} is below 1")
+        return math.ceil(share)
 
 
 @dataclass(frozen=True)
@@ -182,9 +187,7 @@ def run_fedsg(config: FedConfig, shards):
         raise DimensionMismatch(f"rank k={config.k} exceeds min(d, B) = "
                                 f"{min(d, width)} of the {d} x {width} "
                                 f"training shards")
-    if config.sample_fraction * n < 1.0:
-        raise DimensionMismatch(f"sample_fraction * n_clients = "
-                                f"{config.sample_fraction!r} * {n} is below 1")
+    n_sample = config.n_sampled(n)
     energies = [float(np.vdot(s, s)) for s in shards]
     energy = sum(energies)
     if not energy < np.inf:
@@ -197,7 +200,6 @@ def run_fedsg(config: FedConfig, shards):
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
 
-    n_sample = config.n_sampled(n)
     per_client_bytes = config.k * (d + width) * 8
     traces = []
 

@@ -243,7 +243,7 @@ def test_criterion_11_inference_latency_and_payload(tmp_path):
     assert cli_main(["bench", "--checkpoint", str(path),
                      "--iters", "5000"]) == 0
     bench = json.loads((tmp_path / "bench.json").read_text())
-    payload_ok = bench["payload_matches"]
+    payload_ok = bench["payload_bytes"] == 8 * k * (d + width)  # 2,736
     median_us = bench["median_us"]
     _report(11, payload_ok and median_us < 1000.0,
             f"median scoring latency {median_us:.1f} us (< 1 ms); "

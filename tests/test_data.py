@@ -144,11 +144,11 @@ INGEST_VARIANTS = {
 }
 # long_label and label_past_field are faults. The other variants left out
 # are valid, but the fast read refuses them and the per-line pass reads
-# them: a NUL anywhere, a label that is not ASCII, or one as wide as the
-# label field.
+# them: a line of whitespace (np.loadtxt takes it for a row), a NUL
+# anywhere, a label that is not ASCII, or one as wide as the label field.
 WELL_FORMED = sorted(set(INGEST_VARIANTS) - {
-    "long_label", "label_past_field", "nul_in_service", "nbsp_label",
-    "label_fills_field"})
+    "long_label", "label_past_field", "blank_lines", "nbsp_lines",
+    "nul_in_service", "nbsp_label", "label_fills_field"})
 
 
 def _write_variant(path, variant, crlf):

@@ -40,6 +40,10 @@ def test_config_validation():
         FedConfig(sample_fraction=0.0)
     with pytest.raises(DimensionMismatch, match=r"0\.1 \* 4 is below 1"):
         run_fedsg(FedConfig(sample_fraction=0.1, k=2), np.ones((4, 3, 3)))
+    # The decimal product is 0.9999999999999999; the binary one rounds to 1.
+    with pytest.raises(DimensionMismatch,
+                       match=r"0\.3333333333333333 \* 3 is below 1"):
+        run_fedsg(FedConfig(sample_fraction=1 / 3, k=2), np.ones((3, 3, 3)))
     with pytest.raises(ValueError):
         FedConfig(eta=-1.0)
 
