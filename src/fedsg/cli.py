@@ -22,11 +22,11 @@ histogram of fixed size (log-spaced bins 1% wide), so its memory does
 not grow with --iters.
 
 Outputs per run directory: manifest.json, trace.csv, checkpoint.bin,
-train_errors.npy, prep.npz (normalization stats) or synth_test.npz,
-and from evaluation: metrics.json, roc.csv, pr.csv, sweep.csv,
-bench.json. eval and bench each write their report through _write_json
-and print the same object: eval's names rho and its threshold tau
-beside the metrics.
+train_errors.npy, prep.npz (a CSV run's per-client means and stds, or
+a synthetic run's test set and labels), and from evaluation:
+metrics.json, roc.csv, pr.csv, sweep.csv, bench.json. eval and bench
+each write their report through _write_json and print the same object:
+eval's names rho and its threshold tau beside the metrics.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage or input
 error, a MemoryError included (an input too large for memory), as is
@@ -87,7 +87,7 @@ def _check_output_dir(path):
     """path, if its nearest existing ancestor (path itself, if it exists)
     is a directory; an empty path, or one at or below a file, is a usage
     error. Commands check --out with this before their work and make it
-    with _output_dir after it, so a refused run leaves nothing behind."""
+    with os.makedirs after it, so a refused run leaves nothing behind."""
     probe = os.path.abspath(path) if path else ""
     while probe and not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -103,17 +103,6 @@ def _out_or_checkpoint_dir(args):
     if args.out is None:
         return os.path.dirname(os.path.abspath(args.checkpoint))
     return _check_output_dir(args.out)
-
-
-def _output_dir(path):
-    """path, created with its parents if missing; a path that cannot be
-    a directory (an existing file, or no permission) is a usage error."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot use {path} as output directory: "
-                         f"{exc.strerror}") from None
-    return path
 
 
 def _load_arrays(path, *names):
@@ -194,8 +183,7 @@ def cmd_train(args):
             shards, test, labels, _ = generate_synthetic(spec)
         manifest["dataset"] = {"kind": "synthetic",
                                "spec": dataclasses.asdict(spec)}
-        inputs_file, inputs = "synth_test.npz", {"test": test,
-                                                 "labels": labels}
+        inputs = {"test": test, "labels": labels}
     elif args.data is not None:
         _input_file(args.data, "data path")
         n_clients = DEFAULT_CLIENTS if args.clients is None else args.clients
@@ -219,7 +207,7 @@ def cmd_train(args):
                                "dropped_records": dropped,
                                "n_clients": n_clients,
                                "sort_feature": SORT_FEATURE}
-        inputs_file, inputs = "prep.npz", {"means": means, "stds": stds}
+        inputs = {"means": means, "stds": stds}
     else:
         raise UsageError("either --data or --synthetic is required")
 
@@ -229,8 +217,8 @@ def cmd_train(args):
 
     # Nothing is made or written before training succeeds, so a train
     # that fails leaves --out absent, or an earlier run in it as it was.
-    _output_dir(args.out)
-    np.savez(os.path.join(args.out, inputs_file), **inputs)
+    os.makedirs(args.out, exist_ok=True)
+    np.savez(os.path.join(args.out, "prep.npz"), **inputs)
     save_checkpoint(pair, config.rounds,
                     os.path.join(args.out, "checkpoint.bin"))
     write_trace_csv(traces, os.path.join(args.out, "trace.csv"))
@@ -259,31 +247,13 @@ def _check(path, what, x, kind, shape):
     return x
 
 
-def _stored(checkpoint, name, d=None):
-    """The checked arrays of the file `name` that train wrote beside the
-    checkpoint file, for a checkpoint of dimension d: the errors of
-    train_errors.npy, the records (one per column) and labels of
-    synth_test.npz, or the per-client means and stds of prep.npz. A
-    missing file, an array of the wrong dtype or shape, a non-finite
-    value or a std below data.STD_FLOOR is a usage error."""
+def _stored(checkpoint, name):
+    """The path of the file `name` that train wrote beside the checkpoint
+    file; a missing file is a usage error."""
     path = os.path.join(os.path.dirname(checkpoint), name)
     if not os.path.isfile(path):
         raise UsageError(f"no {name} next to the checkpoint: {path}")
-    if name == "train_errors.npy":
-        return _check(path, "the training errors", _load_arrays(path), "f",
-                      ("n",))
-    if name == "synth_test.npz":
-        test, labels = _load_arrays(path, "test", "labels")
-        _check(path, "'test'", test, "f", (d, "m"))
-        return test, _check(path, "'labels'", labels, "b", test.shape[1:])
-    means, stds = _load_arrays(path, "means", "stds")
-    _check(path, "'means'", means, "f", ("n", d))
-    _check(path, "'stds'", stds, "f", means.shape)
-    # Train records a std below STD_FLOOR as 1 (data.zscore_fit_apply); a
-    # smaller one would overflow the z-scores.
-    if not (stds >= STD_FLOOR).all():
-        raise UsageError(f"{path}: a value below {STD_FLOOR} in 'stds'")
-    return means, stds
+    return path
 
 
 def _scorable(errors, source):
@@ -299,7 +269,13 @@ def _scorable(errors, source):
 
 def _load_eval_inputs(args):
     """Returns (errors over test set, boolean attack labels, training
-    errors) for the U of the checkpoint file."""
+    errors) for the U of the checkpoint file. train_errors.npy and the
+    prep.npz arrays of the source (a CSV run's per-client means and stds
+    for --data, else a synthetic run's test records, one per column, and
+    labels) are checked before a test CSV is parsed: a missing file or
+    array (as in a prep.npz of the other source), a wrong dtype or
+    shape, a non-finite value or a std below data.STD_FLOOR is a usage
+    error."""
     u = load_checkpoint(_input_file(args.checkpoint, "checkpoint"))[0].u
     d = u.n
     if args.data is not None:
@@ -308,7 +284,21 @@ def _load_eval_inputs(args):
             raise DimensionMismatch(f"checkpoint d={d}, but a CSV is read "
                                     f"into the {len(DEFAULT_FEATURES)} "
                                     f"default features")
-        means, stds = _stored(args.checkpoint, "prep.npz", d)
+    elif args.slice is not None:
+        raise UsageError("--slice needs --data: the stored synthetic test "
+                         "set has no attack classes")
+    path = _stored(args.checkpoint, "train_errors.npy")
+    train_errors = _check(path, "the training errors", _load_arrays(path),
+                          "f", ("n",))
+    prep = _stored(args.checkpoint, "prep.npz")
+    if args.data is not None:
+        means, stds = _load_arrays(prep, "means", "stds")
+        _check(prep, "'means'", means, "f", ("n", d))
+        _check(prep, "'stds'", stds, "f", means.shape)
+        # Train records a std below STD_FLOOR as 1 (data.zscore_fit_apply);
+        # a smaller one would overflow the z-scores.
+        if not (stds >= STD_FLOOR).all():
+            raise UsageError(f"{prep}: a value below {STD_FLOOR} in 'stds'")
         data = load_dataset(args.data)
         # Round-robin test assignment: record i is normalised with the
         # statistics of client i % n_clients.
@@ -317,18 +307,16 @@ def _load_eval_inputs(args):
         labels = (data.labels if args.slice is not None
                   else data.labels != "normal")
         source = args.data
-    elif args.slice is not None:
-        raise UsageError("--slice needs --data: the stored synthetic test "
-                         "set has no attack classes")
     else:
-        records, labels = _stored(args.checkpoint, "synth_test.npz", d)
-        source = os.path.join(os.path.dirname(args.checkpoint),
-                              "synth_test.npz")
+        records, labels = _load_arrays(prep, "test", "labels")
+        _check(prep, "'test'", records, "f", (d, "m"))
+        _check(prep, "'labels'", labels, "b", records.shape[1:])
+        source = prep
     with np.errstate(over="ignore", invalid="ignore"):
         errors = _scorable(score_matrix(u, records), source)
     if args.slice is not None:
         errors, labels = filter_slice(errors, labels, args.slice.split(","))
-    return errors, labels, _stored(args.checkpoint, "train_errors.npy")
+    return errors, labels, train_errors
 
 
 def _check_rho(rho):
@@ -346,7 +334,7 @@ def cmd_eval(args):
     roc, pr, auc = roc_and_pr(errors, labels)
     metrics = dataclasses.replace(evaluate(errors, labels, tau), auc=auc)
     report = {"rho": args.rho, "tau": tau, **dataclasses.asdict(metrics)}
-    _output_dir(out)
+    os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "metrics.json"), report)
     write_curve(*roc, os.path.join(out, "roc.csv"), ["fpr", "tpr"])
     write_curve(*pr, os.path.join(out, "pr.csv"), ["recall", "precision"])
@@ -384,7 +372,7 @@ def cmd_sweep(args):
     grid = _parse_grid(args.rho_grid)
     out = _out_or_checkpoint_dir(args)
     errors, labels, train_errors = _load_eval_inputs(args)
-    _output_dir(out)
+    os.makedirs(out, exist_ok=True)
     rows = []
     for rho, tau in zip(grid, fit_thresholds(train_errors, grid).tolist()):
         rep = evaluate(errors, labels, tau)
@@ -449,7 +437,7 @@ def cmd_bench(args):
         "payload_bytes": (os.path.getsize(args.checkpoint)
                           - CHECKPOINT_HEADER_BYTES),
     }
-    _output_dir(out)
+    os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "bench.json"), report)
     print(json.dumps(report, sort_keys=True))
     return 0

@@ -213,8 +213,8 @@ def _read_line_by_line(path, header):
     _read_dataset does when there is none. Each data row must have the
     column count of the first, which must hold the label column (and so
     every feature column before it), and a mapped label; np.loadtxt then
-    parses the rows that pass as stripped lines and names the first
-    unparsable cell. The first non-finite value comes last."""
+    parses the rows that pass as stripped lines and the first cell it
+    refuses is named. The first non-finite value comes last."""
     rows, names, parts = [], [], None
 
     def checked_lines(fh):
@@ -253,10 +253,16 @@ def _read_line_by_line(path, header):
             raise  # the file's fault, not a cell's: load_dataset names it
         except ValueError as exc:
             # loadtxt converts each line as it reads it, so the failing
-            # cell is in the last line the generator yielded.
+            # cell is in the last line the generator yielded. It reads a
+            # cell as float() of the stripped cell, if that is ASCII
+            # without "_" (float() alone takes "1_000" and non-ASCII
+            # digits, and refuses a number padded with "\x1c").
             for col_i in _FEATURE_COLUMNS:
+                cell = parts[col_i].strip()
                 try:
-                    float(parts[col_i])
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(cell)
+                    float(cell)
                 except ValueError:
                     raise ParseError(
                         f"row {rows[-1]}, column {NSL_KDD_COLUMNS[col_i]!r}: "

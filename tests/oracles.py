@@ -9,7 +9,8 @@ confusion count per distinct score, every point kept) that
 detection.roc_and_pr's sorted cumulative sweep replaced, and
 thinned_sweep drops from it, in exact Fractions, each point that lies
 on the segment between its neighbours; parse_records and
-sorted_partition are the per-row, per-cell float() CSV parser and the
+sorted_partition are the per-row, per-cell CSV parser (float() of the
+stripped cell, if ASCII without "_") and the
 per-record sort that data.load_dataset's columnar ingest and
 partition_non_iid replaced;
 csv_write_curve is the csv.writer row loop that detection.write_curve's
@@ -180,7 +181,9 @@ def thinned_sweep(errors, labels):
 
 
 def parse_records(path):
-    """load_dataset one row and one cell at a time with float().
+    """load_dataset one row and one cell at a time: a cell's value is
+    float() of the stripped cell, which must be ASCII without "_", as
+    np.loadtxt's is.
 
     Returns (d x m values, list of class names, list of row numbers) and
     raises the same errors, in file order, with the same messages."""
@@ -208,8 +211,11 @@ def parse_records(path):
                 raise UnknownLabel(f"row {row_no}: label {raw_label!r}")
             vals = []
             for col_i in idx:
+                cell = parts[col_i].strip()
                 try:
-                    vals.append(float(parts[col_i]))
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(cell)
+                    vals.append(float(cell))
                 except ValueError:
                     raise ParseError(
                         f"row {row_no}, column {NSL_KDD_COLUMNS[col_i]!r}: "

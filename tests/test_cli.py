@@ -35,10 +35,22 @@ def run_dir(tmp_path):
     return out
 
 
-def test_train_outputs(run_dir):
-    for name in ("manifest.json", "trace.csv", "checkpoint.bin",
-                 "train_errors.npy", "synth_test.npz"):
-        assert (run_dir / name).exists(), name
+RUN_FILES = {"manifest.json", "trace.csv", "checkpoint.bin", "prep.npz",
+             "train_errors.npy"}
+
+
+def test_train_outputs(run_dir, tmp_path):
+    """Either source leaves the same five files: prep.npz holds the
+    synthetic test set and its labels, or a CSV run's per-client means
+    and stds."""
+    csv_out = tmp_path / "csv"
+    assert main(["train", "--data", str(_benign_csv(tmp_path / "train.csv")),
+                 "--out", str(csv_out), *CSV_TRAIN_ARGS]) == 0
+    for out, arrays in ((run_dir, ["test", "labels"]),
+                        (csv_out, ["means", "stds"])):
+        assert {p.name for p in out.iterdir()} == RUN_FILES
+        with np.load(out / "prep.npz") as prep:
+            assert prep.files == arrays
     with open(run_dir / "trace.csv") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 9  # header + 8 rounds
@@ -553,15 +565,19 @@ CSV_TRAIN_ARGS = ["--clients", "4", "--rounds", "2", "--local-steps", "1",
                   "--seed", "0"]
 
 
+def _benign_csv(path):
+    """40 benign NSL-KDD-shaped rows, enough for CSV_TRAIN_ARGS."""
+    rng = np.random.default_rng(1)
+    path.write_text("\n".join(_csv_row(rng, "normal", i)
+                              for i in range(40)) + "\n")
+    return path
+
+
 @pytest.fixture
 def csv_run(tmp_path):
-    rng = np.random.default_rng(1)
-    train = tmp_path / "train.csv"
-    train.write_text("\n".join(_csv_row(rng, "normal", i)
-                               for i in range(40)) + "\n")
     out = tmp_path / "run"
-    assert main(["train", "--data", str(train), "--out", str(out),
-                 *CSV_TRAIN_ARGS]) == 0
+    assert main(["train", "--data", str(_benign_csv(tmp_path / "train.csv")),
+                 "--out", str(out), *CSV_TRAIN_ARGS]) == 0
     return out
 
 
@@ -745,15 +761,15 @@ def test_synthetic_record_whose_square_overflows_is_input_error(
         run_dir, tmp_path, capsys, command):
     """A finite value of 1e200 in the stored synthetic test set overflows
     its record's squared residual: exit 2 with one line naming
-    synth_test.npz, no floating-point warning (pytest makes warnings
+    prep.npz, no floating-point warning (pytest makes warnings
     errors), and no file written."""
-    _resave(test=_with(1e200, (3, 7)))(run_dir / "synth_test.npz")
+    _resave(test=_with(1e200, (3, 7)))(run_dir / "prep.npz")
     out = tmp_path / "o"
     capsys.readouterr()
     assert main([command, "--checkpoint", str(run_dir / "checkpoint.bin"),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {run_dir / 'synth_test.npz'}: a record too large to score: "
+        f"error: {run_dir / 'prep.npz'}: a record too large to score: "
         f"its residual overflows\n")
     assert not out.exists() or not any(out.iterdir())
 
@@ -968,15 +984,15 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
 
 
 @pytest.mark.parametrize("run,name,write,command,message", [
-    ("run_dir", "synth_test.npz", lambda p: p.write_text("junk\n"), "eval",
+    ("run_dir", "prep.npz", lambda p: p.write_text("junk\n"), "eval",
      "PATH: not an .npz file with a 'test' and a 'labels' array"),
-    ("run_dir", "synth_test.npz",
+    ("run_dir", "prep.npz",
      lambda p: np.savez(p, labels=np.zeros(3, bool)), "eval",
      "PATH: not an .npz file with a 'test' and a 'labels' array"),
     ("run_dir", "train_errors.npy", lambda p: p.write_bytes(b""), "sweep",
      NOT_NPY),
     ("run_dir", "train_errors.npy",
-     lambda p: p.write_bytes((p.parent / "synth_test.npz").read_bytes()),
+     lambda p: p.write_bytes((p.parent / "prep.npz").read_bytes()),
      "eval", NOT_NPY),
     ("csv_run", "prep.npz", lambda p: p.write_text("junk\n"), "eval",
      "PATH: not an .npz file with a 'means' and a 'stds' array"),
@@ -996,26 +1012,26 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
                            "(n,)", "float64", "(0,)")),
     ("run_dir", "train_errors.npy", lambda p: p.unlink(), "eval",
      "no train_errors.npy next to the checkpoint: PATH"),
-    ("run_dir", "synth_test.npz", _resave(test=lambda t: t[:, 0]), "eval",
+    ("run_dir", "prep.npz", _resave(test=lambda t: t[:, 0]), "eval",
      SHAPE.format("'test'", "a non-empty float array", "(10, m)", "float64",
                   "(10,)")),
-    ("run_dir", "synth_test.npz", _resave(test=_with(NAN, (3, 7))), "sweep",
+    ("run_dir", "prep.npz", _resave(test=_with(NAN, (3, 7))), "sweep",
      "PATH: a non-finite value in 'test'"),
-    ("run_dir", "synth_test.npz", _resave(labels=lambda y: y[:3]), "eval",
+    ("run_dir", "prep.npz", _resave(labels=lambda y: y[:3]), "eval",
      SHAPE.format("'labels'", "a boolean array", "(200,)", "bool", "(3,)")),
-    ("run_dir", "synth_test.npz", _resave(labels=lambda y: y.astype(float)),
+    ("run_dir", "prep.npz", _resave(labels=lambda y: y.astype(float)),
      "eval", SHAPE.format("'labels'", "a boolean array", "(200,)",
                           "float64", "(200,)")),
-    ("run_dir", "synth_test.npz",
+    ("run_dir", "prep.npz",
      _resave(labels=lambda y: np.where(y, NAN, 0.0)), "sweep",
      SHAPE.format("'labels'", "a boolean array", "(200,)", "float64",
                   "(200,)")),
-    ("run_dir", "synth_test.npz",
+    ("run_dir", "prep.npz",
      _resave(labels=lambda y: np.where(y, "yes", "no")), "eval",
      SHAPE.format("'labels'", "a boolean array", "(200,)", "<U3",
                   "(200,)")),
-    ("run_dir", "synth_test.npz", lambda p: p.unlink(), "sweep",
-     "no synth_test.npz next to the checkpoint: PATH"),
+    ("run_dir", "prep.npz", lambda p: p.unlink(), "sweep",
+     "no prep.npz next to the checkpoint: PATH"),
     ("csv_run", "prep.npz", _resave(means=_with(NAN, (1, 0))), "eval",
      "PATH: a non-finite value in 'means'"),
     ("csv_run", "prep.npz", _resave(stds=_with(0.0, (2, 3))), "eval",
@@ -1030,6 +1046,7 @@ SHAPE = "PATH: {} must be {} of shape {}, got dtype {} and shape {}"
                   "float64", "(3, 34)")),
     ("csv_run", "prep.npz", lambda p: p.unlink(), "sweep",
      "no prep.npz next to the checkpoint: PATH"),
+# The synth_test_* cases change the test set in a synthetic run's prep.npz.
 ], ids=["synth_test_junk", "synth_test_without_test", "train_errors_empty",
         "train_errors_npz", "prep_junk", "prep_without_stds",
         "train_errors_2d", "train_errors_strings", "train_errors_nan",
@@ -1081,6 +1098,51 @@ def test_csv_eval_of_a_checkpoint_whose_d_is_not_34_is_input_error(
     assert capsys.readouterr().err == (
         "error: DimensionMismatch: checkpoint d=4, but a CSV is read into "
         "the 34 default features\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_csv_eval_checks_train_errors_before_the_csv_is_parsed(
+        csv_run, tmp_path, capsys, monkeypatch, command):
+    test = _attack_mix_csv(tmp_path / "t.csv", 12, 6)
+    (csv_run / "train_errors.npy").write_bytes(b"")
+
+    def parse(*args):
+        raise AssertionError("the CSV was parsed")
+    monkeypatch.setattr("fedsg.cli.load_dataset", parse)
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(csv_run / "checkpoint.bin"),
+                 "--data", str(test), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv_run / 'train_errors.npy'}: not an .npy file\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("last", ["csv", "synthetic"])
+def test_run_over_a_run_of_the_other_source_is_usage_error(
+        tmp_path, capsys, command, last):
+    """A train of the other source into the same --out replaces
+    prep.npz, so eval and sweep of the new checkpoint find it without
+    the arrays their source needs: exit 2 with one line, not a score
+    of the earlier run's test set or statistics against the new U."""
+    out = tmp_path / "run"
+    csv = ["--data", str(_benign_csv(tmp_path / "train.csv")),
+           *CSV_TRAIN_ARGS]
+    synthetic = ["--synthetic", json.dumps({"width": 20, "n_clients": 4,
+                                            "n_test": 50}),
+                 "--rounds", "2", "--sample-fraction", "1.0", "--rank", "2"]
+    for flags in ((synthetic, csv) if last == "csv" else (csv, synthetic)):
+        assert main(["train", *flags, "--out", str(out)]) == 0
+    data = ([] if last == "csv" else
+            ["--data", str(_attack_mix_csv(tmp_path / "t.csv", 12, 6))])
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(out / "checkpoint.bin"),
+                 *data, "--out", str(tmp_path / "o")]) == 2
+    lacks = ("a 'test' and a 'labels'" if last == "csv"
+             else "a 'means' and a 'stds'")
+    assert capsys.readouterr().err == (
+        f"error: {out / 'prep.npz'}: not an .npz file with {lacks} array\n")
     assert not (tmp_path / "o").exists()
 
 

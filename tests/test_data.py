@@ -271,7 +271,8 @@ def _nsl_line(label="normal", level=None, **cells):
 
 @pytest.mark.parametrize("lines,message", [
     ([_nsl_line(level="21"), _nsl_line()], "row 1: expected 43 columns"),
-    ([_nsl_line(src_bytes="1_000")], "row 0: "),
+    ([_nsl_line(src_bytes="1_000")],
+     "row 0, column 'src_bytes': non-numeric value '1_000'"),
     ([_nsl_line(level="21"), _nsl_line(level="21,7")],
      "row 1: expected 43 columns, got 44"),
 ], ids=["ragged_row", "cell_only_float_accepts", "extra_cell_row"])
@@ -301,13 +302,14 @@ def test_load_dataset_round_trips_repr(mat):
 
 # Lines of small NSL-KDD files that vary column `col` (0 to 39, a default
 # feature or not) and column 40, a default feature, next to the label:
-# padded, non-finite, non-numeric and empty cells, label spellings (one
+# padded, non-finite, non-numeric and empty cells (among them cells that
+# float() alone reads otherwise than np.loadtxt), label spellings (one
 # padded with a non-latin-1 space, one ending in NUL), blank lines of
 # several kinds of whitespace and a row with an extra cell after the
 # label, plain or holding a NUL. Each line ends in any line end or none,
 # which joins it to the next.
 _FUZZ_CELL = st.sampled_from(["0", "1.5", " -2e3 ", "\u00a07", "nan", "inf",
-                              "x", ""])
+                              "x", "", "1_000", "\u0661\u0662", "\x1c5"])
 _FUZZ_LABEL = st.sampled_from(["normal", " Normal. ", "\u2003neptune",
                                "smurf...", "zzz", "", "normal" + " " * 30,
                                "normal\x00"])
@@ -326,6 +328,11 @@ _FUZZ_LINE = (st.tuples(_FUZZ_CELL, _FUZZ_LABEL, _FUZZ_CELL)
 # in the label cell "normal\x00  " for numpy to drop.
 @example(False, 0, [(("0", "normal\x00", "0"), ""), ("  ", "\n"),
                     ("", "\n"), (("0", "normal", "0"), "\n")], 64)
+# float() takes "1_000" and Arabic-Indic "12", which np.loadtxt refuses,
+# and refuses "\x1c5", which np.loadtxt reads as 5.
+@example(False, 0, [(("0", "normal", "1_000"), "\n")], 64)
+@example(False, 0, [(("0", "normal", "\u0661\u0662"), "\n")], 64)
+@example(False, 0, [(("0", "normal", "\x1c5"), "\n")], 64)
 @given(st.booleans(), st.integers(0, 39),
        st.lists(st.tuples(_FUZZ_LINE,
                           st.sampled_from(["\n", "\r\n", "\r", ""])),
