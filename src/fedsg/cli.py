@@ -28,6 +28,10 @@ metrics.json, roc.csv, pr.csv, sweep.csv, bench.json. eval and bench
 each write their report through _write_json and print the same object:
 eval's names rho and its threshold tau beside the metrics.
 
+main builds the parser once per process and looks up each command by
+name when it runs, so a cmd_* replaced at this module's binding (as a
+tracer does) is the one called; main may be called repeatedly.
+
 Exit codes: 0 success, 1 internal numerical failure, 2 usage or input
 error, a MemoryError included (an input too large for memory), as is
 an OSError (an artifact that cannot be written); README's "Exit codes"
@@ -37,6 +41,7 @@ section lists the input errors by command.
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -443,6 +448,7 @@ def cmd_bench(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="fedsg",
                                 description="Federated subspace anomaly "
@@ -462,7 +468,6 @@ def build_parser():
     tr.add_argument("--sample-fraction", type=float)
     tr.add_argument("--rank", type=int)
     tr.add_argument("--eta", type=float)
-    tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a test set")
     ev.add_argument("--checkpoint", required=True)
@@ -470,7 +475,6 @@ def build_parser():
     ev.add_argument("--rho", type=float, default=18.0)
     ev.add_argument("--slice", help="comma-separated attack classes to keep")
     ev.add_argument("--out")
-    ev.set_defaults(func=cmd_eval)
 
     sw = sub.add_parser("sweep", help="metrics across a threshold grid")
     sw.add_argument("--checkpoint", required=True)
@@ -479,20 +483,20 @@ def build_parser():
                     help="comma list and lo:hi ranges, e.g. '1:30' or '5,10,18'")
     sw.add_argument("--slice")
     sw.add_argument("--out")
-    sw.set_defaults(func=cmd_sweep)
 
     be = sub.add_parser("bench", help="per-sample scoring latency")
     be.add_argument("--checkpoint", required=True)
     be.add_argument("--iters", type=int, default=10000)
     be.add_argument("--out")
-    be.set_defaults(func=cmd_bench)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    commands = {"train": cmd_train, "eval": cmd_eval, "sweep": cmd_sweep,
+                "bench": cmd_bench}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

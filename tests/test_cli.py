@@ -879,6 +879,59 @@ def test_undecodable_csv_is_input_error(csv_run, tmp_path, capsys, where):
     assert capsys.readouterr().err.startswith(message)
 
 
+def _refuse_parser(*args, **kwargs):
+    raise AssertionError("main built a second argparse parser")
+
+
+@pytest.fixture
+def reused_parser(tmp_path, monkeypatch):
+    """One main call, after which building an argparse parser fails: a
+    later main call must parse with the one its first call built."""
+    assert main(["bench", "--checkpoint", str(tmp_path / "absent.bin")]) == 2
+    monkeypatch.setattr("fedsg.cli.argparse.ArgumentParser", _refuse_parser)
+
+
+def test_main_builds_its_parser_once(run_dir, reused_parser):
+    checkpoint = str(run_dir / "checkpoint.bin")
+    assert main(["eval", "--checkpoint", checkpoint]) == 0
+    assert main(["sweep", "--checkpoint", checkpoint]) == 0
+
+
+def test_main_calls_the_command_bound_when_it_runs(run_dir, monkeypatch):
+    """A cmd_* replaced at the module binding after main has run (as a
+    tracer wraps it) is the one the next main call runs."""
+    checkpoint = str(run_dir / "checkpoint.bin")
+    assert main(["eval", "--checkpoint", checkpoint]) == 0
+    calls = []
+    monkeypatch.setattr("fedsg.cli.cmd_eval",
+                        lambda args: calls.append(args) or 7)
+    assert main(["eval", "--checkpoint", checkpoint, "--rho", "5"]) == 7
+    assert [(a.checkpoint, a.rho) for a in calls] == [(checkpoint, 5.0)]
+
+
+def test_sweep_grid_does_not_carry_over_to_the_next_call(run_dir):
+    checkpoint = str(run_dir / "checkpoint.bin")
+    for grid, n_rows in ((["--rho-grid", "5"], 1), ([], 30)):
+        assert main(["sweep", "--checkpoint", checkpoint, *grid]) == 0
+        with open(run_dir / "sweep.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == n_rows
+
+
+def test_refused_eval_does_not_carry_over_to_the_next_call(run_dir, tmp_path,
+                                                           capsys):
+    checkpoint = str(run_dir / "checkpoint.bin")
+
+    def plain_eval(out):
+        assert main(["eval", "--checkpoint", checkpoint,
+                     "--out", str(tmp_path / out)]) == 0
+        return (capsys.readouterr().out,
+                (tmp_path / out / "metrics.json").read_bytes())
+
+    first = plain_eval("first")
+    assert main(["eval", "--checkpoint", checkpoint, "--slice", "dos"]) == 2
+    assert plain_eval("after_refusal") == first
+
+
 @pytest.mark.parametrize("argv", [
     ["train", *TRAIN_ARGS, "--rho", "18"],
     ["train", *TRAIN_ARGS, "--config", "f.json"],
@@ -886,9 +939,9 @@ def test_undecodable_csv_is_input_error(csv_run, tmp_path, capsys, where):
     ["bench", "--checkpoint", "checkpoint.bin", "--data", "x.npz"],
     ["train", "--data", "train.csv", "--features", "f.txt"],
 ], ids=["rho", "config", "sort_feature", "bench_data", "features"])
-def test_train_rho_flag_is_gone(tmp_path, argv):
+def test_train_rho_flag_is_gone(tmp_path, reused_parser, argv):
     """A flag removed from the CLI is an argparse usage error (exit 2),
-    raised before any file is read."""
+    raised by the reused parser before any file is read."""
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
