@@ -1,23 +1,25 @@
-"""Simulated federated subspace learning: alternating Riemannian
-updates on every sampled client, a server-side aligned mean with
-re-retraction, and broadcast, with deterministic client sampling and
-exact communication accounting.
+"""Simulated federated subspace learning: local Riemannian updates on
+every sampled client, a server-side aligned mean with re-retraction,
+and broadcast, with deterministic client sampling and exact
+communication accounting.
 
-The shards are one (n_clients, d, B) stack. A round runs as one
-batched engine: it copies its sampled clients' shards into one (s, d, B)
-buffer, allocated once per run, and stacks their bases as (s, d, k) and
-(s, B, k) arrays. The shard products X V and X^T U are one batched
-product each (objective.grad_u / grad_v). Every basis the gradients see
-is orthonormal (the local steps start from the global pair, and
-riemannian_step checks each retracted stack), so they take their closed
-form there, which is tangent: a sub-step retracts A - eta G as it is.
-The QR retractions, Procrustes alignments and the mean act on the whole
-stack. The per-round global loss over all shards is their energy, summed
-once per run, minus objective.captured_energy at the new global pair, so
-a round does O(k(d+B)) work per shard and forms no d x B residual.
+The round loop, run_fedsg, is independent of the model: a tuple of
+Grassmann points, none of which it names. Each round copies the sampled
+shards into one (s, d, B) buffer, allocated once per run; local_update
+steps every client at once from the broadcast model and returns one
+(s, n, k) stack per point, and aggregate aligns, averages and
+re-retracts each stack. initial_pair, local_update,
+objective.captured_energy and the checkpoint know today's model, the
+FactorPair (U, V). Its shard products X V and X^T U are one batched
+product each (objective.grad_u / grad_v); every basis they see is
+orthonormal (riemannian_step checks each retracted stack), where the
+closed-form gradient is tangent, so a sub-step retracts A - eta G as it
+is. The per-round global loss is the shards' energy, summed once per
+run, minus captured_energy at the new model: O(k(d+B)) work per shard.
 
-Message sizes follow the wire contract: each sampled client exchanges
-k*(d+B) float64 values per direction per round.
+Message sizes are the model's basis floats: each sampled client
+exchanges every entry of every basis as float64 per direction per
+round, k*(d+B) values for the FactorPair.
 """
 
 import csv
@@ -92,27 +94,24 @@ class RoundTrace:
     bytes_downlink: int
 
 
-def local_update(shards, u0, v0, c: int, eta: float):
-    """c alternating steps on every client at once: move U along its
-    manifold with V fixed, then V with the new U fixed.
-
-    shards is the (s, d, B) stack of the s clients' shards; u0 (s, d, k)
-    and v0 (s, B, k) stack their orthonormal starting bases. Returns
-    (u, v, skipped): the stacked bases after the steps and, per client,
-    the number of sub-steps skipped because the retraction was rank
+def local_update(shards, start: FactorPair, c: int, eta: float):
+    """The client step: c alternating steps on every client at once from
+    the broadcast global pair start, U along its manifold with V fixed,
+    then V with the new U fixed. shards is the (s, d, B) stack of the
+    s clients' shards. Returns (stacks, skipped): the (s, d, k) and
+    (s, B, k) stacks of bases after the steps and, per client, the
+    number of sub-steps skipped because the retraction was rank
     deficient (that client keeps its previous iterate for the sub-step).
     """
-    u, v = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
-    if u.ndim != 3 or v.ndim != 3:
-        raise ShapeMismatch(f"local_update takes (s, n, k) stacks of bases, "
-                            f"got {u.shape} and {v.shape}")
-    skipped = np.zeros(len(u), dtype=int)
+    s = len(shards)
+    u, v = (np.broadcast_to(p.basis, (s, *p.basis.shape)) for p in start)
+    skipped = np.zeros(s, dtype=int)
     for _ in range(c):
         u, full_rank = riemannian_step(u, grad_u(u, v, shards), eta)
         skipped += ~full_rank
         v, full_rank = riemannian_step(v, grad_v(u, v, shards), eta)
         skipped += ~full_rank
-    return u, v, skipped
+    return (u, v), skipped
 
 
 def procrustes_rotation(a, b) -> np.ndarray:
@@ -123,33 +122,38 @@ def procrustes_rotation(a, b) -> np.ndarray:
     return t.u @ np.swapaxes(t.v, -1, -2)
 
 
-def aggregate(u, v, previous: FactorPair) -> FactorPair:
-    """Aligned mean of the stacked client bases u (s, d, k) and
-    v (s, B, k): each basis is rotated by its orthogonal Procrustes
-    factor toward the previous global point (a subspace fixes its basis
-    only up to rotation), the entrywise mean is summed in stack order
-    (ascending client id) and re-retracted onto the manifolds.
+def aggregate(stacks, previous):
+    """Aligned mean of the client updates of the model previous: one
+    (s, n, k) stack of client bases per Grassmann point, in its order.
+    Each basis is rotated by its orthogonal Procrustes factor toward its
+    previous point (a subspace fixes its basis only up to rotation),
+    each stack's entrywise mean is summed in stack order (ascending
+    client id) and re-retracted onto its manifold. Returns the new
+    points as previous's own type.
 
-    Raises RankDeficient if a mean collapses; callers keep `previous`.
+    Raises ShapeMismatch unless the stacks match the points in number
+    and shape and share one client count, ValueError if that count is
+    0, and RankDeficient if a mean collapses; callers keep `previous`.
     """
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if u.ndim != 3 or v.ndim != 3 or len(u) != len(v):
-        raise ShapeMismatch(f"update stacks {u.shape} and {v.shape}")
-    if not len(u):
+    stacks = [np.asarray(stack, dtype=float) for stack in stacks]
+    clients = stacks[0].shape[:1] if stacks else ()
+    shapes = [stack.shape for stack in stacks]
+    if shapes != [clients + point.basis.shape for point in previous]:
+        raise ShapeMismatch(f"update stacks {shapes} for bases "
+                            f"{[point.basis.shape for point in previous]}")
+    if clients == (0,):
         raise ValueError("aggregate needs at least one update")
-    if u.shape[1:] != previous.u.basis.shape or v.shape[1:] != previous.v.basis.shape:
-        raise ShapeMismatch("update shapes differ from the previous pair")
-    u = u @ procrustes_rotation(u, previous.u.basis)
-    v = v @ procrustes_rotation(v, previous.v.basis)
-    return FactorPair(u=retract(u.mean(axis=0)), v=retract(v.mean(axis=0)))
+    return previous._make(
+        retract((stack @ procrustes_rotation(stack, point.basis)).mean(axis=0))
+        for stack, point in zip(stacks, previous))
 
 
 def initial_pair(config: FedConfig, shards, rng) -> FactorPair:
-    """The seeded start: retracted Gaussian d x k and B x k bases for
-    shards of shape d x B, U drawn from rng before V."""
-    d, width = np.shape(shards[0])
-    return FactorPair(u=retract(rng.standard_normal((d, config.k))),
-                      v=retract(rng.standard_normal((width, config.k))))
+    """The seeded start: one retracted Gaussian basis of config.k columns
+    per factor height of the d x B shards, U's d x k drawn from rng
+    before V's B x k."""
+    return FactorPair._make(retract(rng.standard_normal((n, config.k)))
+                            for n in np.shape(shards[0]))
 
 
 def run_fedsg(config: FedConfig, shards):
@@ -200,7 +204,7 @@ def run_fedsg(config: FedConfig, shards):
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
 
-    per_client_bytes = config.k * (d + width) * 8
+    per_client_bytes = 8 * sum(p.basis.size for p in pair)
     traces = []
 
     # Each round copies its sampled shards into one buffer, allocated
@@ -211,22 +215,17 @@ def run_fedsg(config: FedConfig, shards):
         t0 = time.perf_counter()
         sampled = np.sort(rng.choice(n, size=n_sample, replace=False))
         np.take(shards, sampled, axis=0, out=batch, mode="clip")
-        u, v, skipped = local_update(
-            batch,
-            np.broadcast_to(pair.u.basis, (n_sample, d, config.k)),
-            np.broadcast_to(pair.v.basis, (n_sample, width, config.k)),
-            config.local_steps, config.eta)
-
+        stacks, skipped = local_update(batch, pair, config.local_steps,
+                                       config.eta)
         try:
-            pair = aggregate(u, v, pair)
+            pair = aggregate(stacks, pair)
             aborted = False
         except RankDeficient:
             aborted = True  # previous global pair retained
 
         traces.append(RoundTrace(
             round=rnd,
-            global_loss=max(energy - captured_energy(pair.u, pair.v, shards),
-                            0.0),
+            global_loss=max(energy - captured_energy(*pair, shards), 0.0),
             sampled=tuple(sampled.tolist()),
             skipped_steps=int(skipped.sum()),
             aborted=aborted,

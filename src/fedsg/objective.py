@@ -23,7 +23,7 @@ shard, for one pair of bases or a stack of one pair per shard, so the
 engine gets every sampled client's gradient in one call.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,16 +31,12 @@ from .errors import ShapeMismatch
 from .grassmann import GrassmannPoint
 
 
-@dataclass(frozen=True)
-class FactorPair:
-    """Global model: column subspace u on G(d,k), row subspace v on G(B,k)."""
+class FactorPair(NamedTuple):
+    """Global model: column subspace u on G(d,k), row subspace v on
+    G(B,k); as a tuple, its points in that order."""
 
     u: GrassmannPoint
     v: GrassmannPoint
-
-    def __post_init__(self):
-        if self.u.k != self.v.k:
-            raise ShapeMismatch(f"u has k={self.u.k} but v has k={self.v.k}")
 
 
 def _basis(a):

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fedsg.errors import (DimensionMismatch, InputError, InputOverflow,
 from fedsg.federation import (FedConfig, aggregate, load_checkpoint,
                               local_update, procrustes_rotation, run_fedsg,
                               save_checkpoint, write_trace_csv)
-from fedsg.grassmann import GrassmannPoint
+from fedsg.grassmann import GrassmannPoint, retract, riemannian_step
 from fedsg.objective import FactorPair, loss
 
 from oracles import (random_orthonormal, sequential_fedsg, shard_layouts,
@@ -97,7 +98,7 @@ def test_local_update_zero_steps_is_identity():
     rng = np.random.default_rng(0)
     pair = _pair(rng, 6, 5, 2)
     x = rng.standard_normal((6, 5))
-    u, v, skipped = local_update([x], _stack(pair.u), _stack(pair.v), 0, 0.01)
+    (u, v), skipped = local_update([x], pair, 0, 0.01)
     assert np.allclose(u[0], pair.u.basis)
     assert np.allclose(v[0], pair.v.basis)
     assert skipped.tolist() == [0]
@@ -109,7 +110,8 @@ def test_local_update_stationary_at_exact_rank():
     u0 = random_orthonormal(rng, 6, 2)
     v0 = random_orthonormal(rng, 5, 2)
     x = u0 @ t_core @ v0.T
-    u, v, _ = local_update([x], _stack(u0), _stack(v0), 3, 0.01)
+    start = FactorPair(u=GrassmannPoint(u0), v=GrassmannPoint(v0))
+    (u, v), _ = local_update([x], start, 3, 0.01)
     assert np.linalg.norm(u[0] - u0) <= 1e-8
     assert np.linalg.norm(v[0] - v0) <= 1e-8
     assert loss(u[0], v[0], [x]) <= 1e-16
@@ -120,7 +122,7 @@ def test_local_update_descends():
     pair = _pair(rng, 6, 5, 2)
     x = rng.standard_normal((6, 5))
     before = loss(pair.u, pair.v, [x])
-    u, v, _ = local_update([x], _stack(pair.u), _stack(pair.v), 5, 0.01)
+    (u, v), _ = local_update([x], pair, 5, 0.01)
     assert loss(u[0], v[0], [x]) < before
 
 
@@ -133,12 +135,11 @@ def test_local_update_rank_deficient_client_is_skipped():
     pair = _pair(rng, 6, 5, 2)
     rank1 = np.outer(rng.standard_normal(6), rng.standard_normal(5))
     full = rng.standard_normal((6, 5))
-    u0, v0 = _stack(pair.u, pair.u), _stack(pair.v, pair.v)
-    u, v, skipped = local_update([rank1, full], u0, v0, 1, 1e15)
+    (u, v), skipped = local_update([rank1, full], pair, 1, 1e15)
     assert skipped.tolist() == [2, 0]
     assert np.array_equal(u[0], pair.u.basis)
     assert np.array_equal(v[0], pair.v.basis)
-    u_alone, v_alone, _ = local_update([full], u0[1:], v0[1:], 1, 1e15)
+    (u_alone, v_alone), _ = local_update([full], pair, 1, 1e15)
     assert np.array_equal(u[1], u_alone[0])
     assert np.array_equal(v[1], v_alone[0])
 
@@ -146,7 +147,7 @@ def test_local_update_rank_deficient_client_is_skipped():
 def test_aggregate_identical_updates_is_identity():
     rng = np.random.default_rng(3)
     pair = _pair(rng, 6, 5, 2)
-    out = aggregate(_stack(*[pair.u] * 3), _stack(*[pair.v] * 3), pair)
+    out = aggregate((_stack(*[pair.u] * 3), _stack(*[pair.v] * 3)), pair)
     assert np.allclose(out.u.basis, pair.u.basis, atol=1e-12)
     assert np.allclose(out.v.basis, pair.v.basis, atol=1e-12)
 
@@ -157,7 +158,7 @@ def test_aggregate_alignment_cancels_sign_flip():
     flip = np.diag([-1.0, 1.0])
     flipped = FactorPair(u=GrassmannPoint(pair.u.basis @ flip),
                          v=GrassmannPoint(pair.v.basis @ flip))
-    out = aggregate(_stack(pair.u, flipped.u), _stack(pair.v, flipped.v),
+    out = aggregate((_stack(pair.u, flipped.u), _stack(pair.v, flipped.v)),
                     pair)
     # aligned mean returns the previous subspace, not a collapsed mix
     assert np.linalg.norm(out.u.basis @ out.u.basis.T
@@ -169,7 +170,7 @@ def test_aggregate_output_feasible():
     prev = _pair(rng, 8, 6, 3)
     us = _stack(*[random_orthonormal(rng, 8, 3) for _ in range(5)])
     vs = _stack(*[random_orthonormal(rng, 6, 3) for _ in range(5)])
-    out = aggregate(us, vs, prev)
+    out = aggregate((us, vs), prev)
     assert np.linalg.norm(out.u.basis.T @ out.u.basis - np.eye(3)) <= 1e-8
     assert np.linalg.norm(out.v.basis.T @ out.v.basis - np.eye(3)) <= 1e-8
 
@@ -192,8 +193,28 @@ def test_aggregate_unaligned_cancellation_raises():
     pair = FactorPair(u=GrassmannPoint(eye[:, :2]),
                       v=GrassmannPoint(np.eye(5)[:, :2]))
     with pytest.raises(RankDeficient):
-        aggregate(_stack(eye[:, 2:4], -eye[:, 2:4]),
-                  _stack(pair.v, pair.v), pair)
+        aggregate((_stack(eye[:, 2:4], -eye[:, 2:4]),
+                   _stack(pair.v, pair.v)), pair)
+
+
+@pytest.mark.parametrize("stacks,error", [
+    (lambda u, v: (u,), ShapeMismatch),
+    (lambda u, v: (u, v, v), ShapeMismatch),
+    (lambda u, v: (v, u), ShapeMismatch),
+    (lambda u, v: (u[:, :, :1], v), ShapeMismatch),
+    (lambda u, v: (u[0], v), ShapeMismatch),
+    (lambda u, v: (u[:2], v), ShapeMismatch),
+    (lambda u, v: (u[:0], v[:0]), ValueError),
+], ids=["too_few_stacks", "too_many_stacks", "swapped_stacks",
+        "narrow_member", "unstacked_basis", "client_counts_differ", "empty"])
+def test_aggregate_refuses_stacks_that_do_not_fit_the_model(stacks, error):
+    """One stack per point of the model, each of (s, n, k) stacked bases
+    of that point's n x k shape, with one s >= 1 for all of them."""
+    rng = np.random.default_rng(15)
+    pair = _pair(rng, 6, 5, 2)
+    u, v = _stack(*[pair.u] * 3), _stack(*[pair.v] * 3)
+    with pytest.raises(error):
+        aggregate(stacks(u, v), pair)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -375,6 +396,68 @@ def test_run_fedsg_rounds_see_their_shards_in_their_memory_order(
     for (values, is_stack, c_order), t in zip(batches, traces):
         np.testing.assert_array_equal(values, shards[list(t.sampled)])
         assert c_order and not is_stack
+
+
+class _Subspace(NamedTuple):
+    """A one-factor model: the column subspace alone."""
+
+    u: GrassmannPoint
+
+
+def test_run_fedsg_trains_any_model_through_its_seam(monkeypatch):
+    """The round loop names no factor: a model of U alone, which steps on
+    ||X_i - U U^T X_i||_F^2, swaps in at initial_pair, local_update and
+    captured_energy and trains through the unchanged run_fedsg. Only its
+    d x k basis is drawn, exchanged and averaged."""
+    n, d, width, k = 8, 6, 9, 2
+    shards = np.random.default_rng(303).standard_normal((n, d, width))
+
+    def initial(config, shards, rng):
+        return _Subspace(retract(rng.standard_normal((d, config.k))))
+
+    def step(shards, start, c, eta):
+        u = np.broadcast_to(start.u.basis, (len(shards), d, k))
+        skipped = np.zeros(len(shards), dtype=int)
+        for _ in range(c):
+            p = shards @ (np.swapaxes(shards, -1, -2) @ u)
+            grad = -2.0 * (p - u @ (np.swapaxes(u, -1, -2) @ p))
+            u, full_rank = riemannian_step(u, grad, eta)
+            skipped += ~full_rank
+        return (u,), skipped
+
+    models = []
+
+    def spy(stacks, previous):
+        models.append(aggregate(stacks, previous))
+        return models[-1]
+
+    def energy(u, shards):
+        return float(np.sum(np.square(np.swapaxes(shards, -1, -2)
+                                      @ u.basis)))
+    monkeypatch.setattr(federation, "initial_pair", initial)
+    monkeypatch.setattr(federation, "local_update", step)
+    monkeypatch.setattr(federation, "aggregate", spy)
+    monkeypatch.setattr(federation, "captured_energy", energy)
+    cfg = FedConfig(rounds=3, local_steps=2, sample_fraction=0.5, k=k,
+                    eta=1e-3, seed=6)
+    model, traces = run_fedsg(cfg, shards)
+
+    assert [type(m) for m in models] == [_Subspace] * 3
+    assert model is models[-1]
+    assert model.u.basis.shape == (d, k)
+    for t in traces:
+        assert t.bytes_uplink == t.bytes_downlink == 8 * d * k * 4
+    # The run drew only the d x k start before sampling: a B x k draw
+    # would shift every round's sample.
+    rng = np.random.default_rng(cfg.seed)
+    rng.standard_normal((d, k))
+    assert [t.sampled for t in traces] == [
+        tuple(np.sort(rng.choice(n, size=4, replace=False)).tolist())
+        for _ in traces]
+    u = model.u.basis
+    residual = shards - u @ (u.T @ shards)
+    assert traces[-1].global_loss == pytest.approx(np.sum(residual ** 2),
+                                                   rel=1e-10)
 
 
 def test_run_fedsg_ragged_list_names_the_shard():

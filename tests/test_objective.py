@@ -4,8 +4,8 @@ import pytest
 from fedsg.errors import ShapeMismatch
 from fedsg.grassmann import GrassmannPoint
 from fedsg.linalg import truncated_svd
-from fedsg.objective import (FactorPair, _shard_products, captured_energy,
-                             grad_u, grad_v, loss, optimal_sigma)
+from fedsg.objective import (_shard_products, captured_energy, grad_u,
+                             grad_v, loss, optimal_sigma)
 
 from oracles import (finite_difference_grad, random_orthonormal,
                      reference_grad_u, reference_grad_v, shard_layouts,
@@ -15,14 +15,6 @@ from oracles import (finite_difference_grad, random_orthonormal,
 def _uv(rng, d, width, k):
     return (GrassmannPoint(random_orthonormal(rng, d, k)),
             GrassmannPoint(random_orthonormal(rng, width, k)))
-
-
-def test_factor_pair_requires_shared_k():
-    rng = np.random.default_rng(0)
-    u = GrassmannPoint(random_orthonormal(rng, 6, 2))
-    v = GrassmannPoint(random_orthonormal(rng, 5, 3))
-    with pytest.raises(ShapeMismatch):
-        FactorPair(u=u, v=v)
 
 
 def test_optimal_sigma_recovers_exact_core():
