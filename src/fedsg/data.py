@@ -12,7 +12,6 @@ arrays.
 """
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,16 +91,16 @@ def load_dataset(path) -> Dataset:
     of its DEFAULT_FEATURES.
 
     Blank lines and a header on line 0 are skipped. Valid input takes no
-    per-row Python: np.loadtxt parses the path in one C pass into a
-    record per row (the features as float64, the raw label as bytes and
-    a byte of each other column), checking that every row has the column
-    count of the first, and each distinct label is mapped once. values
-    is a view of those records. Valid files that np.loadtxt refuses or
-    that these fixed-width records cannot hold exactly are parsed line
-    by line instead: one with a line of whitespace, a NUL byte outside a
-    label, a label that is not ASCII (such as "\u2003neptune") or one
-    that fills its field (_LABEL_BYTES), and a cell outside the features
-    that is not latin-1 text.
+    per-row Python: after a pass over the bytes for a NUL, np.loadtxt
+    parses the path in one C pass into a record per row (the features as
+    float64, the raw label as bytes and a byte of each other column),
+    checking that every row has the column count of the first, and each
+    distinct label is mapped once. values is a view of those records.
+    Valid files that np.loadtxt refuses or that these fixed-width records
+    cannot hold exactly are parsed line by line instead: one with a line
+    of whitespace, a NUL byte outside a label, a label that is not ASCII
+    (such as "\u2003neptune") or one that fills its field (_LABEL_BYTES),
+    and a cell outside the features that is not latin-1 text.
 
     Raises ParseError with the offending row/column (a non-numeric or
     non-finite value, a row whose column count is not the first row's,
@@ -122,40 +121,31 @@ def _read_dataset(path):
     """load_dataset's parse: returns the m x d values and the m class
     names.
 
-    np.loadtxt reads the path once. A file it refuses goes to
-    _read_line_by_line, as do a NUL byte, a label that is not ASCII or
-    fills its field, an unmapped label and a non-finite value; so does a
-    file with a line of whitespace, which np.loadtxt takes for a row."""
+    np.loadtxt reads the path once, with no row bound, and skips empty
+    lines. A file it refuses goes to _read_line_by_line, as do a NUL byte,
+    a label that is not ASCII or fills its field, an unmapped label and a
+    non-finite value; so does a file with a line of whitespace, which
+    np.loadtxt takes for a row."""
     with open(path) as fh:
         lines = ((i, s) for i, line in enumerate(fh) if (s := line.strip()))
         row_no, first = next(lines, (0, ""))
         header = row_no == 0 and first.split(",")[0] == NSL_KDD_COLUMNS[0]
         if header:
             first = next(lines, (0, ""))[1]
-    # One pass over the bytes. loadtxt's fixed-width bytes would drop a
-    # NUL that ends a label, so a file with a NUL takes the per-line pass.
-    # The line ends bound the row count, which lets loadtxt allocate the
-    # table once; the bound must not fall short, or loadtxt would stop
-    # early and drop rows, so each \r of a \r\n counts as a line end too.
-    n_lines, nul = 1, False
+    # loadtxt's fixed-width bytes would drop a NUL that ends a label, so a
+    # file with a NUL takes the per-line pass. Chunks, not one read: a freed
+    # whole-file buffer raises malloc's mmap threshold, and loadtxt's
+    # growing table is then copied on the heap.
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_CHUNK_BYTES), b""):
-            codes = np.frombuffer(chunk, np.uint8)
-            n_lines += np.count_nonzero((codes == 10) | (codes == 13))
-            nul = nul or b"\0" in chunk
+        nul = any(b"\0" in chunk
+                  for chunk in iter(lambda: fh.read(1 << 20), b""))
     n_cols = first.count(",") + 1
     if nul or n_cols <= LABEL_COLUMN:  # no data rows, or no label column
         return _read_line_by_line(path, header)
 
-    # An empty line does not count towards max_rows, and loadtxt warns
-    # that it does not.
-    read = dict(delimiter=",", dtype=_row_dtype(n_cols),
-                skiprows=int(header), max_rows=n_lines - header,
-                comments=None, ndmin=1)
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "Input line", UserWarning)
-            table = np.loadtxt(path, **read)
+        table = np.loadtxt(path, delimiter=",", dtype=_row_dtype(n_cols),
+                           skiprows=int(header), comments=None, ndmin=1)
     except ValueError:
         return _read_line_by_line(path, header)
 
@@ -179,9 +169,6 @@ def _read_dataset(path):
         return _read_line_by_line(path, header)
     return values, np.array(names)[np.searchsorted(keys, raw)]
 
-
-# Bytes read at a time by the pass over the file's bytes.
-_CHUNK_BYTES = 1 << 18
 
 # Width of the label field: every DEFAULT_LABEL_MAP key with a trailing
 # "." fits with room for padding.

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import gc
+import hashlib
 import json
 import pathlib
 import struct
@@ -42,10 +43,14 @@ RUN_FILES = {"manifest.json", "trace.csv", "checkpoint.bin", "prep.npz",
 def test_train_outputs(run_dir, tmp_path):
     """Either source leaves the same five files: prep.npz holds the
     synthetic test set and its labels, or a CSV run's per-client means
-    and stds."""
+    and stds. A CSV run's manifest records the CSV's SHA-256."""
     csv_out = tmp_path / "csv"
-    assert main(["train", "--data", str(_benign_csv(tmp_path / "train.csv")),
+    train_csv = _benign_csv(tmp_path / "train.csv")
+    assert main(["train", "--data", str(train_csv),
                  "--out", str(csv_out), *CSV_TRAIN_ARGS]) == 0
+    csv_manifest = json.loads((csv_out / "manifest.json").read_text())
+    assert (csv_manifest["dataset"]["sha256"]
+            == hashlib.sha256(train_csv.read_bytes()).hexdigest())
     for out, arrays in ((run_dir, ["test", "labels"]),
                         (csv_out, ["means", "stds"])):
         assert {p.name for p in out.iterdir()} == RUN_FILES

@@ -1,7 +1,6 @@
 import os
 import re
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,6 +123,9 @@ INGEST_VARIANTS = {
                       + lines),
     "blank_lines": _joined(lambda lines: [x for line in lines
                                           for x in (line, "", "   ")]),
+    # np.loadtxt skips an empty line itself, and must not warn of it.
+    "empty_lines": _joined(lambda lines: [x for line in lines
+                                          for x in (line, "")]),
     "padded_cells": _joined(lambda lines: [",".join(f"  {c} "
                                                     for c in line.split(","))
                                            for line in lines]),
@@ -322,26 +324,23 @@ _FUZZ_LINE = (st.tuples(_FUZZ_CELL, _FUZZ_LABEL, _FUZZ_CELL)
 @settings(max_examples=300, deadline=None)
 # Two unknown labels: the first in the file, not in sort order, is named.
 @example(False, 0, [(("0", "normal", "0"), "\n"),
-                    (("0", "zzz", "0"), "\n"), (("0", "", "0"), "\n")], 64)
-@example(False, 0, [(("0", "normal\x00", "0"), "\r\n")], 64)
+                    (("0", "zzz", "0"), "\n"), (("0", "", "0"), "\n")])
+@example(False, 0, [(("0", "normal\x00", "0"), "\r\n")])
 # A blank line makes the reader strip each line, which leaves the NUL last
 # in the label cell "normal\x00  " for numpy to drop.
 @example(False, 0, [(("0", "normal\x00", "0"), ""), ("  ", "\n"),
-                    ("", "\n"), (("0", "normal", "0"), "\n")], 64)
+                    ("", "\n"), (("0", "normal", "0"), "\n")])
 # float() takes "1_000" and Arabic-Indic "12", which np.loadtxt refuses,
 # and refuses "\x1c5", which np.loadtxt reads as 5.
-@example(False, 0, [(("0", "normal", "1_000"), "\n")], 64)
-@example(False, 0, [(("0", "normal", "\u0661\u0662"), "\n")], 64)
-@example(False, 0, [(("0", "normal", "\x1c5"), "\n")], 64)
+@example(False, 0, [(("0", "normal", "1_000"), "\n")])
+@example(False, 0, [(("0", "normal", "\u0661\u0662"), "\n")])
+@example(False, 0, [(("0", "normal", "\x1c5"), "\n")])
 @given(st.booleans(), st.integers(0, 39),
        st.lists(st.tuples(_FUZZ_LINE,
                           st.sampled_from(["\n", "\r\n", "\r", ""])),
-                max_size=12),
-       st.sampled_from([1, 2, 5, 64]))
-def test_load_dataset_matches_parser_oracle_on_random_text(
-        header, col, lines, chunk_bytes):
-    """Small chunks put line ends, and the \\r and \\n of a \\r\\n, on
-    either side of a chunk boundary."""
+                max_size=12))
+def test_load_dataset_matches_parser_oracle_on_random_text(header, col,
+                                                           lines):
     varied = [NSL_KDD_COLUMNS[col], NSL_KDD_COLUMNS[40]]
 
     def row(line):
@@ -351,8 +350,7 @@ def test_load_dataset_matches_parser_oracle_on_random_text(
         return _nsl_line(label, **dict(zip(varied, (a, b))))
     text = (",".join(NSL_KDD_COLUMNS + ["label"]) + "\n" if header else ""
             ) + "".join(row(line) + end for line, end in lines)
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(data_module, "_CHUNK_BYTES", chunk_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
