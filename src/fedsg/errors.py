@@ -29,7 +29,7 @@ class RankDeficient(FedsgError):
 
 
 class ConvergenceFailure(FedsgError):
-    """Iterative scheme did not reach tolerance within its iteration cap."""
+    """LAPACK's SVD did not converge (linalg.truncated_svd)."""
 
 
 class EmptyInput(FedsgError):

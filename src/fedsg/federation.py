@@ -10,7 +10,8 @@ steps every client at once from the broadcast model and returns one
 (s, n, k) stack per point, and aggregate aligns, averages and
 re-retracts each stack. initial_pair, local_update,
 objective.captured_energy and the checkpoint know today's model, the
-FactorPair (U, V). Its shard products X V and X^T U are one batched
+FactorPair (U, V), and initial_pair refuses a rank or a step size that
+the pair cannot take. Its shard products X V and X^T U are one batched
 product each (objective.grad_u / grad_v); every basis they see is
 orthonormal (riemannian_step checks each retracted stack), where the
 closed-form gradient is tangent, so a sub-step retracts A - eta G as it
@@ -38,7 +39,7 @@ from .linalg import truncated_svd
 from .objective import (FactorPair, captured_energy, grad_u, grad_v,
                         shard_stack)
 
-# Largest eta * max_i ||X_i||_F^2 that run_fedsg accepts. At orthonormal
+# Largest eta * max_i ||X_i||_F^2 that initial_pair accepts. At orthonormal
 # bases the gradient of a shard's loss has Frobenius norm at most
 # ||X_i||_F^2, so the matrix a step retracts has
 # ||A - eta G||_F <= sqrt(k) + MAX_STEP_ENERGY: finite.
@@ -151,9 +152,22 @@ def aggregate(stacks, previous):
 def initial_pair(config: FedConfig, shards, rng) -> FactorPair:
     """The seeded start: one retracted Gaussian basis of config.k columns
     per factor height of the d x B shards, U's d x k drawn from rng
-    before V's B x k."""
+    before V's B x k.
+
+    Raises DimensionMismatch if config.k exceeds min(d, B), and
+    InputOverflow if eta * max_i ||X_i||_F^2 exceeds MAX_STEP_ENERGY."""
+    d, width = np.shape(shards[0])
+    if config.k > min(d, width):
+        raise DimensionMismatch(f"rank k={config.k} exceeds min(d, B) = "
+                                f"{min(d, width)} of the {d} x {width} "
+                                f"training shards")
+    largest = max(float(np.vdot(s, s)) for s in shards)
+    if config.eta * largest > MAX_STEP_ENERGY:
+        raise InputOverflow(f"eta={config.eta!r} times the largest shard "
+                            f"energy {largest:.6g} exceeds "
+                            f"{MAX_STEP_ENERGY:g}: a step could overflow")
     return FactorPair._make(retract(rng.standard_normal((n, config.k)))
-                            for n in np.shape(shards[0]))
+                            for n in (d, width))
 
 
 def run_fedsg(config: FedConfig, shards):
@@ -171,36 +185,27 @@ def run_fedsg(config: FedConfig, shards):
     otherwise fall below 0.
 
     Raises ShapeMismatch for a stack that is not 3-D or is empty,
-    DimensionMismatch if config.k exceeds min(d, B) or sample_fraction *
-    n_clients is below 1, NonFiniteShard for a shard with a NaN or
-    infinite value, and InputOverflow when the shards' energy overflows
-    or eta * max_i ||X_i||_F^2 exceeds MAX_STEP_ENERGY.
+    NonFiniteShard for a shard with a NaN or infinite value,
+    DimensionMismatch if sample_fraction * n_clients is below 1, and
+    InputOverflow when the shards' energy overflows; then whatever
+    initial_pair raises for a config that the model cannot take.
     """
     shards = shard_stack(shards)
     if shards.ndim != 3 or not shards.size:
         raise ShapeMismatch(f"shards of shape {shards.shape}, but a "
                             f"non-empty (n_clients, d, B) stack is needed")
-    # min and max propagate NaN and reach +-inf, so they are finite only
-    # when every value is, without a temporary the size of the stack.
-    if not np.isfinite([shards.min(), shards.max()]).all():
-        bad = next(i for i, s in enumerate(shards) if not np.isfinite(s).all())
-        raise NonFiniteShard(f"shard {bad} has non-finite values")
-
+    energy = sum(float(np.vdot(s, s)) for s in shards)
+    # A NaN or an infinite value makes the energy non-finite, as does an
+    # overflow; only then are the shards scanned for such a value.
+    if not energy < np.inf:
+        for i, s in enumerate(shards):
+            if not np.isfinite(s).all():
+                raise NonFiniteShard(f"shard {i} has non-finite values")
     n, d, width = shards.shape
-    if config.k > min(d, width):
-        raise DimensionMismatch(f"rank k={config.k} exceeds min(d, B) = "
-                                f"{min(d, width)} of the {d} x {width} "
-                                f"training shards")
     n_sample = config.n_sampled(n)
-    energies = [float(np.vdot(s, s)) for s in shards]
-    energy = sum(energies)
     if not energy < np.inf:
         raise InputOverflow("the shards' energy sum_i ||X_i||_F^2 "
                             "overflows")
-    if config.eta * max(energies) > MAX_STEP_ENERGY:
-        raise InputOverflow(f"eta={config.eta!r} times the largest shard "
-                            f"energy {max(energies):.6g} exceeds "
-                            f"{MAX_STEP_ENERGY:g}: a step could overflow")
     rng = np.random.default_rng(config.seed)
     pair = initial_pair(config, shards, rng)
 

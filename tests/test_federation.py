@@ -319,6 +319,21 @@ def test_run_fedsg_rejects_non_finite_shard(bad):
         assert isinstance(err.value, InputError)
 
 
+def test_run_fedsg_names_the_non_finite_shard_before_an_overflow():
+    """Shard 0 is finite but its energy overflows, and shard 2 holds a
+    NaN: the non-finite energy sends run_fedsg to scan the values, and
+    the NaN, not the overflow, is named. The overflow alone stays an
+    InputOverflow."""
+    config = FedConfig(rounds=1, local_steps=1, sample_fraction=1.0, k=2)
+    shards = np.random.default_rng(8).standard_normal((3, 6, 8))
+    shards[0] *= 1e160
+    with pytest.raises(InputOverflow, match="energy .* overflows"):
+        run_fedsg(config, shards)
+    shards[2, 1, 3] = np.nan
+    with pytest.raises(NonFiniteShard, match="shard 2 has non-finite"):
+        run_fedsg(config, shards)
+
+
 def test_run_fedsg_rejects_overflowing_energy_and_step():
     """Finite shards whose energy overflows, and an eta whose step could
     overflow (eta * max_i ||X_i||_F^2 above MAX_STEP_ENERGY), are input
@@ -409,8 +424,30 @@ def test_run_fedsg_trains_any_model_through_its_seam(monkeypatch):
     ||X_i - U U^T X_i||_F^2, swaps in at initial_pair, local_update and
     captured_energy and trains through the unchanged run_fedsg. Only its
     d x k basis is drawn, exchanged and averaged."""
-    n, d, width, k = 8, 6, 9, 2
-    shards = np.random.default_rng(303).standard_normal((n, d, width))
+    shards = np.random.default_rng(303).standard_normal((8, 6, 9))
+    _train_one_factor_model(monkeypatch, shards, 2, 1e-3)
+
+
+@pytest.mark.parametrize("d,width,k,eta,error,message", [
+    (10, 2, 3, 1e-3, DimensionMismatch, "rank k=3 exceeds min"),
+    (6, 9, 2, 1e306, InputOverflow, "a step could overflow"),
+], ids=["k_above_width", "eta_above_step_bound"])
+def test_run_fedsg_trains_any_model_on_inputs_the_pair_refuses(
+        monkeypatch, d, width, k, eta, error, message):
+    """The loop checks only what every model needs: a k above B, or an
+    eta with eta * max_i ||X_i||_F^2 above MAX_STEP_ENERGY, is refused by
+    the pair's initial_pair, and the model of U alone trains on it."""
+    shards = np.random.default_rng(303).standard_normal((8, d, width))
+    with pytest.raises(error, match=message):
+        run_fedsg(FedConfig(k=k, eta=eta), shards)
+    _train_one_factor_model(monkeypatch, shards, k, eta)
+
+
+def _train_one_factor_model(monkeypatch, shards, k, eta):
+    """Train the model of U alone on an even number of shards through
+    run_fedsg, with half of the clients sampled per round, and check
+    what the run exchanged, sampled and recorded."""
+    n, d, _ = shards.shape
 
     def initial(config, shards, rng):
         return _Subspace(retract(rng.standard_normal((d, config.k))))
@@ -439,20 +476,20 @@ def test_run_fedsg_trains_any_model_through_its_seam(monkeypatch):
     monkeypatch.setattr(federation, "aggregate", spy)
     monkeypatch.setattr(federation, "captured_energy", energy)
     cfg = FedConfig(rounds=3, local_steps=2, sample_fraction=0.5, k=k,
-                    eta=1e-3, seed=6)
+                    eta=eta, seed=6)
     model, traces = run_fedsg(cfg, shards)
 
     assert [type(m) for m in models] == [_Subspace] * 3
     assert model is models[-1]
     assert model.u.basis.shape == (d, k)
     for t in traces:
-        assert t.bytes_uplink == t.bytes_downlink == 8 * d * k * 4
+        assert t.bytes_uplink == t.bytes_downlink == 8 * d * k * (n // 2)
     # The run drew only the d x k start before sampling: a B x k draw
     # would shift every round's sample.
     rng = np.random.default_rng(cfg.seed)
     rng.standard_normal((d, k))
     assert [t.sampled for t in traces] == [
-        tuple(np.sort(rng.choice(n, size=4, replace=False)).tolist())
+        tuple(np.sort(rng.choice(n, size=n // 2, replace=False)).tolist())
         for _ in traces]
     u = model.u.basis
     residual = shards - u @ (u.T @ shards)
