@@ -26,7 +26,9 @@ train_errors.npy, prep.npz (a CSV run's per-client means and stds, or
 a synthetic run's test set and labels), and from evaluation:
 metrics.json, roc.csv, pr.csv, sweep.csv, bench.json. eval and bench
 each write their report through _write_json and print the same object:
-eval's names rho and its threshold tau beside the metrics.
+eval's names rho and its threshold tau beside the metrics. The float
+tables roc.csv, pr.csv and sweep.csv all go through
+detection.write_curve.
 
 main builds the parser once per process and looks up each command by
 name when it runs, so a cmd_* replaced at this module's binding (as a
@@ -39,7 +41,6 @@ section lists the input errors by command.
 """
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -341,8 +342,8 @@ def cmd_eval(args):
     report = {"rho": args.rho, "tau": tau, **dataclasses.asdict(metrics)}
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "metrics.json"), report)
-    write_curve(*roc, os.path.join(out, "roc.csv"), ["fpr", "tpr"])
-    write_curve(*pr, os.path.join(out, "pr.csv"), ["recall", "precision"])
+    write_curve(roc, os.path.join(out, "roc.csv"), ["fpr", "tpr"])
+    write_curve(pr, os.path.join(out, "pr.csv"), ["recall", "precision"])
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -383,10 +384,8 @@ def cmd_sweep(args):
         rep = evaluate(errors, labels, tau)
         rows.append([rho, tau, rep.acc, rep.pre, rep.tpr, rep.fpr, rep.f1])
     path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rho", "tau", "acc", "pre", "tpr", "fpr", "f1"])
-        w.writerows(rows)
+    write_curve(list(zip(*rows)), path,
+                ["rho", "tau", "acc", "pre", "tpr", "fpr", "f1"])
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 

@@ -2,7 +2,8 @@
 point metrics, ROC/PR curves, and the per-client self-trained SVD
 baseline. The curves are the vertices of the swept polylines (the AUC
 comes from the full sweep) and stay numpy column arrays until
-write_curve turns them into text.
+write_curve turns them into text; write_curve writes sweep's table of
+operating points too, so every float-only CSV has this one writer.
 
 A single sample x is scored against the learned column subspace only:
 eps = ||x - U U^T x||_2. The row-subspace factor indexes training
@@ -207,21 +208,23 @@ def self_svd_baseline(train_shards, test_sets, k: int, rho: float):
     return replace(metrics_from_counts(*totals), auc=auc)
 
 
-def write_curve(x, y, path, header):
-    """Write the columns x and y as CSV rows of repr(float) cells under a
-    header row, with csv.writer's \\r\\n line ends.
+def write_curve(columns, path, header):
+    """Write equal-length float columns as CSV rows of repr(float) cells
+    under a header row, with csv.writer's \\r\\n line ends.
 
     The rows go out in one write: repr runs once per distinct value,
     keyed by bit pattern so that -0.0 and NaN keep their own text, and
     the cells are joined once.
     """
-    xy = np.array((x, y), dtype=float).T.ravel()
-    keys, inverse = np.unique(xy.view(np.uint64), return_inverse=True)
+    table = np.array(columns, dtype=float).T
+    keys, inverse = np.unique(table.ravel().view(np.uint64),
+                              return_inverse=True)
     text = np.array([repr(v) for v in keys.view(np.float64).tolist()],
                     dtype=object)
-    cells = np.empty((xy.size // 2, 4), dtype=object)
-    cells[:, ::2] = text[inverse].reshape(-1, 2)
-    cells[:, 1], cells[:, 3] = ",", "\r\n"
+    cells = np.empty((table.shape[0], 2 * table.shape[1]), dtype=object)
+    cells[:, ::2] = text[inverse].reshape(table.shape)
+    cells[:, 1::2] = ","
+    cells[:, -1] = "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.write("".join(cells.ravel().tolist()))

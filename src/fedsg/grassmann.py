@@ -64,10 +64,6 @@ class GrassmannPoint:
     def n(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.basis.shape[1]
-
 
 def retract(m) -> GrassmannPoint:
     """Map a full-rank n-by-k matrix back onto the manifold as the Q

@@ -13,11 +13,11 @@ sorted_partition are the per-row, per-cell CSV parser (float() of the
 stripped cell, if ASCII without "_") and the
 per-record sort that data.load_dataset's columnar ingest and
 partition_non_iid replaced;
-csv_write_curve is the csv.writer row loop that detection.write_curve's
-single join replaced; round_robin_zscores and round_robin_errors are
-the per-client loop that z-scored the test set before
-data.zscore_round_robin did it by broadcasting over whole rounds of
-clients;
+csv_write_curve is the csv.writer row loop, over rows of any length,
+that detection.write_curve's single join replaced; round_robin_zscores
+and round_robin_errors are the per-client loop that z-scored the test
+set before data.zscore_round_robin did it by broadcasting over whole
+rounds of clients;
 householder_qr is the LAPACK QR that linalg.batched_qr keeps only for
 ill-conditioned members. reference_grad_u and reference_grad_v are the
 Euclidean gradients exact at any U, V, with two Gram matrices per shard,
@@ -262,13 +262,14 @@ def sorted_partition(values, labels, rows, n_clients, fpos):
     return [np.column_stack([values[:, i] for i in chunk]) for chunk in chunks]
 
 
-def csv_write_curve(points, path, header):
-    """write_curve one csv.writer row and two repr calls at a time."""
+def csv_write_curve(rows, path, header):
+    """write_curve one csv.writer row and one repr call per cell at a
+    time, for rows of any length."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for a, b in points:
-            w.writerow([repr(float(a)), repr(float(b))])
+        for row in rows:
+            w.writerow([repr(float(v)) for v in row])
 
 
 def round_robin_zscores(means, stds, values):

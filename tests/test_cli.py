@@ -207,10 +207,12 @@ def test_sweep_matches_eval(run_dir, capsys):
     single = json.loads(capsys.readouterr().out)
     assert main(["sweep", "--checkpoint", str(run_dir / "checkpoint.bin"),
                  "--rho-grid", "18"]) == 0
-    with open(run_dir / "sweep.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1
-    assert float(rows[0]["f1"]) == pytest.approx(single["f1"], abs=1e-12)
+    # Each cell is the repr of eval's own value, so the one row's text
+    # pins sweep.csv's cell format as well as its numbers.
+    names = ["rho", "tau", "acc", "pre", "tpr", "fpr", "f1"]
+    row = ",".join(repr(float(single[name])) for name in names) + "\r\n"
+    text = (run_dir / "sweep.csv").read_bytes().decode()
+    assert text == ",".join(names) + "\r\n" + row
 
 
 def test_sweep_tpr_monotone(run_dir):

@@ -300,18 +300,28 @@ CURVE_VALUES = [0.0, -0.0, 1.0, 0.1, 1e-5, 1e16, float("nan"),
                 5e-324, -5e-324, 2.2250738585072009e-308]
 
 
+CURVE_HEADER = ["rho", "tau", "acc", "pre", "tpr", "fpr", "f1"]
+
+
+def _tables(width):
+    value = st.sampled_from(CURVE_VALUES) | st.floats()
+    return st.tuples(st.just(width),
+                     st.lists(st.tuples(*[value] * width), max_size=40))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(*[st.sampled_from(CURVE_VALUES) | st.floats()] * 2),
-                max_size=40),
-       st.sampled_from([["fpr", "tpr"], ["recall", "precision"]]))
-@example([], ["fpr", "tpr"])
-@example([(0.5, 0.5)] * 3 + [(-0.0, 0.0), (0.0, -0.0)], ["fpr", "tpr"])
-def test_write_curve_matches_csv_writer(points, header):
+@given(st.integers(1, len(CURVE_HEADER)).flatmap(_tables))
+@example((2, []))
+@example((7, []))
+@example((2, [(0.5, 0.5)] * 3 + [(-0.0, 0.0), (0.0, -0.0)]))
+def test_write_curve_matches_csv_writer(table):
+    width, rows = table
+    header = CURVE_HEADER[:width]
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
-        write_curve([x for x, _ in points], [y for _, y in points], got,
+        write_curve([[row[j] for row in rows] for j in range(width)], got,
                     header)
-        csv_write_curve(points, want, header)
+        csv_write_curve(rows, want, header)
         with open(got, "rb") as g, open(want, "rb") as w:
             assert g.read() == w.read()
 
